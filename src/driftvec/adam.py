@@ -49,13 +49,23 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
     _check_finite(grad, name)
     state.step_count += 1
     t = state.step_count
+    # In place, with two scratch buffers; every element sees the same
+    # floating-point operations in the same order as the textbook form
+    # m/(1-b1^t) * lr / (sqrt(v/(1-b2^t)) + eps).
+    scratch = grad * (1 - state.beta1)
     state.m *= state.beta1
-    state.m += (1 - state.beta1) * grad
+    state.m += scratch
+    np.multiply(grad, 1 - state.beta2, out=scratch)
+    scratch *= grad
     state.v *= state.beta2
-    state.v += (1 - state.beta2) * grad * grad
-    mhat = state.m / (1 - state.beta1 ** t)
-    vhat = state.v / (1 - state.beta2 ** t)
-    params += learning_rate * mhat / (np.sqrt(vhat) + state.epsilon)
+    state.v += scratch
+    step = state.m / (1 - state.beta1 ** t)
+    step *= learning_rate
+    np.divide(state.v, 1 - state.beta2 ** t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.epsilon
+    step /= scratch
+    params += step
     return params
 
 
@@ -92,9 +102,10 @@ def save_adam_state(state: AdamState, path) -> None:
         rows, cols = state.m.shape
         fh.write(f"{rows} {cols} {state.step_count} "
                  f"{state.beta1:.17g} {state.beta2:.17g} {state.epsilon:.17g}\n")
+        line = " ".join(["%.17g"] * cols) + "\n"
         for mat in (state.m, state.v):
             for row in mat:
-                fh.write(" ".join("%.17g" % x for x in row) + "\n")
+                fh.write(line % tuple(row.tolist()))
 
 
 def load_adam_state(path) -> AdamState:

@@ -249,11 +249,14 @@ def _train_config_record(cfg: RunConfig) -> dict:
 def cmd_train(args) -> int:
     cfg = resolve_run_config(args)
     vocab = load_vocabulary(cfg.vocab)
-    train_corpus = load_corpus(cfg.train_path)
+    train_corpus = load_corpus(cfg.train_path, vocab.size)
     if cfg.subset_fraction < 1:
         train_corpus = corpus_mod.subsample_corpus(
             train_corpus, cfg.subset_fraction, cfg.train.seed)
-    valid_corpus = load_corpus(cfg.valid_path) if cfg.valid_path else None
+    valid_corpus = load_corpus(cfg.valid_path, vocab.size) if cfg.valid_path else None
+    if valid_corpus is not None and valid_corpus.T != train_corpus.T:
+        raise DataError(f"{cfg.valid_path}: {valid_corpus.T} slices, but the "
+                        f"training corpus has {train_corpus.T}")
 
     model_params = cfg.dsg_params if cfg.model == "dsg" else (
         cfg.dbe_params if cfg.model == "dbe" else None)
@@ -317,9 +320,12 @@ def cmd_eval(args) -> int:
     split_entry = manifest["inputs"].get(args.split)
     if not split_entry:
         raise DataError(f"run manifest records no {args.split!r} corpus")
-    corpus = load_corpus(split_entry["path"])
     window = manifest["config"]["train"]["window"]
     word_mats, ctx_mats = runs.load_slice_matrices(args.run, kind, manifest["T"])
+    corpus = load_corpus(split_entry["path"], word_mats[0].shape[0])
+    if corpus.T != manifest["T"]:
+        raise DataError(f"{split_entry['path']}: {corpus.T} slices, but the run "
+                        f"has {manifest['T']}")
     per_slice, mean = analysis.evaluate_lpos(corpus, word_mats, ctx_mats, window)
     report = analysis.format_lpos_report(per_slice, mean)
     sys.stdout.write(report)
@@ -332,8 +338,7 @@ def cmd_drift(args) -> int:
     manifest = runs.read_manifest(args.run)
     kind = manifest["model"]
     T = manifest["T"]
-    word_mats, _ = runs.load_slice_matrices(args.run, kind, T)
-    words = runs.checkpoint_words(args.run, kind)
+    words, word_mats = runs.load_word_matrices(args.run, kind, T)
     series = analysis.drift_series(word_mats, args.t0, kind)
     outdir = Path(args.out or args.run)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -492,7 +492,23 @@ def save_corpus(corpus: TimeSlicedCorpus, path) -> None:
         path.write_bytes(raw)
 
 
-def load_corpus(path) -> TimeSlicedCorpus:
+def _document_ids(path, t, k, doc) -> np.ndarray:
+    try:
+        ids = np.array(doc) if isinstance(doc, list) else None
+    except ValueError:
+        ids = None
+    if ids is None or ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise DataError(f"{path}: slice {t}, document {k} is not a list of integer token ids")
+    return ids.astype(np.int64, copy=False)
+
+
+def load_corpus(path, vocab_size: int | None = None) -> TimeSlicedCorpus:
+    """Read a corpus written by :func:`save_corpus`.
+
+    With ``vocab_size`` given, every token id must lie in
+    ``[0, vocab_size)``. Any malformed content raises :class:`DataError`
+    naming the file and the offending slice and document.
+    """
     path = Path(path)
     try:
         if path.suffix == ".gz":
@@ -500,10 +516,25 @@ def load_corpus(path) -> TimeSlicedCorpus:
                 payload = json.loads(fh.read().decode("utf-8"))
         else:
             payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"unreadable corpus file {path}: {exc}") from exc
+    raw = payload.get("slices") if isinstance(payload, dict) else None
+    if not isinstance(raw, list) or not all(isinstance(docs, list) for docs in raw):
+        raise DataError(f'{path}: no "slices" list of per-slice document lists')
+    if payload.get("T", len(raw)) != len(raw):
+        raise DataError(f"{path}: header says T={payload['T']} but holds {len(raw)} slices")
     slices = tuple(
-        tuple(np.asarray(doc, dtype=np.int64) for doc in docs)
-        for docs in payload["slices"]
+        tuple(_document_ids(path, t, k, doc) for k, doc in enumerate(docs))
+        for t, docs in enumerate(raw)
     )
+    if vocab_size is not None:
+        for t, docs in enumerate(slices):
+            ids = np.concatenate(docs) if docs else np.empty(0, dtype=np.int64)
+            outside = (ids < 0) | (ids >= vocab_size)
+            if outside.any():
+                i = int(np.argmax(outside))
+                k = int(np.searchsorted(np.cumsum([len(doc) for doc in docs]), i,
+                                        side="right"))
+                raise DataError(f"{path}: slice {t}, document {k}: token id {ids[i]} "
+                                f"is outside the vocabulary of {vocab_size} words")
     return TimeSlicedCorpus(slices=slices, split_tag=payload.get("split", "full"))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corpus as corpus_mod
-from .adam import AdamState, adam_step
+from .adam import AdamState, adam_step, adam_step_rows
 from .errors import NumericalError
 from .isg import epoch_positives, iter_minibatches
 from .sgns import EmbeddingMatrix, TrainConfig, batch_grad_rows, sgns_log_likelihood, sigmoid
@@ -106,18 +106,35 @@ def dbe_loss(batches, U_all, V: np.ndarray, params: DbeParams):
 
 
 def _round_robin(per_slice_batches):
-    """Interleave mini-batches across slices: t=0,1,...,T-1,0,1,..."""
+    """Group mini-batches into round-robin sweeps.
+
+    Sweep k holds the k-th mini-batch of every slice that has one, in
+    slice order; each sweep is yielded as a list of ``(t, batch)``.
+    """
     pending = [list(b) for b in per_slice_batches]
-    cursors = [0] * len(pending)
-    while True:
-        emitted = False
-        for t, batches in enumerate(pending):
-            if cursors[t] < len(batches):
-                yield t, batches[cursors[t]]
-                cursors[t] += 1
-                emitted = True
-        if not emitted:
-            return
+    for k in range(max(map(len, pending), default=0)):
+        yield [(t, batches[k]) for t, batches in enumerate(pending)
+               if k < len(batches)]
+
+
+def sweep_prior_grads(U_all, V: np.ndarray, params: DbeParams, weight: float,
+                      penalty=None):
+    """Ascent direction of one sweep's dense prior step.
+
+    ``weight`` times the gradient of :func:`dbe_prior`; with ``penalty``
+    given as ``(reg, ref, betas)``, ``weight`` times the HardShrink
+    drift-penalty gradient of every slice after the first is subtracted.
+    Returns ``(gradU, gradV)`` like :func:`dbe_prior_grads`.
+    """
+    gradU, gradV = dbe_prior_grads(U_all, V, params)
+    for g in (*gradU, gradV):
+        g *= weight
+    if penalty is not None:
+        reg, ref, betas = penalty
+        for s in range(1, len(U_all)):
+            gradU[s] -= weight * shrinkreg.drift_regularizer_grad(
+                U_all[s], ref, reg.alpha, betas[s])
+    return gradU, gradV
 
 
 def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
@@ -126,14 +143,19 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
 
     ``init`` is ``(U0, V0)``; every slice's word matrix starts as a copy
     of ``U0`` so the random walk begins with zero drift. Each epoch
-    visits mini-batches from all slices round robin, and the prior
-    gradient rides along with every batch scaled by the batch's share of
-    the epoch's positive pairs, so one epoch applies the full prior
-    exactly once.
+    visits mini-batches from all slices in round-robin sweeps (one
+    mini-batch per slice that still has one). A mini-batch of slice t
+    takes a likelihood step on just the rows of ``U[t]`` and ``V`` it
+    touches. After each sweep, one dense step on every matrix applies
+    the prior gradient scaled by the sweep's share of the epoch's
+    positive pairs; the shares sum to 1, so one epoch applies the full
+    prior exactly once, and the dense work per epoch grows linearly in
+    the slice count.
 
-    The drift penalty, when enabled, measures each slice against a
-    snapshot of slice 0 taken at the start of the epoch; its thresholds
-    (one per slice) are frozen for the epoch alongside the snapshot.
+    The drift penalty, when enabled, joins the prior step. It measures
+    each slice against a snapshot of slice 0 taken at the start of the
+    epoch; its thresholds (one per slice) are frozen for the epoch
+    alongside the snapshot.
 
     Returns ``(DbeModel, traces)``.
     """
@@ -169,43 +191,44 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
             per_slice.append(iter_minibatches(batch, config.batch_size,
                                               config.negative_ratio))
 
-        ref = U_all[0].copy() if reg_active else None
-        betas = None
+        penalty = None
         if reg_active:
+            ref = U_all[0].copy()
             betas = [0.0] * T
             for t in range(1, T):
                 betas[t] = shrinkreg.resolve_beta(
                     reg, shrinkreg.word_drifts(U_all[t], ref))
             beta_trace.append(list(betas))
+            penalty = (reg, ref, betas)
 
         lpos_sums = [0.0] * T
         pos_counts = [0] * T
-        for t, (centers, contexts, labels) in _round_robin(per_slice):
-            if len(centers) == 0:
-                continue
-            n_pos = int(labels.sum())
-            frac = n_pos / total_pos if total_pos else 1.0
-            u_rows, gU_rows, v_rows, gV_rows, loglik, lp = batch_grad_rows(
-                centers, contexts, labels, U_all[t], V)
-            if not math.isfinite(loglik):
-                raise NumericalError(
-                    f"non-finite loss at slice {t}, epoch {epoch}")
-            lpos_sums[t] += lp
-            pos_counts[t] += n_pos
+        for sweep in _round_robin(per_slice):
+            sweep_pos = 0
+            for t, (centers, contexts, labels) in sweep:
+                u_rows, gU_rows, v_rows, gV_rows, loglik, lp = batch_grad_rows(
+                    centers, contexts, labels, U_all[t], V)
+                if not math.isfinite(loglik):
+                    raise NumericalError(
+                        f"non-finite loss at slice {t}, epoch {epoch}")
+                n_pos = int(labels.sum())
+                lpos_sums[t] += lp
+                pos_counts[t] += n_pos
+                sweep_pos += n_pos
+                adam_step_rows(U_all[t], u_rows, gU_rows, statesU[t],
+                               config.learning_rate, f"U[{t}]")
+                adam_step_rows(V, v_rows, gV_rows, stateV,
+                               config.learning_rate, "V")
 
-            gradU_prior, gradV_prior = dbe_prior_grads(U_all, V, params)
+            gradU, gradV = sweep_prior_grads(U_all, V, params,
+                                             sweep_pos / total_pos, penalty)
             for s in range(T):
-                g = frac * gradU_prior[s]
-                if s == t:
-                    g[u_rows] += gU_rows
-                if reg_active and s > 0:
-                    g -= frac * shrinkreg.drift_regularizer_grad(
-                        U_all[s], ref, reg.alpha, betas[s])
-                adam_step(U_all[s], g, statesU[s], config.learning_rate,
+                adam_step(U_all[s], gradU[s], statesU[s], config.learning_rate,
                           f"U[{s}]")
-            gV = frac * gradV_prior
-            gV[v_rows] += gV_rows
-            adam_step(V, gV, stateV, config.learning_rate, "V")
+            adam_step(V, gradV, stateV, config.learning_rate, "V")
+            # free the T+1 dense gradients before the next sweep's
+            # likelihood steps allocate their own temporaries
+            del gradU, gradV
 
         for t in range(T):
             traces[t]["lpos"].append(

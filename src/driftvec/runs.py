@@ -70,11 +70,33 @@ def save_dbe_checkpoints(rundir, words, model) -> None:
     save_embedding_text(d / "context.vec", words, model.V.values)
 
 
+WORD_FILES = {"isg": "t{}.vec", "dsg": "t{}.mean.vec", "dbe": "t{}.vec"}
+CONTEXT_FILES = {"isg": "t{}.ctx.vec", "dsg": "t{}.ctx.mean.vec"}
+
+
 def _load(path):
     if not Path(path).exists():
         raise DataError(f"missing checkpoint {path}")
-    _, matrix = load_embedding_text(path)
-    return matrix
+    return load_embedding_text(path)
+
+
+def _kind_dir(rundir, kind) -> Path:
+    if kind not in WORD_FILES:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return Path(rundir) / kind
+
+
+def load_word_matrices(rundir, kind: str, T: int):
+    """``(words, matrices)``: the per-slice word matrices of a run (posterior
+    means for the Bayesian model) and the word list read with slice 0."""
+    d = _kind_dir(rundir, kind)
+    words, mats = [], []
+    for t in range(T):
+        slice_words, matrix = _load(d / WORD_FILES[kind].format(t))
+        if t == 0:
+            words = slice_words
+        mats.append(matrix)
+    return words, mats
 
 
 def load_slice_matrices(rundir, kind: str, T: int):
@@ -83,36 +105,21 @@ def load_slice_matrices(rundir, kind: str, T: int):
     For the Bayesian model these are posterior means; for the Bernoulli
     model the shared context matrix is repeated per slice.
     """
+    _, words_mats = load_word_matrices(rundir, kind, T)
     d = Path(rundir) / kind
-    words_mats, ctx_mats = [], []
-    if kind == "isg":
-        for t in range(T):
-            words_mats.append(_load(d / f"t{t}.vec"))
-            ctx_mats.append(_load(d / f"t{t}.ctx.vec"))
-    elif kind == "dsg":
-        for t in range(T):
-            words_mats.append(_load(d / f"t{t}.mean.vec"))
-            ctx_mats.append(_load(d / f"t{t}.ctx.mean.vec"))
-    elif kind == "dbe":
-        shared = _load(d / "context.vec")
-        for t in range(T):
-            words_mats.append(_load(d / f"t{t}.vec"))
-            ctx_mats.append(shared)
+    if kind == "dbe":
+        ctx_mats = [_load(d / "context.vec")[1]] * T
     else:
-        raise ValueError(f"unknown model kind {kind!r}")
+        ctx_mats = [_load(d / CONTEXT_FILES[kind].format(t))[1] for t in range(T)]
     return words_mats, ctx_mats
 
 
 def load_variance_matrices(rundir, T: int):
     """Posterior variance matrices of a Bayesian run's word vectors."""
     d = Path(rundir) / "dsg"
-    return [_load(d / f"t{t}.var.vec") for t in range(T)]
+    return [_load(d / f"t{t}.var.vec")[1] for t in range(T)]
 
 
 def checkpoint_words(rundir, kind: str):
-    d = Path(rundir) / kind
-    first = {"isg": "t0.vec", "dsg": "t0.mean.vec", "dbe": "t0.vec"}[kind]
-    if not (d / first).exists():
-        raise DataError(f"missing checkpoint {d / first}")
-    words, _ = load_embedding_text(d / first)
+    words, _ = _load(_kind_dir(rundir, kind) / WORD_FILES[kind].format(0))
     return words

@@ -158,19 +158,22 @@ def save_embedding_text(path, words, matrix: np.ndarray) -> None:
     matrix = np.asarray(matrix, dtype=np.float64)
     if len(words) != matrix.shape[0]:
         raise ValueError("word count does not match matrix rows")
+    line = "%s " + " ".join(["%.17g"] * matrix.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
         for word, row in zip(words, matrix):
-            fh.write(word + " " + " ".join("%.17g" % v for v in row) + "\n")
+            fh.write(line % (word, *row.tolist()))
 
 
 def load_embedding_text(path):
     """Read the text format; returns ``(words, matrix)``."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise DataError(f"{path}: malformed embedding header")
-        count, dim = int(header[0]), int(header[1])
+        try:
+            count, dim = map(int, fh.readline().split())
+        except ValueError:
+            count = dim = -1
+        if count < 0 or dim < 0:
+            raise DataError(f"{path}:1: malformed embedding header")
         words = []
         matrix = np.empty((count, dim), dtype=np.float64)
         for i in range(count):
@@ -178,5 +181,9 @@ def load_embedding_text(path):
             if len(parts) != dim + 1:
                 raise DataError(f"{path}: row {i} has {len(parts) - 1} values, expected {dim}")
             words.append(parts[0])
-            matrix[i] = [float(p) for p in parts[1:]]
+            try:
+                matrix[i] = [float(p) for p in parts[1:]]
+            except ValueError:
+                raise DataError(f"{path}:{i + 2}: non-numeric value in the row "
+                                f"of {parts[0]!r}") from None
     return words, matrix

@@ -54,6 +54,27 @@ def test_nan_gradient_names_matrix():
         adam_step(params, bad, state, 0.1, name="word_matrix")
 
 
+def test_dense_step_matches_textbook_form():
+    # the in-place step must give the same bits as the plain expression
+    rng = np.random.default_rng(8)
+    params = rng.normal(size=(7, 3))
+    reference = params.copy()
+    state = AdamState.for_shape((7, 3))
+    m, v = np.zeros((7, 3)), np.zeros((7, 3))
+    lr, b1, b2, eps = 0.05, state.beta1, state.beta2, state.epsilon
+    for t in range(1, 6):
+        grad = rng.normal(size=(7, 3)) * 10.0 ** rng.integers(-8, 8, size=(7, 3))
+        adam_step(params, grad, state, lr)
+        m = b1 * m + (1 - b1) * grad
+        v = b2 * v + (1 - b2) * grad * grad
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
+        reference += lr * mhat / (np.sqrt(vhat) + eps)
+        np.testing.assert_array_equal(params, reference)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
+
+
 class TestRowUpdates:
     def test_matches_dense_on_touched_rows(self):
         rng = np.random.default_rng(3)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,66 @@ class TestTrainEvalDrift:
         assert manifest["direction"] == "backward"
         assert manifest["trained_order"] == [2, 1, 0]
         assert "pretrained" in manifest["inputs"]
+
+
+class TestInputContract:
+    """Malformed inputs exit 2 with a message naming the file and place."""
+
+    def test_corpus_without_slices(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "noslices.json"
+        bad.write_text(json.dumps({"split": "train", "T": 3}))
+        args = train_args(pipeline, tmp_path / "run")
+        args[args.index("--train") + 1] = bad
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "noslices.json" in err and '"slices"' in err
+
+    def test_token_id_outside_vocabulary(self, pipeline, tmp_path, capsys):
+        payload = json.loads((pipeline / "data.train.json").read_text())
+        payload["slices"][1][2][0] = 30          # the vocabulary has 30 words
+        bad = tmp_path / "bigid.json"
+        bad.write_text(json.dumps(payload))
+        args = train_args(pipeline, tmp_path / "run")
+        args[args.index("--train") + 1] = bad
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "bigid.json" in err and "slice 1, document 2" in err
+
+        # eval checks the scored split against the checkpoint rows
+        args = train_args(pipeline, tmp_path / "run")
+        args[args.index("--test") + 1] = bad
+        assert run(args) == 0
+        capsys.readouterr()
+        assert run(["eval", "--run", tmp_path / "run", "--split", "test"]) == 2
+        err = capsys.readouterr().err
+        assert "bigid.json" in err and "token id 30" in err
+
+    def test_slice_count_mismatch(self, pipeline, tmp_path, capsys):
+        payload = json.loads((pipeline / "data.valid.json").read_text())
+        payload["slices"].pop()
+        payload["T"] = 2
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(payload))
+        args = train_args(pipeline, tmp_path / "run")
+        args[args.index("--valid") + 1] = short
+        assert run(args) == 2
+        assert "short.json: 2 slices" in capsys.readouterr().err
+
+        args = train_args(pipeline, tmp_path / "run")
+        args[args.index("--test") + 1] = short
+        assert run(args) == 0
+        capsys.readouterr()
+        assert run(["eval", "--run", tmp_path / "run", "--split", "test"]) == 2
+        assert "short.json: 2 slices" in capsys.readouterr().err
+
+    def test_non_numeric_vector_entry(self, pipeline, tmp_path, capsys):
+        pre = tmp_path / "pre.vec"
+        pre.write_text("2 4\nw0000 0.1 0.2 0.3 0.4\nw0001 0.1 oops 0.3 0.4\n")
+        assert run(train_args(pipeline, tmp_path / "run", model="dsg",
+                              extra=["--init", "backward-external",
+                                     "--pretrained", pre])) == 2
+        err = capsys.readouterr().err
+        assert "pre.vec:3:" in err and "w0001" in err
 
 
 def test_subsample_command(pipeline, tmp_path, capsys):

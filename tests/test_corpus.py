@@ -1,4 +1,5 @@
 import itertools
+import json
 from datetime import datetime
 
 import numpy as np
@@ -289,3 +290,31 @@ def test_corpus_file_round_trip(tmp_path):
         for t in range(corpus.T):
             for da, db in zip(corpus.slices[t], loaded.slices[t]):
                 np.testing.assert_array_equal(da, db)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([[[1, 2]]], '"slices"'),
+    ({"split": "train"}, '"slices"'),
+    ({"slices": [[[1, 2]], 7]}, '"slices"'),
+    ({"T": 2, "slices": [[[1, 2]]]}, "T=2"),
+    ({"slices": [[[1, 2]], [[0], [1.5, 2]]]}, "slice 1, document 1"),
+    ({"slices": [[[1, "a"]]]}, "slice 0, document 0"),
+    ({"slices": [[[[1], [2]]]]}, "slice 0, document 0"),
+    ({"slices": [[[1], [2, [3]]]]}, "slice 0, document 1"),
+])
+def test_load_corpus_rejects_malformed_content(tmp_path, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=message):
+        load_corpus(path)
+
+
+def test_load_corpus_checks_ids_against_vocabulary(tmp_path):
+    _, corpus = toy_corpus([["a b c", "a b"], ["a a", "", "b c z"]])
+    path = tmp_path / "c.json"
+    save_corpus(corpus, path)
+    assert load_corpus(path, vocab_size=4).T == 2
+    with pytest.raises(DataError, match="slice 1, document 2: token id 3"):
+        load_corpus(path, vocab_size=3)
+    with pytest.raises(DataError, match="token id 0"):
+        load_corpus(path, vocab_size=0)

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from driftvec import dbe as dbe_mod
 from driftvec.corpus import TimeSlicedCorpus, sample_negatives
-from driftvec.dbe import (DbeParams, dbe_loss, dbe_positional_logit,
-                          dbe_positional_probability, dbe_prior,
-                          dbe_prior_grads, train_dbe)
+from driftvec.dbe import (DbeParams, _round_robin, dbe_loss,
+                          dbe_positional_logit, dbe_positional_probability,
+                          dbe_prior, dbe_prior_grads, sweep_prior_grads,
+                          train_dbe)
 from driftvec.inits import init_random
 from driftvec.isg import epoch_positives, iter_minibatches
-from driftvec.sgns import TrainConfig, sgns_gradients
+from driftvec.sgns import TrainConfig, batch_grad_rows, sgns_gradients
+from driftvec.shrinkreg import RegConfig, drift_regularizer
 
 from conftest import make_batch, toy_corpus
 from test_sgns import finite_difference
@@ -210,3 +213,118 @@ class TestTraining:
         for t in range(2):
             np.testing.assert_array_equal(m1.U[t].values, m2.U[t].values)
         np.testing.assert_array_equal(m1.V.values, m2.V.values)
+
+
+class TestSweepSchedule:
+    def test_round_robin_sweeps(self):
+        sweeps = list(_round_robin([["a0", "a1", "a2"], [], ["c0"]]))
+        assert sweeps == [[(0, "a0"), (2, "c0")], [(0, "a1")], [(0, "a2")]]
+
+    def test_sweep_weights_of_an_epoch_sum_to_one(self, monkeypatch):
+        # unequal slices, so later sweeps cover fewer slices
+        vocab, corpus = toy_corpus([["a b c d e f"] * 40, ["f e d c b a"] * 15,
+                                    ["a c e b d f"] * 5])
+        weights = []
+
+        def recording(U_all, V, params, weight, penalty=None):
+            weights.append(weight)
+            return sweep_prior_grads(U_all, V, params, weight, penalty)
+
+        monkeypatch.setattr(dbe_mod, "sweep_prior_grads", recording)
+        cfg = small_config(epochs=1, batch_size=16)
+        train_dbe(corpus, vocab, init_random(vocab.size, cfg.dim, 0, "dbe"),
+                  DbeParams(), cfg)
+        assert len(weights) > 3
+        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+
+    def test_sweep_gradient_matches_dense_objective(self, rng):
+        # at fixed parameters, the row-sparse likelihood gradients of one
+        # sweep plus its weighted prior step are the gradient of
+        # likelihood(sweep) + weight * (prior - drift penalty)
+        T, L, d = 3, 6, 3
+        U_all = [rng.normal(size=(L, d)) for _ in range(T)]
+        V = rng.normal(size=(L, d))
+        params = DbeParams(drift_precision=0.8, base_precision=0.05)
+        reg = RegConfig(alpha=0.7, beta=0.1, enabled=True)
+        ref = rng.normal(size=(L, d))
+        betas = [0.0, 0.1, 0.2]
+        per_slice = []
+        for n_batches in (2, 2, 1):
+            batches = []
+            for _ in range(n_batches):
+                n = 8
+                batches.append((rng.integers(0, L, n), rng.integers(0, L, n),
+                                rng.integers(0, 2, n)))
+            per_slice.append(batches)
+        # the second sweep skips slice 2, whose only minibatch came first
+        sweep = list(_round_robin(per_slice))[1]
+        assert [t for t, _ in sweep] == [0, 1]
+        weight = 0.3
+
+        gradU = [np.zeros((L, d)) for _ in range(T)]
+        gradV = np.zeros((L, d))
+        for t, (centers, contexts, labels) in sweep:
+            u_rows, gU, v_rows, gV, _, _ = batch_grad_rows(
+                centers, contexts, labels, U_all[t], V)
+            gradU[t][u_rows] += gU
+            gradV[v_rows] += gV
+        priorU, priorV = sweep_prior_grads(U_all, V, params, weight,
+                                           (reg, ref, betas))
+        gradU = [g + p for g, p in zip(gradU, priorU)]
+        gradV += priorV
+
+        sweep_batches = [make_batch(*batch, slice_index=t) for t, batch in sweep]
+
+        def objective():
+            _, likelihood, _, prior = dbe_loss(sweep_batches, U_all, V, params)
+            penalty = sum(drift_regularizer(U_all[s], ref, reg.alpha, betas[s])
+                          for s in range(1, T))
+            return likelihood + weight * (prior - penalty)
+
+        for t in range(T):
+            np.testing.assert_allclose(gradU[t], finite_difference(objective, U_all[t]),
+                                       rtol=1e-4, atol=1e-7)
+        np.testing.assert_allclose(gradV, finite_difference(objective, V),
+                                   rtol=1e-4, atol=1e-7)
+
+    def test_dense_work_per_epoch_is_linear_in_slices(self, monkeypatch):
+        dense_elems = [0]
+        dense_step = dbe_mod.adam_step
+
+        def counting(params, grad, state, learning_rate, name="params"):
+            dense_elems[0] += params.size
+            return dense_step(params, grad, state, learning_rate, name)
+
+        monkeypatch.setattr(dbe_mod, "adam_step", counting)
+        rng = np.random.default_rng(4)
+        docs = tuple(rng.integers(0, 20, size=10).astype(np.int64) for _ in range(60))
+        vocab, _ = toy_corpus([[" ".join(f"w{i}" for i in range(20))] * 2])
+        cfg = small_config(epochs=1, batch_size=64)
+        counts = {}
+        for T in (2, 6):
+            dense_elems[0] = 0
+            corpus = TimeSlicedCorpus(slices=(docs,) * T)
+            train_dbe(corpus, vocab, init_random(vocab.size, cfg.dim, 0, "dbe"),
+                      DbeParams(), cfg)
+            counts[T] = dense_elems[0]
+        # equal tokens per slice: the same number of sweeps, each with one
+        # dense step per word matrix plus one for V
+        n_sweeps = counts[2] // (3 * vocab.size * cfg.dim)
+        assert n_sweeps > 1
+        assert counts[2] == n_sweeps * 3 * vocab.size * cfg.dim
+        assert counts[6] == n_sweeps * 7 * vocab.size * cfg.dim
+
+    def test_word_absent_from_middle_slice_is_smoothed(self):
+        # "z" occurs in slices 0 and 2 only; the random-walk prior must
+        # still pull its slice-1 vector towards its neighbours
+        vocab, corpus = toy_corpus([["a b z c d"] * 40, ["a b c d"] * 40,
+                                    ["z d c b a"] * 40])
+        z = vocab.id_of["z"]
+        cfg = small_config(epochs=8, window=2)
+        init = init_random(vocab.size, cfg.dim, 3, "dbe")
+        model, _ = train_dbe(corpus, vocab, init, DbeParams(), cfg)
+        U = [m.values[z] for m in model.U]
+        start = init[0][z]
+        assert not np.array_equal(U[1], start)
+        midpoint = 0.5 * (U[0] + U[2])
+        assert np.linalg.norm(U[1] - midpoint) < 0.5 * np.linalg.norm(start - midpoint)

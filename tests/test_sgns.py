@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from driftvec.adam import AdamState, save_adam_state
+from driftvec.errors import DataError
 from driftvec.sgns import (TrainConfig, load_embedding_text, save_embedding_text,
                            batch_grad_rows, sgns_gradients, sgns_log_likelihood,
                            sigmoid, log_sigmoid)
@@ -182,3 +184,40 @@ class TestTextFormat:
     def test_word_count_mismatch(self, tmp_path):
         with pytest.raises(ValueError):
             save_embedding_text(tmp_path / "x.txt", ["a", "b"], np.ones((1, 2)))
+
+    def test_writers_match_per_element_formatting(self, tmp_path, rng):
+        # random, tiny (subnormal), huge and signed-zero values must come
+        # out exactly as formatting each numpy scalar with "%.17g" would
+        matrix = np.concatenate([
+            rng.normal(size=(3, 4)),
+            [[5e-324, -2.2250738585072014e-308, 1e-300, 1.5e-310]],
+            [[1.7976931348623157e308, -1e300, 1e22, 123456789012345680.0]],
+            [[-0.0, 0.0, -0.0, 1.0]],
+        ])
+        words = [f"w{i}" for i in range(len(matrix))]
+
+        def per_element(mat):
+            return [" ".join("%.17g" % v for v in row) for row in mat]
+
+        path = tmp_path / "vecs.txt"
+        save_embedding_text(path, words, matrix)
+        expected = [f"{len(words)} 4"] + [
+            w + " " + line for w, line in zip(words, per_element(matrix))]
+        assert path.read_text().split("\n") == expected + [""]
+
+        state = AdamState(m=matrix, v=np.abs(matrix[::-1]), step_count=3)
+        path = tmp_path / "adam.txt"
+        save_adam_state(state, path)
+        lines = path.read_text().split("\n")
+        assert lines[1:] == per_element(state.m) + per_element(state.v) + [""]
+
+    @pytest.mark.parametrize("content, where", [
+        ("2 x\na 1\nb 2\n", ":1:"),
+        ("2 1\na 1.5\nb one\n", ":3:"),
+        ("1 2\na 1 nan(x)\n", ":2:"),
+    ])
+    def test_malformed_text_is_a_data_error(self, tmp_path, content, where):
+        path = tmp_path / "bad.vec"
+        path.write_text(content)
+        with pytest.raises(DataError, match=where):
+            load_embedding_text(path)
