@@ -22,7 +22,7 @@ from . import corpus as corpus_mod
 from .adam import AdamState, adam_step
 from .errors import NumericalError
 from .isg import epoch_positives, iter_minibatches
-from .sgns import TrainConfig, batch_grad_rows, sgns_log_likelihood
+from .sgns import TrainConfig, batch_grad_rows, sgns_log_likelihood, touched_rows
 from . import shrinkreg
 
 FORWARD = "forward"
@@ -120,10 +120,6 @@ def entropy_value(variances, mode: str) -> float:
     return total
 
 
-def _sample(mu, logvar, eps):
-    return mu + np.exp(0.5 * logvar) * eps
-
-
 def sampled_likelihood_grads(centers, contexts, labels, muU, logvarU,
                              muV, logvarV, epsU, epsV):
     """Data term of the bound under fixed standard-normal draws.
@@ -132,30 +128,33 @@ def sampled_likelihood_grads(centers, contexts, labels, muU, logvarU,
     per sample, shared by every pair touching the row. Returns the
     averaged value, its positive part, and dense gradients w.r.t. the
     four variational parameter matrices.
+
+    Only rows the batch touches are sampled: the likelihood kernel runs
+    on compact blocks of those rows, with the pair ids renumbered.
     """
     S = epsU.shape[0]
-    L, d = muU.shape
+    u_rows, centers_c = touched_rows(centers, len(muU))
+    v_rows, contexts_c = touched_rows(contexts, len(muV))
+    sigU = np.exp(0.5 * logvarU[u_rows])
+    sigV = np.exp(0.5 * logvarV[v_rows])
     value = 0.0
     lpos = 0.0
-    gmuU = np.zeros((L, d))
-    glvU = np.zeros((L, d))
-    gmuV = np.zeros((L, d))
-    glvV = np.zeros((L, d))
-    sigU = np.exp(0.5 * logvarU)
-    sigV = np.exp(0.5 * logvarV)
+    gmuU, glvU, gmuV, glvV = (np.zeros(muU.shape) for _ in range(4))
     for s in range(S):
-        Us = muU + sigU * epsU[s]
-        Vs = muV + sigV * epsV[s]
-        u_rows, gU_rows, v_rows, gV_rows, loglik, batch_lpos = batch_grad_rows(
-            centers, contexts, labels, Us, Vs)
+        _, gU, _, gV, loglik, batch_lpos = batch_grad_rows(
+            centers_c, contexts_c, labels,
+            muU[u_rows] + sigU * epsU[s][u_rows],
+            muV[v_rows] + sigV * epsV[s][v_rows])
         value += loglik
         lpos += batch_lpos
-        gmuU[u_rows] += gU_rows
-        glvU[u_rows] += gU_rows * (0.5 * sigU[u_rows] * epsU[s][u_rows])
-        gmuV[v_rows] += gV_rows
-        glvV[v_rows] += gV_rows * (0.5 * sigV[v_rows] * epsV[s][v_rows])
+        gmuU[u_rows] += gU
+        glvU[u_rows] += gU * (0.5 * sigU * epsU[s][u_rows])
+        gmuV[v_rows] += gV
+        glvV[v_rows] += gV * (0.5 * sigV * epsV[s][v_rows])
     inv = 1.0 / S
-    return value * inv, lpos * inv, gmuU * inv, glvU * inv, gmuV * inv, glvV * inv
+    for grad in (gmuU, glvU, gmuV, glvV):
+        grad *= inv
+    return value * inv, lpos * inv, gmuU, glvU, gmuV, glvV
 
 
 def dsg_elbo(batch, qU: GaussianEmbeddingMatrix, qV: GaussianEmbeddingMatrix,

@@ -5,6 +5,8 @@ objective of the incremental model and, evaluated on reparameterized
 samples, the data term of the Bayesian filtered model.
 """
 
+import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,15 +55,14 @@ class TrainConfig:
 def sigmoid(x):
     """Numerically stable logistic function.
 
-    Uses the exp(x)/(1+exp(x)) branch for negative inputs so neither
-    branch ever overflows.
+    With e = exp(-|x|), which never overflows, returns 1/(1+e) where
+    x >= 0 and e/(1+e) elsewhere: the exp(x)/(1+exp(x)) form for
+    negative inputs, computed without a mask. -|x| is taken as
+    min(x, -x), which keeps the sign bit of a NaN input.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(x, -x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out
@@ -117,31 +118,55 @@ def batch_grad_rows(centers, contexts, labels, U, V):
     that occur in the batch:
     ``(u_rows, gradU_rows, v_rows, gradV_rows, loglik, lpos)``.
     """
-    scores = np.einsum("ij,ij->i", U[centers], V[contexts])
+    block = V[contexts]
+    scratch = U[centers]
+    scores = np.einsum("ij,ij->i", scratch, block)
     signs = np.where(labels == 1, 1.0, -1.0)
     terms = log_sigmoid(signs * scores)
-    coef = labels.astype(np.float64) - sigmoid(scores)
+    coef = (labels.astype(np.float64) - sigmoid(scores))[:, None]
 
-    u_rows, u_inv = np.unique(centers, return_inverse=True)
-    v_rows, v_inv = np.unique(contexts, return_inverse=True)
-    gradU_rows = scatter_rows(u_inv, coef[:, None] * V[contexts], len(u_rows))
-    gradV_rows = scatter_rows(v_inv, coef[:, None] * U[centers], len(v_rows))
+    # the two gathered n x d blocks are the only large buffers: each
+    # side's rows are scaled in place in ``block`` and scattered with
+    # the flat index written over ``scratch``
+    flat_index = scratch.view(np.intp)
+    block *= coef
+    u_rows, u_inv = touched_rows(centers, len(U))
+    gradU_rows = scatter_rows(u_inv, block, len(u_rows), flat_index)
+    # the first gather and touched_rows have bounds-checked ``centers``
+    np.take(U, centers, axis=0, out=block, mode="clip")
+    block *= coef
+    v_rows, v_inv = touched_rows(contexts, len(V))
+    gradV_rows = scatter_rows(v_inv, block, len(v_rows), flat_index)
     lpos = float(terms[labels == 1].sum())
     return u_rows, gradU_rows, v_rows, gradV_rows, float(terms.sum()), lpos
 
 
-def scatter_rows(index, contributions, n_rows):
+def touched_rows(ids, n_rows):
+    """Sorted distinct ``ids`` in ``[0, n_rows)`` and each id's position among them.
+
+    The same pair as ``np.unique(ids, return_inverse=True)``, found
+    from a presence count over the rows instead of a sort.
+    """
+    present = np.bincount(ids, minlength=n_rows) > 0
+    rows = np.flatnonzero(present)
+    position = np.cumsum(present) - 1
+    return rows, position[ids]
+
+
+def scatter_rows(index, contributions, n_rows, flat_index):
     """Sum rows of ``contributions`` into ``n_rows`` buckets given by ``index``.
 
-    bincount per column beats np.add.at by a wide margin for the batch
-    sizes used here.
+    One flat bincount over ``index * d + column``; the caller lends
+    ``flat_index``, an intp array shaped like ``contributions``, to hold
+    that index. Every bucket starts at 0.0 and adds its contributions in
+    row order, so the sums are the same bits as ``np.add.at`` or a
+    bincount per column would give.
     """
     d = contributions.shape[1]
-    out = np.empty((n_rows, d), dtype=np.float64)
-    for k in range(d):
-        out[:, k] = np.bincount(index, weights=contributions[:, k],
-                                minlength=n_rows)
-    return out
+    np.multiply(index[:, None], d, out=flat_index)
+    flat_index += np.arange(d)
+    return np.bincount(flat_index.ravel(), weights=contributions.ravel(),
+                       minlength=n_rows * d).reshape(n_rows, d)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +191,13 @@ def save_embedding_text(path, words, matrix: np.ndarray) -> None:
 
 
 def load_embedding_text(path):
-    """Read the text format; returns ``(words, matrix)``."""
+    """Read the text format; returns ``(words, matrix)``.
+
+    The rows are parsed by numpy's C text reader, which rounds each
+    decimal as ``float()`` does. A file it rejects is read again line
+    by line to name the first bad row. Non-finite entries are a data
+    error too.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             count, dim = map(int, fh.readline().split())
@@ -174,16 +205,39 @@ def load_embedding_text(path):
             count = dim = -1
         if count < 0 or dim < 0:
             raise DataError(f"{path}:1: malformed embedding header")
-        words = []
-        matrix = np.empty((count, dim), dtype=np.float64)
+        try:
+            with warnings.catch_warnings():
+                # a file with fewer rows than its header says is
+                # reported below, not as loadtxt's no-data warning
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(
+                    itertools.islice(fh, count), comments=None, ndmin=1,
+                    dtype=[("word", object), ("vector", np.float64, (dim,))])
+        except ValueError as exc:
+            _raise_row_error(path, count, dim, exc)
+    if len(rows) != count:
+        _raise_row_error(path, count, dim, None)
+    words = rows["word"].tolist()
+    matrix = np.ascontiguousarray(rows["vector"])
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DataError(f"{path}:{i + 2}: non-finite value in the row of {words[i]!r}")
+    return words, matrix
+
+
+def _raise_row_error(path, count, dim, reason):
+    """Raise the DataError naming the first of ``count`` rows that is malformed."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
         for i in range(count):
             parts = fh.readline().split()
             if len(parts) != dim + 1:
                 raise DataError(f"{path}: row {i} has {len(parts) - 1} values, expected {dim}")
-            words.append(parts[0])
             try:
-                matrix[i] = [float(p) for p in parts[1:]]
+                for p in parts[1:]:
+                    float(p)
             except ValueError:
                 raise DataError(f"{path}:{i + 2}: non-numeric value in the row "
                                 f"of {parts[0]!r}") from None
-    return words, matrix
+    raise DataError(f"{path}: unreadable embedding rows: {reason}")

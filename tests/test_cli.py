@@ -269,6 +269,15 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert "pre.vec:3:" in err and "w0001" in err
 
+    def test_non_finite_vector_entry(self, pipeline, tmp_path, capsys):
+        pre = tmp_path / "pre.vec"
+        pre.write_text("2 4\nw0000 0.1 0.2 0.3 0.4\nw0001 nan 0.2 inf 0.4\n")
+        assert run(train_args(pipeline, tmp_path / "run", model="dsg",
+                              extra=["--init", "backward-external",
+                                     "--pretrained", pre])) == 2
+        err = capsys.readouterr().err
+        assert "pre.vec:3: non-finite value in the row of 'w0001'" in err
+
 
 def test_subsample_command(pipeline, tmp_path, capsys):
     out = tmp_path / "sub.json"

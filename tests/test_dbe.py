@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from driftvec import dbe as dbe_mod
-from driftvec.corpus import TimeSlicedCorpus, sample_negatives
+from driftvec.corpus import TimeSlicedCorpus
 from driftvec.dbe import (DbeParams, _round_robin, dbe_loss,
                           dbe_positional_logit, dbe_positional_probability,
                           dbe_prior, dbe_prior_grads, sweep_prior_grads,
                           train_dbe)
 from driftvec.inits import init_random
-from driftvec.isg import epoch_positives, iter_minibatches
 from driftvec.sgns import TrainConfig, batch_grad_rows, sgns_gradients
 from driftvec.shrinkreg import RegConfig, drift_regularizer
 
@@ -136,32 +135,6 @@ class TestTraining:
         assert info["prior"][-1] == pytest.approx(
             dbe_prior([model.U[0].values], model.V.values,
                       DbeParams(drift_precision=123.0)), abs=1e-9)
-
-    def test_prior_scaling_sums_to_one_evaluation(self):
-        vocab, corpus = toy_corpus([["a b c d e f"] * 30, ["f e d c b a"] * 30])
-        cfg = small_config(epochs=1, batch_size=32)
-        # rebuild the trainer's epoch stream and check the fraction weights
-        total_pos = 0
-        fracs = []
-        per_slice = []
-        for t in range(corpus.T):
-            positives = epoch_positives(corpus.slices[t], cfg.window,
-                                        [cfg.seed, t, 0, 1])
-            batch = sample_negatives(vocab, positives, cfg.negative_ratio,
-                                     [cfg.seed, t, 0, 2], t)
-            total_pos += len(positives[0])
-            per_slice.append(list(iter_minibatches(batch, cfg.batch_size,
-                                                   cfg.negative_ratio)))
-        for batches in per_slice:
-            for _, _, labels in batches:
-                fracs.append(int(labels.sum()))
-        rng = np.random.default_rng(0)
-        U_all = [rng.normal(size=(vocab.size, 4)) for _ in range(2)]
-        V = rng.normal(size=(vocab.size, 4))
-        params = DbeParams()
-        full = dbe_prior(U_all, V, params)
-        accumulated = sum((n / total_pos) * full for n in fracs)
-        assert accumulated == pytest.approx(full, rel=1e-9)
 
     def test_identical_slices_drift_below_shuffled_control(self):
         # identical slices: any drift is pure sampling noise, which

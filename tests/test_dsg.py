@@ -10,7 +10,7 @@ from driftvec.dsg import (DsgParams, ElboTerms, GaussianEmbeddingMatrix,
                           sampled_likelihood_grads, train_dsg)
 from driftvec.inits import init_random
 from driftvec.isg import train_slice
-from driftvec.sgns import TrainConfig, sgns_log_likelihood
+from driftvec.sgns import TrainConfig, sgns_gradients, sgns_log_likelihood
 
 from conftest import make_batch, toy_corpus
 from test_sgns import finite_difference
@@ -149,6 +149,41 @@ class TestSampledGradients:
                                    rtol=1e-3, atol=1e-7)
         np.testing.assert_allclose(glvV, finite_difference(value, lvV),
                                    rtol=1e-3, atol=1e-7)
+
+
+    @pytest.mark.parametrize("S", [1, 3])
+    def test_bits_equal_dense_sampling(self, rng, S):
+        # reference: sample every row of both matrices, take the dense
+        # np.add.at gradients and chain them through the reparameterization
+        for _ in range(30):
+            L, d, n = int(rng.integers(1, 15)), int(rng.integers(1, 5)), int(rng.integers(1, 30))
+            muU, muV, lvU, lvV = rng.normal(size=(4, L, d))
+            epsU = rng.standard_normal((S, L, d))
+            epsV = rng.standard_normal((S, L, d))
+            batch = make_batch(rng.integers(0, L, n), rng.integers(0, L, n),
+                               rng.integers(0, 2, n))
+            value = lpos = 0.0
+            expected = [np.zeros((L, d)) for _ in range(4)]
+            sigU = np.exp(0.5 * lvU)
+            sigV = np.exp(0.5 * lvV)
+            for s in range(S):
+                Us = muU + sigU * epsU[s]
+                Vs = muV + sigV * epsV[s]
+                total, pos = sgns_log_likelihood(batch, Us, Vs)
+                gU, gV = sgns_gradients(batch, Us, Vs)
+                value += total
+                lpos += pos
+                expected[0] += gU
+                expected[1] += gU * (0.5 * sigU * epsU[s])
+                expected[2] += gV
+                expected[3] += gV * (0.5 * sigV * epsV[s])
+            got = sampled_likelihood_grads(batch.center_ids, batch.context_ids,
+                                           batch.labels, muU, lvU, muV, lvV,
+                                           epsU, epsV)
+            inv = 1.0 / S
+            assert got[:2] == (value * inv, lpos * inv)
+            for g, e in zip(got[2:], expected):
+                np.testing.assert_array_equal(g, e * inv)
 
 
 class TestFilterStep:

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from driftvec.adam import AdamState, save_adam_state
 from driftvec.errors import DataError
 from driftvec.sgns import (TrainConfig, load_embedding_text, save_embedding_text,
                            batch_grad_rows, sgns_gradients, sgns_log_likelihood,
-                           sigmoid, log_sigmoid)
+                           sigmoid, log_sigmoid, touched_rows)
 
 from conftest import make_batch
 
@@ -37,6 +39,27 @@ class TestSigmoid:
         assert sigmoid(-750.0) == 0.0
         assert sigmoid(750.0) == 1.0
         assert log_sigmoid(-750.0) == -750.0
+
+    def test_bits_equal_the_two_branch_form(self):
+        # reference: 1/(1+exp(-x)) on x >= 0 and exp(x)/(1+exp(x))
+        # elsewhere, each branch evaluated on its own masked entries
+        far = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 709.8, -709.8,
+               36.7, -36.7, np.inf, -np.inf, np.nan, -np.nan]
+        tiny = [5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]
+        x = np.concatenate([far, tiny, np.linspace(-800.0, 800.0, 4001),
+                            np.geomspace(1e-320, 1e3, 500) * [[1.0], [-1.0]]],
+                           axis=None)
+        expected = np.empty_like(x)
+        pos = x >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        got = sigmoid(x)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        for v, e in zip(x[:len(far) + len(tiny)], expected):
+            got = sigmoid(v)
+            assert type(got) is float
+            assert np.float64(got).view(np.uint64) == e.view(np.uint64)
 
 
 class TestLogLikelihood:
@@ -131,24 +154,63 @@ class TestGradients:
         np.testing.assert_allclose(gU, fdU, rtol=1e-4, atol=1e-7)
         np.testing.assert_allclose(gV, fdV, rtol=1e-4, atol=1e-7)
 
-    def test_row_compact_path_matches_dense(self, rng):
-        L, d, n = 7, 3, 25
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_row_compact_path_matches_dense(self, data):
+        # the compact rows are the bits of the np.add.at path: both sum
+        # each row's contributions in pair order, starting from 0.0
+        L = data.draw(st.integers(1, 12), label="L")
+        d = data.draw(st.integers(1, 6), label="d")
+        n = data.draw(st.integers(1, 40), label="n")
+        ids = st.lists(st.integers(0, L - 1), min_size=n, max_size=n)
+        centers = data.draw(ids, label="centers")
+        contexts = data.draw(ids, label="contexts")
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                           label="labels")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0]), label="scale")
+        rng = np.random.default_rng(seed)
+        U = rng.normal(size=(L, d)) * scale
+        V = rng.normal(size=(L, d)) * scale
+        batch = make_batch(centers, contexts, labels)
+        gU, gV = sgns_gradients(batch, U, V)
+        u_rows, gU_rows, v_rows, gV_rows, total, lpos = batch_grad_rows(
+            batch.center_ids, batch.context_ids, batch.labels, U, V)
+        assert (total, lpos) == sgns_log_likelihood(batch, U, V)
+        np.testing.assert_array_equal(u_rows, np.unique(centers))
+        np.testing.assert_array_equal(v_rows, np.unique(contexts))
+        np.testing.assert_array_equal(gU_rows, gU[u_rows])
+        np.testing.assert_array_equal(gV_rows, gV[v_rows])
+        untouched = np.setdiff1d(np.arange(L), u_rows)
+        assert not gU[untouched].any()
+
+    def test_touched_rows_equal_unique(self, rng):
+        for n_rows, n in ((1, 1), (7, 3), (50, 200), (1000, 64)):
+            ids = rng.integers(0, n_rows, n)
+            rows, inverse = touched_rows(ids, n_rows)
+            want_rows, want_inverse = np.unique(ids, return_inverse=True)
+            np.testing.assert_array_equal(rows, want_rows)
+            np.testing.assert_array_equal(inverse, want_inverse)
+
+    def test_scratch_memory_of_a_large_batch(self, rng):
+        # at most two n x d blocks may be alive at once (the scaled
+        # contributions and the scatter's flat index), plus O(n) arrays;
+        # holding both gathered sides through a scatter would need three
+        L, n, d = 4000, 32768, 64
         U = rng.normal(size=(L, d))
         V = rng.normal(size=(L, d))
         centers = rng.integers(0, L, n)
         contexts = rng.integers(0, L, n)
         labels = rng.integers(0, 2, n)
-        batch = make_batch(centers, contexts, labels)
-        gU, gV = sgns_gradients(batch, U, V)
-        u_rows, gU_rows, v_rows, gV_rows, total, lpos = batch_grad_rows(
-            batch.center_ids, batch.context_ids, batch.labels, U, V)
-        dense_total, dense_lpos = sgns_log_likelihood(batch, U, V)
-        assert total == pytest.approx(dense_total, abs=1e-12)
-        assert lpos == pytest.approx(dense_lpos, abs=1e-12)
-        np.testing.assert_allclose(gU[u_rows], gU_rows, atol=1e-12)
-        np.testing.assert_allclose(gV[v_rows], gV_rows, atol=1e-12)
-        untouched = np.setdiff1d(np.arange(L), u_rows)
-        assert not gU[untouched].any()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = batch_grad_rows(centers, contexts, labels, U, V)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        del result
+        assert peak <= 2.5 * n * d * 8
 
 
 class TestTrainConfig:
@@ -211,10 +273,37 @@ class TestTextFormat:
         lines = path.read_text().split("\n")
         assert lines[1:] == per_element(state.m) + per_element(state.v) + [""]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=12),
+           st.sampled_from(["%.17g", "%r", "%.6e", "%g", "%.3f"]))
+    def test_parsed_values_are_the_bits_of_float(self, tmp_path_factory,
+                                                 values, form):
+        values += [5e-324, -0.0, 1e300, -2.2250738585072014e-308]
+        tokens = [form % v for v in values]
+        path = tmp_path_factory.mktemp("vec") / "vecs.txt"
+        path.write_text(f"2 {len(tokens)}\na {' '.join(tokens)}\n"
+                        f"b {' '.join(reversed(tokens))}\n")
+        words, matrix = load_embedding_text(path)
+        expected = np.array([[float(t) for t in tokens],
+                             [float(t) for t in reversed(tokens)]])
+        assert words == ["a", "b"]
+        np.testing.assert_array_equal(matrix.view(np.uint64),
+                                      expected.view(np.uint64))
+
     @pytest.mark.parametrize("content, where", [
         ("2 x\na 1\nb 2\n", ":1:"),
         ("2 1\na 1.5\nb one\n", ":3:"),
         ("1 2\na 1 nan(x)\n", ":2:"),
+        # a column reader must not drop the fields beyond the header's d
+        ("2 2\na 1 2\nb 3 4 5\n", "row 1 has 3 values, expected 2"),
+        ("2 2\na 1 2 9\nb 3 4 5\n", "row 0 has 3 values, expected 2"),
+        ("2 2\na 1\nb 3 4\n", "row 0 has 1 values, expected 2"),
+        ("3 2\na 1 2\nb 3 4\n", "row 2 has -1 values, expected 2"),
+        ("2 2\na 1 2\n\nb 3 4\n", "row 1 has -1 values, expected 2"),
+        ("2 1\na 1\nb nan\n", ":3: non-finite value in the row of 'b'"),
+        ("2 2\na -inf 1\nb 1 1\n", ":2: non-finite value in the row of 'a'"),
+        ("1 1\na 1e999\n", ":2: non-finite"),
     ])
     def test_malformed_text_is_a_data_error(self, tmp_path, content, where):
         path = tmp_path / "bad.vec"
