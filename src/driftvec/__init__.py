@@ -1,10 +1,10 @@
 """driftvec: diachronic word embeddings for scarce time-sliced corpora.
 
-Three trainers share one corpus pipeline: incremental skip-gram (per
-slice, warm-started from the previous slice), a dynamically filtered
-Bayesian skip-gram (Gaussian posteriors evolving under a diffusion
-prior), and dynamic Bernoulli embeddings (per-slice word vectors with a
-shared context matrix, trained jointly under a random-walk prior).
+Three trainers share one corpus pipeline, one epoch pair stream and one
+held-out score: incremental skip-gram (per slice, warm-started from the
+previous slice), a dynamically filtered Bayesian skip-gram (Gaussian
+posteriors under a diffusion prior), and dynamic Bernoulli embeddings
+(per-slice word vectors, one shared context matrix, random-walk prior).
 Analysis tools cover per-word drift, superimposed drift histograms,
 directedness/stability diagnostics, held-out likelihood evaluation, and
 a HardShrink drift penalty.
@@ -21,8 +21,7 @@ from .dsg import (DsgParams, GaussianEmbeddingMatrix, combine_priors, dsg_elbo,
                   dsg_filter_step, train_dsg)
 from .inits import InitScheme, apply_scheme, init_internal, init_random, load_pretrained
 from .isg import IsgModel, train_incremental, train_slice
-from .sgns import (EmbeddingMatrix, TrainConfig, sgns_gradients, sgns_log_likelihood,
-                   sigmoid)
+from .sgns import TrainConfig, mean_lpos, sgns_gradients, sgns_log_likelihood, sigmoid
 from .shrinkreg import RegConfig, drift_regularizer, hardshrink
 from .synth import PlantedChange, SynthSpec, TopicProfile, generate
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from .corpus import TimeSlicedCorpus, extract_pairs
 from .errors import DataError
+from .sgns import mean_lpos
 
 
 def compute_drift(U_t: np.ndarray, U_t0: np.ndarray) -> np.ndarray:
@@ -19,13 +20,6 @@ def compute_drift(U_t: np.ndarray, U_t0: np.ndarray) -> np.ndarray:
     if U_t.shape != U_t0.shape:
         raise ValueError("matrices must share a shape")
     return np.linalg.norm(U_t - U_t0, axis=1)
-
-
-def drift_total(U_t: np.ndarray, U_t0: np.ndarray) -> float:
-    """Matrix-level drift scalar: root of the summed squared differences
-    over all words and coordinates (the aggregate counterpart of the
-    per-word norms)."""
-    return float(np.sqrt(((U_t - U_t0) ** 2).sum()))
 
 
 @dataclass(frozen=True)
@@ -149,43 +143,11 @@ def evaluate_lpos(corpus: TimeSlicedCorpus, word_matrices, context_matrices,
         raise ValueError("need one matrix pair per slice")
     per_slice = []
     for t in range(corpus.T):
-        centers, contexts = extract_pairs(corpus.slices[t], window)
-        if len(centers) == 0:
+        pairs = extract_pairs(corpus.slices[t], window)
+        if len(pairs[0]) == 0:
             warnings.warn(f"slice {t} has no held-out pairs", stacklevel=2)
-            per_slice.append(0.0)
-            continue
-        scores = np.einsum("ij,ij->i", word_matrices[t][centers],
-                           context_matrices[t][contexts])
-        per_slice.append(float(np.mean(-np.logaddexp(0.0, -scores))))
+        per_slice.append(mean_lpos(pairs, word_matrices[t], context_matrices[t]))
     return per_slice, float(np.mean(per_slice))
-
-
-def lpos_breakdown(corpus: TimeSlicedCorpus, word_matrices, context_matrices,
-                   window: int):
-    """Per-slice positive log-likelihood under every normalization.
-
-    Returns one dict per slice with the raw ``sum`` plus ``per_pair`` and
-    ``per_token`` means (the CLI report prints the per-pair numbers).
-    """
-    out = []
-    for t in range(corpus.T):
-        centers, contexts = extract_pairs(corpus.slices[t], window)
-        tokens = int(sum(len(d) for d in corpus.slices[t]))
-        if len(centers) == 0:
-            out.append({"sum": 0.0, "pairs": 0, "tokens": tokens,
-                        "per_pair": 0.0, "per_token": 0.0})
-            continue
-        scores = np.einsum("ij,ij->i", word_matrices[t][centers],
-                           context_matrices[t][contexts])
-        total = float((-np.logaddexp(0.0, -scores)).sum())
-        out.append({
-            "sum": total,
-            "pairs": int(len(centers)),
-            "tokens": tokens,
-            "per_pair": total / len(centers),
-            "per_token": total / tokens if tokens else 0.0,
-        })
-    return out
 
 
 def format_lpos_report(per_slice, mean) -> str:

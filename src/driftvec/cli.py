@@ -338,6 +338,8 @@ def cmd_drift(args) -> int:
     manifest = runs.read_manifest(args.run)
     kind = manifest["model"]
     T = manifest["T"]
+    if T < 2:
+        raise DataError(f"{args.run}: drift needs at least two slices, the run has {T}")
     words, word_mats = runs.load_word_matrices(args.run, kind, T)
     series = analysis.drift_series(word_mats, args.t0, kind)
     outdir = Path(args.out or args.run)
@@ -361,20 +363,7 @@ def cmd_drift(args) -> int:
 def cmd_export(args) -> int:
     manifest = runs.read_manifest(args.run)
     kind = manifest["model"]
-    d = Path(args.run) / kind
-    name = {
-        ("isg", "word"): f"t{args.slice}.vec",
-        ("isg", "context"): f"t{args.slice}.ctx.vec",
-        ("dsg", "mean"): f"t{args.slice}.mean.vec",
-        ("dsg", "var"): f"t{args.slice}.var.vec",
-        ("dsg", "word"): f"t{args.slice}.mean.vec",
-        ("dsg", "context"): f"t{args.slice}.ctx.mean.vec",
-        ("dbe", "word"): f"t{args.slice}.vec",
-        ("dbe", "context"): "context.vec",
-    }.get((kind, args.role))
-    if name is None:
-        raise ValueError(f"role {args.role!r} is not available for model {kind!r}")
-    src = d / name
+    src = runs.checkpoint_path(args.run, kind, args.role, args.slice)
     if not src.exists():
         raise DataError(f"missing checkpoint {src}")
     words, matrix = load_embedding_text(src)

@@ -17,8 +17,9 @@ import numpy as np
 from . import corpus as corpus_mod
 from .adam import AdamState, adam_step, adam_step_rows
 from .errors import NumericalError
-from .isg import epoch_positives, iter_minibatches
-from .sgns import EmbeddingMatrix, TrainConfig, batch_grad_rows, sgns_log_likelihood, sigmoid
+from .isg import epoch_batches
+from .isg import epoch_positives  # noqa: F401 -- bench/layers.py patches this name
+from .sgns import TrainConfig, batch_grad_rows, mean_lpos, sgns_log_likelihood
 from . import shrinkreg
 
 
@@ -34,28 +35,12 @@ class DbeParams:
 
 @dataclass
 class DbeModel:
-    U: list                  # per calendar slice, EmbeddingMatrix (word)
-    V: EmbeddingMatrix       # shared context matrix
+    U: list                  # per calendar slice, (L, d) word matrix
+    V: np.ndarray            # shared (L, d) context matrix
 
     @property
     def T(self):
         return len(self.U)
-
-
-def dbe_positional_logit(center: int, context_ids, U_t: np.ndarray,
-                         V: np.ndarray) -> float:
-    """Logit of the Bernoulli that predicts ``center`` from its context.
-
-    The context representation is the sum of the context vectors; with a
-    single context word this reduces to the skip-gram dot product.
-    """
-    if len(context_ids) == 0:
-        raise ValueError("context must be nonempty")
-    return float(U_t[center] @ V[np.asarray(context_ids, dtype=np.int64)].sum(axis=0))
-
-
-def dbe_positional_probability(center, context_ids, U_t, V) -> float:
-    return float(sigmoid(dbe_positional_logit(center, context_ids, U_t, V)))
 
 
 def dbe_prior(U_all, V: np.ndarray, params: DbeParams) -> float:
@@ -182,14 +167,9 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
         per_slice = []
         total_pos = 0
         for t in range(T):
-            positives = epoch_positives(corpus.slices[t], config.window,
-                                        [config.seed, t, epoch, 1])
-            batch = corpus_mod.sample_negatives(
-                vocab, positives, config.negative_ratio,
-                [config.seed, t, epoch, 2], t)
-            total_pos += len(positives[0])
-            per_slice.append(iter_minibatches(batch, config.batch_size,
-                                              config.negative_ratio))
+            n_pos, minibatches = epoch_batches(corpus.slices[t], vocab, config, t, epoch)
+            total_pos += n_pos
+            per_slice.append(minibatches)
 
         penalty = None
         if reg_active:
@@ -235,23 +215,12 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
                 lpos_sums[t] / pos_counts[t] if pos_counts[t] else 0.0)
             if eval_pairs is not None:
                 traces[t]["holdout_lpos"].append(
-                    _holdout_lpos(eval_pairs[t], U_all[t], V))
+                    mean_lpos(eval_pairs[t], U_all[t], V))
         prior_trace.append(dbe_prior(U_all, V, params))
 
-    model = DbeModel(
-        U=[EmbeddingMatrix(U_all[t], role="word", slice_index=t) for t in range(T)],
-        V=EmbeddingMatrix(V, role="context", slice_index="static"),
-    )
+    model = DbeModel(U=U_all, V=V)
     info = {"per_slice": traces, "prior": prior_trace,
             "adam": {"U": statesU, "V": stateV}}
     if reg_active:
         info["reg_beta"] = beta_trace
     return model, info
-
-
-def _holdout_lpos(pairs, U_t, V):
-    centers, contexts = pairs
-    if len(centers) == 0:
-        return 0.0
-    scores = np.einsum("ij,ij->i", U_t[centers], V[contexts])
-    return float(np.mean(-np.logaddexp(0.0, -scores)))

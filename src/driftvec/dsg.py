@@ -21,12 +21,10 @@ import numpy as np
 from . import corpus as corpus_mod
 from .adam import AdamState, adam_step
 from .errors import NumericalError
-from .isg import epoch_positives, iter_minibatches
-from .sgns import TrainConfig, batch_grad_rows, sgns_log_likelihood, touched_rows
+from .isg import FORWARD, epoch_batches, training_order
+from .isg import epoch_positives  # noqa: F401 -- bench/layers.py patches this name
+from .sgns import TrainConfig, batch_grad_rows, mean_lpos, sgns_log_likelihood, touched_rows
 from . import shrinkreg
-
-FORWARD = "forward"
-BACKWARD = "backward"
 
 ENTROPY_SUM_VAR = "sum_var"
 ENTROPY_EXACT = "exact"
@@ -40,8 +38,6 @@ class GaussianEmbeddingMatrix:
 
     mean: np.ndarray
     variance: np.ndarray
-    role: str = "word"
-    slice_index: int | str = "static"
 
     def __post_init__(self):
         if self.mean.shape != self.variance.shape:
@@ -240,13 +236,9 @@ def dsg_filter_step(slice_docs, vocab, prev_posterior, params: DsgParams,
         trace["reg_beta"] = []
 
     for epoch in range(config.epochs):
-        positives = epoch_positives(slice_docs, config.window,
-                                    [config.seed, slice_index, epoch, 1])
-        batch = corpus_mod.sample_negatives(
-            vocab, positives, config.negative_ratio,
-            [config.seed, slice_index, epoch, 2], slice_index)
+        total_pos, minibatches = epoch_batches(slice_docs, vocab, config,
+                                               slice_index, epoch)
         eps_rng = np.random.default_rng([config.seed, slice_index, epoch, 3])
-        total_pos = len(positives[0])
 
         beta = 0.0
         if reg_active:
@@ -255,8 +247,7 @@ def dsg_filter_step(slice_docs, vocab, prev_posterior, params: DsgParams,
 
         like_sum = 0.0
         lpos_sum = 0.0
-        minibatches = list(iter_minibatches(batch, config.batch_size,
-                                            config.negative_ratio))
+        minibatches = list(minibatches)
         if not minibatches:
             minibatches = [(np.empty(0, dtype=np.int64),) * 3]
         for b_idx, (centers, contexts, labels) in enumerate(minibatches):
@@ -302,21 +293,11 @@ def dsg_filter_step(slice_docs, vocab, prev_posterior, params: DsgParams,
         trace["elbo"].append(like_sum + log_prior + entropy)
         trace["lpos"].append(lpos_sum / total_pos if total_pos else 0.0)
         if eval_pairs is not None:
-            trace["holdout_lpos"].append(_holdout_lpos_at_means(eval_pairs, muU, muV))
+            trace["holdout_lpos"].append(mean_lpos(eval_pairs, muU, muV))
 
-    qU = GaussianEmbeddingMatrix(muU, np.exp(logvarU), role="word",
-                                 slice_index=slice_index)
-    qV = GaussianEmbeddingMatrix(muV, np.exp(logvarV), role="context",
-                                 slice_index=slice_index)
+    qU = GaussianEmbeddingMatrix(muU, np.exp(logvarU))
+    qV = GaussianEmbeddingMatrix(muV, np.exp(logvarV))
     return qU, qV, trace
-
-
-def _holdout_lpos_at_means(eval_pairs, muU, muV):
-    centers, contexts = eval_pairs
-    if len(centers) == 0:
-        return 0.0
-    scores = np.einsum("ij,ij->i", muU[centers], muV[contexts])
-    return float(np.mean(-np.logaddexp(0.0, -scores)))
 
 
 def train_dsg(corpus, vocab, init, params: DsgParams, config: TrainConfig,
@@ -332,10 +313,8 @@ def train_dsg(corpus, vocab, init, params: DsgParams, config: TrainConfig,
 
     Returns ``(posteriors, traces, trained_order)``.
     """
-    if direction not in (FORWARD, BACKWARD):
-        raise ValueError(f"unknown direction {direction!r}")
     T = corpus.T
-    order = list(range(T)) if direction == FORWARD else list(range(T - 1, -1, -1))
+    order = training_order(T, direction)
     posteriors = [None] * T
     traces = {}
     prev = init

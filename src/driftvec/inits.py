@@ -65,8 +65,8 @@ def init_random(L: int, d: int, seed: int, model_kind: str):
     rng = np.random.default_rng([seed, 0x1417])
     if model_kind == "dsg":
         ones = np.ones((L, d))
-        return (GaussianEmbeddingMatrix(np.zeros((L, d)), ones.copy(), role="word"),
-                GaussianEmbeddingMatrix(np.zeros((L, d)), ones, role="context"))
+        return (GaussianEmbeddingMatrix(np.zeros((L, d)), ones.copy()),
+                GaussianEmbeddingMatrix(np.zeros((L, d)), ones))
     U = rng.standard_normal((L, d))
     V = rng.standard_normal((L, d))
     return U, V
@@ -96,7 +96,7 @@ def init_internal(corpus: TimeSlicedCorpus, vocab: Vocabulary,
     if model_kind == "dbe":
         params = model_params or dbe_mod.DbeParams()
         model, _ = dbe_mod.train_dbe(pooled, vocab, start, params, config)
-        return model.U[0].values, model.V.values
+        return model.U[0], model.V
     raise ValueError(f"unknown model kind {model_kind!r}")
 
 
@@ -166,8 +166,8 @@ def apply_scheme(scheme: InitScheme, model_kind: str, corpus: TimeSlicedCorpus,
             "missing rows were seeded randomly", stacklevel=2)
     if model_kind == "dsg":
         var = np.full(pretrained.shape, scheme.fixed_variance)
-        init = (GaussianEmbeddingMatrix(pretrained.copy(), var.copy(), role="word"),
-                GaussianEmbeddingMatrix(pretrained.copy(), var, role="context"))
+        init = (GaussianEmbeddingMatrix(pretrained.copy(), var.copy()),
+                GaussianEmbeddingMatrix(pretrained.copy(), var))
         return init, isg_mod.BACKWARD
     if model_kind == "isg":
         return (pretrained.copy(), pretrained.copy()), isg_mod.BACKWARD

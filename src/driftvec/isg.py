@@ -16,7 +16,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from .adam import AdamState, adam_step_rows
 from .errors import NumericalError
-from .sgns import EmbeddingMatrix, TrainConfig, batch_grad_rows
+from .sgns import TrainConfig, batch_grad_rows, mean_lpos
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -24,8 +24,8 @@ BACKWARD = "backward"
 
 @dataclass
 class IsgModel:
-    U: list          # per calendar slice, EmbeddingMatrix (word)
-    V: list          # per calendar slice, EmbeddingMatrix (context)
+    U: list          # per calendar slice, (L, d) word matrix
+    V: list          # per calendar slice, (L, d) context matrix
 
     @property
     def T(self):
@@ -53,12 +53,30 @@ def iter_minibatches(batch, positives_per_batch: int, ratio: int):
         yield batch.center_ids[sl], batch.context_ids[sl], batch.labels[sl]
 
 
-def _holdout_lpos(eval_pairs, U, V):
-    centers, contexts = eval_pairs
-    if len(centers) == 0:
-        return 0.0
-    scores = np.einsum("ij,ij->i", U[centers], V[contexts])
-    return float(np.mean(-np.logaddexp(0.0, -scores)))
+def epoch_batches(slice_docs, vocab, config: TrainConfig, slice_index: int,
+                  epoch: int):
+    """The labelled pair stream of one slice and epoch, shared by all trainers.
+
+    Documents are shuffled under the stream key ``[seed, t, epoch, 1]``
+    and negatives drawn under ``[seed, t, epoch, 2]``. Returns
+    ``(n_positives, minibatches)``; the minibatches are a lazy iterator
+    of ``(centers, contexts, labels)``.
+    """
+    positives = epoch_positives(slice_docs, config.window,
+                                [config.seed, slice_index, epoch, 1])
+    batch = corpus_mod.sample_negatives(
+        vocab, positives, config.negative_ratio,
+        [config.seed, slice_index, epoch, 2], slice_index)
+    return len(positives[0]), iter_minibatches(batch, config.batch_size,
+                                               config.negative_ratio)
+
+
+def training_order(T: int, direction: str) -> list:
+    """Calendar slices in the order a chained trainer visits them:
+    oldest first for ``forward``, newest first for ``backward``."""
+    if direction not in (FORWARD, BACKWARD):
+        raise ValueError(f"unknown direction {direction!r}")
+    return list(range(T)) if direction == FORWARD else list(range(T - 1, -1, -1))
 
 
 def train_slice(slice_docs, vocab, initU: np.ndarray, initV: np.ndarray,
@@ -80,15 +98,10 @@ def train_slice(slice_docs, vocab, initU: np.ndarray, initV: np.ndarray,
     trace = {"lpos": [], "holdout_lpos": []} if eval_pairs is not None else {"lpos": []}
 
     for epoch in range(config.epochs):
-        positives = epoch_positives(slice_docs, config.window,
-                                    [config.seed, slice_index, epoch, 1])
-        batch = corpus_mod.sample_negatives(
-            vocab, positives, config.negative_ratio,
-            [config.seed, slice_index, epoch, 2], slice_index)
+        _, minibatches = epoch_batches(slice_docs, vocab, config, slice_index, epoch)
         lpos_sum = 0.0
         n_pos = 0
-        for b_idx, (centers, contexts, labels) in enumerate(
-                iter_minibatches(batch, config.batch_size, config.negative_ratio)):
+        for b_idx, (centers, contexts, labels) in enumerate(minibatches):
             u_rows, gU, v_rows, gV, loglik, lpos = batch_grad_rows(
                 centers, contexts, labels, U, V)
             if not math.isfinite(loglik):
@@ -100,7 +113,7 @@ def train_slice(slice_docs, vocab, initU: np.ndarray, initV: np.ndarray,
             n_pos += int(labels.sum())
         trace["lpos"].append(lpos_sum / n_pos if n_pos else 0.0)
         if eval_pairs is not None:
-            trace["holdout_lpos"].append(_holdout_lpos(eval_pairs, U, V))
+            trace["holdout_lpos"].append(mean_lpos(eval_pairs, U, V))
     return U, V, trace
 
 
@@ -114,10 +127,8 @@ def train_incremental(corpus, vocab, initU: np.ndarray, initV: np.ndarray,
     updates towards older ones. Outputs are always indexed by calendar
     slice. Returns ``(IsgModel, traces, trained_order)``.
     """
-    if direction not in (FORWARD, BACKWARD):
-        raise ValueError(f"unknown direction {direction!r}")
     T = corpus.T
-    order = list(range(T)) if direction == FORWARD else list(range(T - 1, -1, -1))
+    order = training_order(T, direction)
     U_out = [None] * T
     V_out = [None] * T
     traces = {}
@@ -129,7 +140,7 @@ def train_incremental(corpus, vocab, initU: np.ndarray, initV: np.ndarray,
         curU, curV, trace = train_slice(
             corpus.slices[t], vocab, curU, curV, config,
             slice_index=t, eval_pairs=eval_pairs)
-        U_out[t] = EmbeddingMatrix(curU, role="word", slice_index=t)
-        V_out[t] = EmbeddingMatrix(curV, role="context", slice_index=t)
+        U_out[t] = curU
+        V_out[t] = curV
         traces[t] = trace
     return IsgModel(U=U_out, V=V_out), traces, order

@@ -41,37 +41,55 @@ def read_manifest(rundir) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _model_dir(rundir, kind) -> Path:
-    d = Path(rundir) / kind
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+# (model kind, role) -> checkpoint file name under ``<run>/<kind>/``,
+# formatted with the slice index. ``export --role`` reads the same table.
+CHECKPOINT_FILES = {
+    ("isg", "word"): "t{}.vec",
+    ("isg", "context"): "t{}.ctx.vec",
+    ("dsg", "word"): "t{}.mean.vec",
+    ("dsg", "mean"): "t{}.mean.vec",
+    ("dsg", "var"): "t{}.var.vec",
+    ("dsg", "context"): "t{}.ctx.mean.vec",
+    ("dsg", "context_var"): "t{}.ctx.var.vec",
+    ("dbe", "word"): "t{}.vec",
+    ("dbe", "context"): "context.vec",
+}
+
+
+def checkpoint_path(rundir, kind: str, role: str, t: int) -> Path:
+    """Path of one checkpoint file; ``ValueError`` for a role the model lacks."""
+    name = CHECKPOINT_FILES.get((kind, role))
+    if name is None:
+        raise ValueError(f"role {role!r} is not available for model {kind!r}")
+    return Path(rundir) / kind / name.format(t)
+
+
+def _make_model_dir(rundir, kind) -> None:
+    (Path(rundir) / kind).mkdir(parents=True, exist_ok=True)
 
 
 def save_isg_checkpoints(rundir, words, model) -> None:
-    d = _model_dir(rundir, "isg")
+    _make_model_dir(rundir, "isg")
     for t in range(model.T):
-        save_embedding_text(d / f"t{t}.vec", words, model.U[t].values)
-        save_embedding_text(d / f"t{t}.ctx.vec", words, model.V[t].values)
+        save_embedding_text(checkpoint_path(rundir, "isg", "word", t), words, model.U[t])
+        save_embedding_text(checkpoint_path(rundir, "isg", "context", t), words, model.V[t])
 
 
 def save_dsg_checkpoints(rundir, words, posteriors) -> None:
-    d = _model_dir(rundir, "dsg")
+    _make_model_dir(rundir, "dsg")
     for t, (qU, qV) in enumerate(posteriors):
-        save_embedding_text(d / f"t{t}.mean.vec", words, qU.mean)
-        save_embedding_text(d / f"t{t}.var.vec", words, qU.variance)
-        save_embedding_text(d / f"t{t}.ctx.mean.vec", words, qV.mean)
-        save_embedding_text(d / f"t{t}.ctx.var.vec", words, qV.variance)
+        save_embedding_text(checkpoint_path(rundir, "dsg", "mean", t), words, qU.mean)
+        save_embedding_text(checkpoint_path(rundir, "dsg", "var", t), words, qU.variance)
+        save_embedding_text(checkpoint_path(rundir, "dsg", "context", t), words, qV.mean)
+        save_embedding_text(checkpoint_path(rundir, "dsg", "context_var", t), words,
+                            qV.variance)
 
 
 def save_dbe_checkpoints(rundir, words, model) -> None:
-    d = _model_dir(rundir, "dbe")
+    _make_model_dir(rundir, "dbe")
     for t in range(model.T):
-        save_embedding_text(d / f"t{t}.vec", words, model.U[t].values)
-    save_embedding_text(d / "context.vec", words, model.V.values)
-
-
-WORD_FILES = {"isg": "t{}.vec", "dsg": "t{}.mean.vec", "dbe": "t{}.vec"}
-CONTEXT_FILES = {"isg": "t{}.ctx.vec", "dsg": "t{}.ctx.mean.vec"}
+        save_embedding_text(checkpoint_path(rundir, "dbe", "word", t), words, model.U[t])
+    save_embedding_text(checkpoint_path(rundir, "dbe", "context", 0), words, model.V)
 
 
 def _load(path):
@@ -80,19 +98,12 @@ def _load(path):
     return load_embedding_text(path)
 
 
-def _kind_dir(rundir, kind) -> Path:
-    if kind not in WORD_FILES:
-        raise ValueError(f"unknown model kind {kind!r}")
-    return Path(rundir) / kind
-
-
 def load_word_matrices(rundir, kind: str, T: int):
     """``(words, matrices)``: the per-slice word matrices of a run (posterior
     means for the Bayesian model) and the word list read with slice 0."""
-    d = _kind_dir(rundir, kind)
     words, mats = [], []
     for t in range(T):
-        slice_words, matrix = _load(d / WORD_FILES[kind].format(t))
+        slice_words, matrix = _load(checkpoint_path(rundir, kind, "word", t))
         if t == 0:
             words = slice_words
         mats.append(matrix)
@@ -106,20 +117,14 @@ def load_slice_matrices(rundir, kind: str, T: int):
     model the shared context matrix is repeated per slice.
     """
     _, words_mats = load_word_matrices(rundir, kind, T)
-    d = Path(rundir) / kind
     if kind == "dbe":
-        ctx_mats = [_load(d / "context.vec")[1]] * T
+        ctx_mats = [_load(checkpoint_path(rundir, kind, "context", 0))[1]] * T
     else:
-        ctx_mats = [_load(d / CONTEXT_FILES[kind].format(t))[1] for t in range(T)]
+        ctx_mats = [_load(checkpoint_path(rundir, kind, "context", t))[1] for t in range(T)]
     return words_mats, ctx_mats
 
 
-def load_variance_matrices(rundir, T: int):
-    """Posterior variance matrices of a Bayesian run's word vectors."""
-    d = Path(rundir) / "dsg"
-    return [_load(d / f"t{t}.var.vec")[1] for t in range(T)]
-
-
 def checkpoint_words(rundir, kind: str):
-    words, _ = _load(_kind_dir(rundir, kind) / WORD_FILES[kind].format(0))
+    # unused by the package; bench/layers.py still patches this name
+    words, _ = _load(checkpoint_path(rundir, kind, "word", 0))
     return words

@@ -15,19 +15,6 @@ from .errors import DataError
 
 
 @dataclass
-class EmbeddingMatrix:
-    """An L x d real matrix of word or context vectors."""
-
-    values: np.ndarray
-    role: str = "word"              # "word" or "context"
-    slice_index: int | str = "static"
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
-@dataclass
 class TrainConfig:
     dim: int = 100
     window: int = 4
@@ -92,6 +79,28 @@ def sgns_log_likelihood(batch, U: np.ndarray, V: np.ndarray):
     total = float(terms.sum())
     lpos = float(terms[batch.labels == 1].sum())
     return total, lpos
+
+
+LPOS_BLOCK = 4096
+
+
+def mean_lpos(pairs, U: np.ndarray, V: np.ndarray) -> float:
+    """Mean log sigma(u.v) over ``(centers, contexts)`` positive pairs; 0.0 for none.
+
+    The held-out score of every trainer and of ``eval``. Scores are
+    gathered :data:`LPOS_BLOCK` pairs at a time, which bounds the scratch
+    memory; einsum scores each pair on its own, so the bits are those of
+    one gather over all pairs.
+    """
+    centers, contexts = pairs
+    n = len(centers)
+    if n == 0:
+        return 0.0
+    scores = np.empty(n)
+    for start in range(0, n, LPOS_BLOCK):
+        block = slice(start, start + LPOS_BLOCK)
+        np.einsum("ij,ij->i", U[centers[block]], V[contexts[block]], out=scores[block])
+    return float(np.mean(log_sigmoid(scores)))
 
 
 def sgns_gradients(batch, U: np.ndarray, V: np.ndarray):

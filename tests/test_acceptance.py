@@ -92,7 +92,7 @@ def dsg_word_means(corpus, vocab, cfg, params=DSG_TUNED, reg=None):
 def dbe_word_mats(corpus, vocab, cfg, params, reg=None):
     init = init_random(vocab.size, cfg.dim, cfg.seed, "dbe")
     model, _ = train_dbe(corpus, vocab, init, params, cfg, reg=reg)
-    return [m.values for m in model.U]
+    return list(model.U)
 
 
 DSG_SCARCE_CFG = TrainConfig(dim=4, window=4, negative_ratio=1,
@@ -285,7 +285,7 @@ def test_criterion_3_directedness(gradual_full):
             iU, iV = init_random(small.vocab.size, cfg.dim, seed, "isg")
             model, _, _ = train_incremental(small.corpus, small.vocab, iU, iV, cfg)
             tau_isg = directedness(
-                drift_series([m.values for m in model.U], 0, "isg"), word_ids=[ws])
+                drift_series(list(model.U), 0, "isg"), word_ids=[ws])
             means = dsg_word_means(small.corpus, small.vocab, cfg)
             tau_dsg = directedness(drift_series(means, 0, "dsg"), word_ids=[ws])
             gaps.append((tau_isg, tau_dsg))
@@ -326,12 +326,12 @@ def test_criterion_4_discrimination(abrupt_scarce, abrupt_dsg_means,
 def _final_matrices(kind, corpus, vocab, cfg, init):
     if kind == "isg":
         model, _, _ = train_incremental(corpus, vocab, init[0], init[1], cfg)
-        return [m.values for m in model.U], [m.values for m in model.V]
+        return list(model.U), list(model.V)
     if kind == "dsg":
         posteriors, _, _ = train_dsg(corpus, vocab, init, DSG_TUNED, cfg)
         return ([q[0].mean for q in posteriors], [q[1].mean for q in posteriors])
     model, _ = train_dbe(corpus, vocab, init, DbeParams(), cfg)
-    return [m.values for m in model.U], [model.V.values] * model.T
+    return list(model.U), [model.V] * model.T
 
 
 def test_criterion_5_initialization_benefit():
@@ -485,6 +485,6 @@ def test_criterion_8_absent_word_invariant():
                           epochs=5, batch_size=64, seed=2)
         iU, iV = init_random(vocab.size, cfg.dim, cfg.seed, "isg")
         model, _, _ = train_incremental(corpus, vocab, iU, iV, cfg)
-        assert not np.array_equal(model.U[0].values[z], iU[z])  # trained in slice 0
-        np.testing.assert_array_equal(model.U[1].values[z], model.U[0].values[z])
-        np.testing.assert_array_equal(model.U[2].values[z], model.U[1].values[z])
+        assert not np.array_equal(model.U[0][z], iU[z])  # trained in slice 0
+        np.testing.assert_array_equal(model.U[1][z], model.U[0][z])
+        np.testing.assert_array_equal(model.U[2][z], model.U[1][z])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftvec.analysis import (DriftSeries, compute_drift, directedness,
-                               drift_histogram, drift_series, drift_total,
+                               drift_histogram, drift_series,
                                evaluate_lpos, format_lpos_report,
                                stability_fraction, write_drift_csv,
                                write_histogram_csv)
@@ -43,13 +43,6 @@ class TestComputeDrift:
         Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         np.testing.assert_allclose(compute_drift(Ut @ Q, U0 @ Q),
                                    compute_drift(Ut, U0), atol=1e-9)
-
-    def test_total_is_root_of_summed_squares(self, rng):
-        Ut = rng.normal(size=(4, 2))
-        U0 = rng.normal(size=(4, 2))
-        per_word = compute_drift(Ut, U0)
-        assert drift_total(Ut, U0) == pytest.approx(
-            math.sqrt(float((per_word ** 2).sum())), abs=1e-12)
 
 
 class TestDriftSeries:
@@ -144,6 +137,13 @@ class TestEvaluateLpos:
             assert v == pytest.approx(-math.log(2), abs=1e-12)
         assert mean == pytest.approx(-math.log(2), abs=1e-12)
 
+    def test_slice_without_pairs_warns_and_scores_zero(self):
+        vocab, corpus = toy_corpus([["a b c"], ["c"]])
+        Z = [np.zeros((vocab.size, 2))] * 2
+        with pytest.warns(UserWarning, match="slice 1 has no held-out pairs"):
+            per_slice, _ = evaluate_lpos(corpus, Z, Z, window=1)
+        assert per_slice == [pytest.approx(-math.log(2)), 0.0]
+
     def test_deterministic_bitwise(self, rng):
         vocab, corpus = toy_corpus([["a b c d"] * 5, ["d c b a"] * 5])
         U = [rng.normal(size=(vocab.size, 3)) for _ in range(2)]
@@ -165,18 +165,6 @@ class TestEvaluateLpos:
         with pytest.raises(ValueError):
             evaluate_lpos(corpus, [np.zeros((vocab.size, 2))],
                           [np.zeros((vocab.size, 2))], window=1)
-
-    def test_breakdown_exposes_all_normalizations(self):
-        from driftvec.analysis import lpos_breakdown
-        vocab, corpus = toy_corpus([["a b c"]])
-        Z = [np.zeros((vocab.size, 2))]
-        (row,) = lpos_breakdown(corpus, Z, Z, window=1)
-        assert row["pairs"] == 4 and row["tokens"] == 3
-        assert row["sum"] == pytest.approx(4 * -math.log(2))
-        assert row["per_pair"] == pytest.approx(-math.log(2))
-        assert row["per_token"] == pytest.approx(4 * -math.log(2) / 3)
-        _, mean = evaluate_lpos(corpus, Z, Z, window=1)
-        assert mean == pytest.approx(row["per_pair"])
 
 
 class TestReports:

@@ -42,6 +42,30 @@ def train_args(root, outdir, model="isg", extra=()):
             "--window", "2", "--seed", "3", *extra]
 
 
+@pytest.fixture(scope="module")
+def trained_runs(pipeline, tmp_path_factory):
+    """One run directory per model, trained on the shared pipeline."""
+    root = tmp_path_factory.mktemp("runs")
+    out = {}
+    for model in ("isg", "dsg", "dbe"):
+        out[model] = root / model
+        assert run(train_args(pipeline, out[model], model=model)) == 0
+    return out
+
+
+# (model, export role) -> the checkpoint file its slice-2 export copies
+EXPORTED_FILES = {
+    ("isg", "word"): "t2.vec",
+    ("isg", "context"): "t2.ctx.vec",
+    ("dsg", "word"): "t2.mean.vec",
+    ("dsg", "mean"): "t2.mean.vec",
+    ("dsg", "var"): "t2.var.vec",
+    ("dsg", "context"): "t2.ctx.mean.vec",
+    ("dbe", "word"): "t2.vec",
+    ("dbe", "context"): "context.vec",
+}
+
+
 def test_parse_boundaries_year_range():
     bounds = parse_boundaries("1987:2007")
     assert len(bounds) == 21
@@ -164,13 +188,41 @@ class TestTrainEvalDrift:
         for line in lines:
             assert int(line.split(",")[-1]) == len(words)
 
-    def test_export_round_trip(self, pipeline, tmp_path):
-        outdir = tmp_path / "run_export"
-        assert run(train_args(pipeline, outdir)) == 0
+    @pytest.mark.parametrize("model, role", list(EXPORTED_FILES))
+    def test_export_round_trip(self, trained_runs, tmp_path, model, role):
+        rundir = trained_runs[model]
         dest = tmp_path / "slice2.vec"
-        assert run(["export", "--run", outdir, "--slice", "2",
-                    "--role", "word", "--out", dest]) == 0
-        assert dest.read_bytes() == (outdir / "isg" / "t2.vec").read_bytes()
+        assert run(["export", "--run", rundir, "--slice", "2",
+                    "--role", role, "--out", dest]) == 0
+        expected = rundir / model / EXPORTED_FILES[model, role]
+        assert dest.read_bytes() == expected.read_bytes()
+
+    def test_export_of_unavailable_role_is_usage_error(self, trained_runs, tmp_path, capsys):
+        dest = tmp_path / "var.vec"
+        assert run(["export", "--run", trained_runs["isg"], "--role", "var",
+                    "--out", dest]) == 1
+        assert "not available for model 'isg'" in capsys.readouterr().err
+        assert not dest.exists()
+
+    def test_drift_on_one_slice_run_is_data_error(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        assert run(["synth", "--out", corpus_dir, "--vocab-size", "20",
+                    "--slices", "1", "--tokens-per-slice", "600",
+                    "--doc-length", "10", "--seed", "1"]) == 0
+        assert run(["build-vocab", "--manifest", corpus_dir / "manifest.tsv",
+                    "--boundaries", "2000:2001", "--max-size", "20",
+                    "--out", tmp_path / "vocab.tsv"]) == 0
+        assert run(["slice", "--manifest", corpus_dir / "manifest.tsv",
+                    "--vocab", tmp_path / "vocab.tsv", "--boundaries", "2000:2001",
+                    "--holdout", "0", "--out-prefix", tmp_path / "data"]) == 0
+        outdir = tmp_path / "run_one"
+        assert run(["train", "--model", "isg", "--out", outdir,
+                    "--vocab", tmp_path / "vocab.tsv", "--train", tmp_path / "data.full.json",
+                    "--dim", "4", "--epochs", "1", "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert run(["drift", "--run", outdir]) == 2
+        err = capsys.readouterr().err
+        assert f"{outdir}: drift needs at least two slices, the run has 1" in err
 
     def test_dsg_run_writes_posteriors(self, pipeline, tmp_path):
         outdir = tmp_path / "run_dsg"

@@ -5,10 +5,8 @@ import pytest
 
 from driftvec import dbe as dbe_mod
 from driftvec.corpus import TimeSlicedCorpus
-from driftvec.dbe import (DbeParams, _round_robin, dbe_loss,
-                          dbe_positional_logit, dbe_positional_probability,
-                          dbe_prior, dbe_prior_grads, sweep_prior_grads,
-                          train_dbe)
+from driftvec.dbe import (DbeParams, _round_robin, dbe_loss, dbe_prior,
+                          dbe_prior_grads, sweep_prior_grads, train_dbe)
 from driftvec.inits import init_random
 from driftvec.sgns import TrainConfig, batch_grad_rows, sgns_gradients
 from driftvec.shrinkreg import RegConfig, drift_regularizer
@@ -22,33 +20,6 @@ def small_config(**kwargs):
                 epochs=6, batch_size=128, seed=0)
     base.update(kwargs)
     return TrainConfig(**base)
-
-
-class TestPositionalLogit:
-    def test_zero_vectors_give_half_probability(self):
-        U = np.zeros((3, 2))
-        V = np.zeros((3, 2))
-        assert dbe_positional_logit(0, [1, 2], U, V) == 0.0
-        assert dbe_positional_probability(0, [1, 2], U, V) == 0.5
-
-    def test_single_context_reduces_to_dot_product(self, rng):
-        U = rng.normal(size=(4, 3))
-        V = rng.normal(size=(4, 3))
-        assert dbe_positional_logit(2, [3], U, V) == pytest.approx(
-            float(U[2] @ V[3]), abs=1e-15)
-
-    def test_three_word_context_scalar_oracle(self):
-        U = np.array([[0.5, -1.0], [2.0, 0.25], [0.0, 1.0]])
-        V = np.array([[1.0, 1.0], [-0.5, 2.0], [0.25, -0.75]])
-        got = dbe_positional_logit(1, [0, 2, 2], U, V)
-        expected = 0.0
-        for d in range(2):
-            expected += U[1][d] * (V[0][d] + V[2][d] + V[2][d])
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_empty_context_rejected(self):
-        with pytest.raises(ValueError):
-            dbe_positional_logit(0, [], np.ones((2, 2)), np.ones((2, 2)))
 
 
 class TestPrior:
@@ -130,10 +101,10 @@ class TestTraining:
         init = init_random(vocab.size, cfg.dim, 0, "dbe")
         model, info = train_dbe(corpus, vocab, init, DbeParams(), cfg)
         assert model.T == 1
-        assert np.isfinite(model.U[0].values).all()
+        assert np.isfinite(model.U[0]).all()
         # with one slice the prior has no drift term at all
         assert info["prior"][-1] == pytest.approx(
-            dbe_prior([model.U[0].values], model.V.values,
+            dbe_prior([model.U[0]], model.V,
                       DbeParams(drift_precision=123.0)), abs=1e-9)
 
     def test_identical_slices_drift_below_shuffled_control(self):
@@ -158,8 +129,8 @@ class TestTraining:
         params = DbeParams()
         model_a, _ = train_dbe(identical, vocab, init, params, cfg)
         model_b, _ = train_dbe(shuffled, vocab, init, params, cfg)
-        drifts_a = np.linalg.norm(model_a.U[2].values - model_a.U[0].values, axis=1)
-        drifts_b = np.linalg.norm(model_b.U[2].values - model_b.U[0].values, axis=1)
+        drifts_a = np.linalg.norm(model_a.U[2] - model_a.U[0], axis=1)
+        drifts_b = np.linalg.norm(model_b.U[2] - model_b.U[0], axis=1)
         assert drifts_a.max() < np.percentile(drifts_b, 10)
 
     def test_majority_of_words_stay_stable_on_identical_slices(self):
@@ -173,7 +144,7 @@ class TestTraining:
         cfg = small_config(epochs=8, window=2)
         init = init_random(vocab.size, cfg.dim, 2, "dbe")
         model, _ = train_dbe(corpus, vocab, init, DbeParams(), cfg)
-        drifts = np.linalg.norm(model.U[2].values - model.U[0].values, axis=1)
+        drifts = np.linalg.norm(model.U[2] - model.U[0], axis=1)
         near_zero = (drifts < 0.1 * drifts.mean()).mean()
         assert near_zero > 0.5
 
@@ -184,8 +155,8 @@ class TestTraining:
         m1, _ = train_dbe(corpus, vocab, init, DbeParams(), cfg)
         m2, _ = train_dbe(corpus, vocab, init, DbeParams(), cfg)
         for t in range(2):
-            np.testing.assert_array_equal(m1.U[t].values, m2.U[t].values)
-        np.testing.assert_array_equal(m1.V.values, m2.V.values)
+            np.testing.assert_array_equal(m1.U[t], m2.U[t])
+        np.testing.assert_array_equal(m1.V, m2.V)
 
 
 class TestSweepSchedule:
@@ -296,7 +267,7 @@ class TestSweepSchedule:
         cfg = small_config(epochs=8, window=2)
         init = init_random(vocab.size, cfg.dim, 3, "dbe")
         model, _ = train_dbe(corpus, vocab, init, DbeParams(), cfg)
-        U = [m.values[z] for m in model.U]
+        U = [m[z] for m in model.U]
         start = init[0][z]
         assert not np.array_equal(U[1], start)
         midpoint = 0.5 * (U[0] + U[2])

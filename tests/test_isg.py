@@ -63,8 +63,8 @@ def test_single_slice_equals_train_slice():
     model, traces, order = train_incremental(corpus, vocab, U0, V0, cfg)
     U, V, _ = train_slice(corpus.slices[0], vocab, U0, V0, cfg, slice_index=0)
     assert order == [0]
-    np.testing.assert_array_equal(model.U[0].values, U)
-    np.testing.assert_array_equal(model.V[0].values, V)
+    np.testing.assert_array_equal(model.U[0], U)
+    np.testing.assert_array_equal(model.V[0], V)
 
 
 def test_incremental_drift_below_reinitialization_drift():
@@ -73,23 +73,28 @@ def test_incremental_drift_below_reinitialization_drift():
     cfg = small_config(epochs=4, learning_rate=0.01)
     U0, V0 = init_random(vocab.size, cfg.dim, 7, "isg")
     model, _, _ = train_incremental(corpus, vocab, U0, V0, cfg)
-    incremental = np.linalg.norm(model.U[1].values - model.U[0].values,
+    incremental = np.linalg.norm(model.U[1] - model.U[0],
                                  axis=1).mean()
     # baseline: slice 1 retrained from an independent random start
     U0b, V0b = init_random(vocab.size, cfg.dim, 99, "isg")
     Ub, _, _ = train_slice(corpus.slices[1], vocab, U0b, V0b, cfg, slice_index=1)
-    reinit = np.linalg.norm(Ub - model.U[0].values, axis=1).mean()
+    reinit = np.linalg.norm(Ub - model.U[0], axis=1).mean()
     assert incremental < reinit
 
 
 def test_backward_direction_trains_new_to_old():
-    vocab, corpus = toy_corpus([["a b"], ["b c"], ["c a"]])
+    # "z" occurs only in the last slice: a backward run trains it there
+    # first and carries it bit-identical into slices 1 and 0
+    vocab, corpus = toy_corpus([["a b"], ["b c"], ["c a z"]])
     cfg = small_config(epochs=1)
     U0, V0 = init_random(vocab.size, cfg.dim, 0, "isg")
     model, traces, order = train_incremental(corpus, vocab, U0, V0, cfg,
                                              direction="backward")
     assert order == [2, 1, 0]
-    assert model.U[0].slice_index == 0 and model.U[2].slice_index == 2
+    z = vocab.id_of["z"]
+    assert not np.array_equal(model.U[2][z], U0[z])
+    np.testing.assert_array_equal(model.U[1][z], model.U[2][z])
+    np.testing.assert_array_equal(model.U[0][z], model.U[1][z])
 
 
 def test_absent_words_keep_bit_identical_vectors():
@@ -104,9 +109,9 @@ def test_absent_words_keep_bit_identical_vectors():
     model, _, _ = train_incremental(corpus, vocab, U0, V0, cfg)
     z = vocab.id_of["z"]
     assert vocab.slice_count[z, 1] == 0
-    np.testing.assert_array_equal(model.U[1].values[z], model.U[0].values[z])
+    np.testing.assert_array_equal(model.U[1][z], model.U[0][z])
     # and it was genuinely trained in slice 0
-    assert not np.array_equal(model.U[0].values[z], U0[z])
+    assert not np.array_equal(model.U[0][z], U0[z])
 
 
 def test_rerun_is_bitwise_identical():
@@ -116,8 +121,8 @@ def test_rerun_is_bitwise_identical():
     m1, _, _ = train_incremental(corpus, vocab, U0, V0, cfg)
     m2, _, _ = train_incremental(corpus, vocab, U0, V0, cfg)
     for t in range(2):
-        np.testing.assert_array_equal(m1.U[t].values, m2.U[t].values)
-        np.testing.assert_array_equal(m1.V[t].values, m2.V[t].values)
+        np.testing.assert_array_equal(m1.U[t], m2.U[t])
+        np.testing.assert_array_equal(m1.V[t], m2.V[t])
 
 
 def test_all_outputs_finite():
@@ -125,5 +130,5 @@ def test_all_outputs_finite():
     cfg = small_config(epochs=10, learning_rate=0.5)
     U0, V0 = init_random(vocab.size, cfg.dim, 3, "isg")
     model, _, _ = train_incremental(corpus, vocab, U0, V0, cfg)
-    assert np.isfinite(model.U[0].values).all()
-    assert np.isfinite(model.V[0].values).all()
+    assert np.isfinite(model.U[0]).all()
+    assert np.isfinite(model.V[0]).all()

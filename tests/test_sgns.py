@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from driftvec.adam import AdamState, save_adam_state
 from driftvec.errors import DataError
-from driftvec.sgns import (TrainConfig, load_embedding_text, save_embedding_text,
-                           batch_grad_rows, sgns_gradients, sgns_log_likelihood,
+from driftvec.sgns import (LPOS_BLOCK, TrainConfig, load_embedding_text, save_embedding_text,
+                           batch_grad_rows, mean_lpos, sgns_gradients, sgns_log_likelihood,
                            sigmoid, log_sigmoid, touched_rows)
 
 from conftest import make_batch
@@ -211,6 +211,37 @@ class TestGradients:
             tracemalloc.stop()
         del result
         assert peak <= 2.5 * n * d * 8
+
+
+class TestMeanLpos:
+    @pytest.mark.parametrize("n", [1, LPOS_BLOCK - 1, LPOS_BLOCK, 3 * LPOS_BLOCK + 17])
+    @pytest.mark.parametrize("d", [7, 25, 64])
+    def test_bits_equal_one_full_gather(self, rng, n, d):
+        L = 300
+        U = rng.normal(size=(L, d))
+        V = rng.normal(size=(L, d))
+        centers = rng.integers(0, L, n)
+        contexts = rng.integers(0, L, n)
+        scores = np.einsum("ij,ij->i", U[centers], V[contexts])
+        expected = float(np.mean(-np.logaddexp(0.0, -scores)))
+        got = mean_lpos((centers, contexts), U, V)
+        assert np.float64(got).view(np.uint64) == np.float64(expected).view(np.uint64)
+
+    def test_scratch_memory_is_bounded_by_the_block(self, rng):
+        # a single gather over all pairs would take 2 * n * d * 8 bytes
+        n, d, L = 30_000, 64, 2000
+        U = rng.normal(size=(L, d))
+        V = rng.normal(size=(L, d))
+        centers = rng.integers(0, L, n)
+        contexts = rng.integers(0, L, n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mean_lpos((centers, contexts), U, V)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * LPOS_BLOCK * d * 8 + 4 * n * 8
 
 
 class TestTrainConfig:
