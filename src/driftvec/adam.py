@@ -36,6 +36,30 @@ def _check_finite(grad, name):
         raise NumericalError(f"non-finite gradient for parameter matrix {name!r}")
 
 
+def _update(params, grad, m, v, state: AdamState, learning_rate: float) -> None:
+    """Advance the step counter and apply one bias-corrected ascent step
+    to ``params`` with moments ``m`` and ``v``, all in place."""
+    state.step_count += 1
+    t = state.step_count
+    # In place, with two scratch buffers; every element sees the same
+    # floating-point operations in the same order as the textbook form
+    # m/(1-b1^t) * lr / (sqrt(v/(1-b2^t)) + eps).
+    scratch = grad * (1 - state.beta1)
+    m *= state.beta1
+    m += scratch
+    np.multiply(grad, 1 - state.beta2, out=scratch)
+    scratch *= grad
+    v *= state.beta2
+    v += scratch
+    step = m / (1 - state.beta1 ** t)
+    step *= learning_rate
+    np.divide(v, 1 - state.beta2 ** t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.epsilon
+    step /= scratch
+    params += step
+
+
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
               learning_rate: float, name: str = "params") -> np.ndarray:
     """One bias-corrected Adam ascent step over the full matrix.
@@ -47,25 +71,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
     if learning_rate <= 0:
         raise ValueError("learning_rate must be > 0")
     _check_finite(grad, name)
-    state.step_count += 1
-    t = state.step_count
-    # In place, with two scratch buffers; every element sees the same
-    # floating-point operations in the same order as the textbook form
-    # m/(1-b1^t) * lr / (sqrt(v/(1-b2^t)) + eps).
-    scratch = grad * (1 - state.beta1)
-    state.m *= state.beta1
-    state.m += scratch
-    np.multiply(grad, 1 - state.beta2, out=scratch)
-    scratch *= grad
-    state.v *= state.beta2
-    state.v += scratch
-    step = state.m / (1 - state.beta1 ** t)
-    step *= learning_rate
-    np.divide(state.v, 1 - state.beta2 ** t, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += state.epsilon
-    step /= scratch
-    params += step
+    _update(params, grad, state.m, state.v, state, learning_rate)
     return params
 
 
@@ -75,24 +81,15 @@ def adam_step_rows(params: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray,
     """Lazy Adam ascent touching only ``rows``.
 
     Bias correction uses the global step counter; rows outside ``rows``
-    are left bit-identical.
+    are left bit-identical. The touched rows of ``params``, ``m`` and
+    ``v`` take the dense step's update and are scattered back.
     """
     if learning_rate <= 0:
         raise ValueError("learning_rate must be > 0")
     _check_finite(grad_rows, name)
-    state.step_count += 1
-    t = state.step_count
-    m = state.m[rows]
-    v = state.v[rows]
-    m *= state.beta1
-    m += (1 - state.beta1) * grad_rows
-    v *= state.beta2
-    v += (1 - state.beta2) * grad_rows * grad_rows
-    state.m[rows] = m
-    state.v[rows] = v
-    mhat = m / (1 - state.beta1 ** t)
-    vhat = v / (1 - state.beta2 ** t)
-    params[rows] += learning_rate * mhat / (np.sqrt(vhat) + state.epsilon)
+    m, v, p = state.m[rows], state.v[rows], params[rows]
+    _update(p, grad_rows, m, v, state, learning_rate)
+    state.m[rows], state.v[rows], params[rows] = m, v, p
     return params
 
 

@@ -10,16 +10,7 @@ import numpy as np
 from .corpus import TimeSlicedCorpus, extract_pairs
 from .errors import DataError
 from .sgns import mean_lpos
-
-
-def compute_drift(U_t: np.ndarray, U_t0: np.ndarray) -> np.ndarray:
-    """Per-word L2 norm of the embedding difference between two slices.
-
-    For the Bayesian model this is applied to posterior means.
-    """
-    if U_t.shape != U_t0.shape:
-        raise ValueError("matrices must share a shape")
-    return np.linalg.norm(U_t - U_t0, axis=1)
+from .shrinkreg import word_drifts as compute_drift
 
 
 @dataclass(frozen=True)

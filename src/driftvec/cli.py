@@ -80,10 +80,21 @@ class RunConfig:
 
 
 def _read_ini(path):
-    parser = configparser.ConfigParser()
+    """Parse a config file; ``;`` starts a comment, also after a value."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if not Path(path).exists():
         raise DataError(f"config file not found: {path}")
-    parser.read(path, encoding="utf-8")
+    try:
+        parser.read(path, encoding="utf-8")
+    except configparser.MissingSectionHeaderError as exc:
+        raise DataError(f"{path}:{exc.lineno}: key before any [section] header") from exc
+    except configparser.ParsingError as exc:
+        raise DataError(f"{path}:{exc.errors[0][0]}: not a 'key = value' line") from exc
+    except configparser.DuplicateSectionError as exc:
+        raise DataError(f"{path}:{exc.lineno}: section [{exc.section}] given twice") from exc
+    except configparser.DuplicateOptionError as exc:
+        raise DataError(f"{path}:{exc.lineno}: key {exc.option!r} given twice "
+                        f"in [{exc.section}]") from exc
     return parser
 
 
@@ -140,7 +151,7 @@ def resolve_run_config(args) -> RunConfig:
     alpha = pick(args.reg_alpha, "reg", "alpha", float, 0.0)
     beta_raw = pick(args.reg_beta, "reg", "beta", str, "mean")
     beta = beta_raw if beta_raw == "mean" else float(beta_raw)
-    reg = RegConfig(alpha=alpha, beta=beta, enabled=alpha > 0)
+    reg = RegConfig(alpha=alpha, beta=beta)
 
     cfg = RunConfig(model=model, out=out, vocab=vocab, train_path=train_path,
                     valid_path=valid_path, test_path=test_path,
@@ -237,7 +248,7 @@ def _train_config_record(cfg: RunConfig) -> dict:
                  "fixed_variance": cfg.scheme.fixed_variance},
         "reg": {"alpha": cfg.reg.alpha,
                 "beta": cfg.reg.beta if isinstance(cfg.reg.beta, str) else float(cfg.reg.beta),
-                "enabled": cfg.reg.enabled},
+                "enabled": cfg.reg.alpha > 0},
     }
     if cfg.model == "dsg":
         record["dsg"] = asdict(cfg.dsg_params)
@@ -279,7 +290,6 @@ def cmd_train(args) -> int:
             manifest["inputs"][label] = {"path": str(path),
                                          "sha256": runs.content_hash(path)}
 
-    reg = cfg.reg if cfg.reg.enabled else None
     if cfg.model == "isg":
         model, traces, order = isg_mod.train_incremental(
             train_corpus, vocab, init[0], init[1], cfg.train,
@@ -290,14 +300,14 @@ def cmd_train(args) -> int:
     elif cfg.model == "dsg":
         posteriors, traces, order = dsg_mod.train_dsg(
             train_corpus, vocab, init, cfg.dsg_params, cfg.train,
-            direction=direction, reg=reg, eval_corpus=valid_corpus)
+            direction=direction, reg=cfg.reg, eval_corpus=valid_corpus)
         runs.save_dsg_checkpoints(rundir, vocab.words, posteriors)
         manifest["trained_order"] = order
         manifest["traces"] = {str(t): tr for t, tr in traces.items()}
     else:
         model, info = dbe_mod.train_dbe(
             train_corpus, vocab, init, cfg.dbe_params, cfg.train,
-            reg=reg, eval_corpus=valid_corpus)
+            reg=cfg.reg, eval_corpus=valid_corpus)
         runs.save_dbe_checkpoints(rundir, vocab.words, model)
         adam = info.pop("adam")
         for t, state in enumerate(adam["U"]):
@@ -465,7 +475,7 @@ def build_parser() -> _Parser:
     p.add_argument("--run", required=True)
     p.add_argument("--slice", type=int, default=0)
     p.add_argument("--role", default="word",
-                   choices=["word", "context", "mean", "var"])
+                   choices=list(dict.fromkeys(role for _, role in runs.CHECKPOINT_FILES)))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)
 

@@ -7,12 +7,15 @@ between threads. Every seeded operation derives its generator from
 byte for byte.
 """
 
+import bisect
 import gzip
 import json
 import string
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -136,15 +139,7 @@ def assign_slices(documents, boundaries):
         if ts < boundaries[0] or ts >= boundaries[-1]:
             dropped += 1
             continue
-        # rightmost boundary <= ts
-        lo, hi = 0, T
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if ts >= boundaries[mid]:
-                lo = mid
-            else:
-                hi = mid
-        sliced[lo].append(tokens)
+        sliced[bisect.bisect_right(boundaries, ts) - 1].append(tokens)
     if all(len(s) == 0 for s in sliced):
         raise EmptyCorpusError("empty corpus: every document fell outside the slice boundaries")
     return sliced, dropped
@@ -160,18 +155,10 @@ def build_vocabulary(sliced_docs, stopwords, max_size: int) -> Vocabulary:
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     T = len(sliced_docs)
-    per_slice: list[dict] = []
-    totals: dict = {}
-    for docs in sliced_docs:
-        counts: dict = {}
-        for tokens in docs:
-            for tok in tokens:
-                if tok in stopwords:
-                    continue
-                counts[tok] = counts.get(tok, 0) + 1
-        per_slice.append(counts)
-        for tok, n in counts.items():
-            totals[tok] = totals.get(tok, 0) + n
+    per_slice = [Counter(chain.from_iterable(docs)) for docs in sliced_docs]
+    totals = sum(per_slice, Counter())
+    for word in stopwords:
+        del totals[word]        # a Counter ignores absent keys
     if not totals:
         raise EmptyCorpusError("empty corpus: no tokens left after stopword filtering")
 
@@ -212,10 +199,15 @@ def load_vocabulary(path) -> Vocabulary:
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: malformed vocabulary line")
             word, idx, total = parts
-            if int(idx) != len(words):
+            try:
+                idx, total = int(idx), int(total)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: malformed vocabulary line: id and "
+                                f"count must be integers, got {line.rstrip()!r}") from exc
+            if idx != len(words):
                 raise DataError(f"{path}:{lineno}: ids must be dense and ordered")
             words.append(word)
-            totals.append(int(total))
+            totals.append(total)
     if not words:
         raise EmptyCorpusError(f"empty vocabulary file: {path}")
     total_count = np.array(totals, dtype=np.int64)
@@ -266,11 +258,6 @@ class TimeSlicedCorpus:
         return [int(sum(len(d) for d in docs)) for docs in self.slices]
 
 
-def _encode(tokens, id_of):
-    ids = [id_of[t] for t in tokens if t in id_of]
-    return np.asarray(ids, dtype=np.int64)
-
-
 def slice_corpus(documents, boundaries, vocab: Vocabulary,
                  split_tag: str = "full"):
     """Assign timestamped token documents to slices and encode them.
@@ -280,28 +267,23 @@ def slice_corpus(documents, boundaries, vocab: Vocabulary,
     :class:`EmptyCorpusError` when every document is dropped.
     """
     sliced, dropped = assign_slices(documents, boundaries)
-    out = []
-    kept = 0
-    oov = 0
-    for docs in sliced:
-        encoded = []
-        for tokens in docs:
-            ids = _encode(tokens, vocab.id_of)
-            oov += len(tokens) - len(ids)
-            encoded.append(ids)
-            kept += 1
-        out.append(tuple(encoded))
-    empty = tuple(t for t, docs in enumerate(out) if not docs)
-    report = SliceReport(kept=kept, dropped=dropped, oov_tokens=oov,
-                         empty_slices=empty)
-    return TimeSlicedCorpus(slices=tuple(out), split_tag=split_tag), report
+    corpus = encode_sliced_docs(sliced, vocab, split_tag)
+    doc_counts = corpus.doc_counts()
+    n_tokens = sum(len(tokens) for docs in sliced for tokens in docs)
+    report = SliceReport(kept=sum(doc_counts), dropped=dropped,
+                         oov_tokens=n_tokens - sum(corpus.token_counts()),
+                         empty_slices=tuple(t for t, n in enumerate(doc_counts) if n == 0))
+    return corpus, report
 
 
 def encode_sliced_docs(sliced_docs, vocab: Vocabulary,
                        split_tag: str = "full") -> TimeSlicedCorpus:
-    """Encode already-sliced token documents (helper for in-memory pipelines)."""
+    """Encode already-sliced token documents, dropping tokens outside
+    the vocabulary."""
+    id_of = vocab.id_of
     out = tuple(
-        tuple(_encode(tokens, vocab.id_of) for tokens in docs)
+        tuple(np.asarray([id_of[t] for t in tokens if t in id_of], dtype=np.int64)
+              for tokens in docs)
         for docs in sliced_docs
     )
     return TimeSlicedCorpus(slices=out, split_tag=split_tag)

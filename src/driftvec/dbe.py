@@ -152,7 +152,7 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
     statesU = [AdamState.for_shape((L, d)) for _ in range(T)]
     stateV = AdamState.for_shape((L, d))
 
-    reg_active = reg is not None and reg.enabled and reg.alpha > 0
+    reg_active = reg is not None and reg.alpha > 0
     traces = {t: {"lpos": []} for t in range(T)}
     prior_trace = []
     beta_trace = []

@@ -207,7 +207,7 @@ def dsg_filter_step(slice_docs, vocab, prev_posterior, params: DsgParams,
     are optimized for ``config.epochs`` epochs. Variances are optimized
     through their logarithm so they stay positive.
 
-    When ``reg`` is enabled and ``ref_mean`` is given, the drift penalty
+    When ``reg.alpha`` > 0 and ``ref_mean`` is given, the drift penalty
     against ``ref_mean`` is subtracted from the bound; its threshold is
     refreshed at each epoch start.
 
@@ -231,7 +231,7 @@ def dsg_filter_step(slice_docs, vocab, prev_posterior, params: DsgParams,
     trace = {"elbo": [], "lpos": []}
     if eval_pairs is not None:
         trace["holdout_lpos"] = []
-    reg_active = reg is not None and reg.enabled and reg.alpha > 0 and ref_mean is not None
+    reg_active = reg is not None and reg.alpha > 0 and ref_mean is not None
     if reg_active:
         trace["reg_beta"] = []
 

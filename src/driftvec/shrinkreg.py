@@ -14,9 +14,8 @@ import numpy as np
 
 @dataclass
 class RegConfig:
-    alpha: float = 0.0
+    alpha: float = 0.0            # 0 switches the penalty off
     beta: float | str = "mean"    # threshold value, or "mean" to recompute per epoch
-    enabled: bool = False
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -44,7 +43,13 @@ def hardshrink(x, beta: float):
 
 
 def word_drifts(current: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Per-word L2 distance between two embedding matrices."""
+    """Per-word L2 distance between two embedding matrices of one shape.
+
+    ``analysis.compute_drift`` is the same function; for the Bayesian
+    model it is applied to posterior means.
+    """
+    if current.shape != reference.shape:
+        raise ValueError("matrices must share a shape")
     return np.linalg.norm(current - reference, axis=1)
 
 

@@ -378,10 +378,10 @@ def test_criterion_6_regularization_effect(abrupt_scarce, abrupt_dsg_means,
     # alphas tuned on this corpus; the Bernoulli model needs a much larger
     # constant because its planted-word gradients are stronger
     setups = {
-        "dsg": (DSG_SCARCE_CFG, RegConfig(alpha=10.0, beta="mean", enabled=True),
+        "dsg": (DSG_SCARCE_CFG, RegConfig(alpha=10.0, beta="mean"),
                 abrupt_dsg_means,
                 lambda cfg, reg: dsg_word_means(res.corpus, res.vocab, cfg, reg=reg)),
-        "dbe": (DBE_SCARCE_CFG, RegConfig(alpha=300.0, beta="mean", enabled=True),
+        "dbe": (DBE_SCARCE_CFG, RegConfig(alpha=300.0, beta="mean"),
                 abrupt_dbe_mats,
                 lambda cfg, reg: dbe_word_mats(res.corpus, res.vocab, cfg,
                                                DBE_SCARCE_PARAMS, reg=reg)),

@@ -93,6 +93,27 @@ class TestRowUpdates:
         # zero prior moments the dense update leaves them unchanged too
         np.testing.assert_allclose(sparse, dense, atol=1e-15)
 
+    def test_every_row_touched_equals_dense_bitwise(self):
+        # the lazy step runs the dense update body, so with every row
+        # touched (in any order) it gives the dense step's bits, moments
+        # included, step after step
+        rng = np.random.default_rng(6)
+        L, d = 9, 5
+        dense = rng.normal(size=(L, d))
+        sparse = dense.copy()
+        state_dense = AdamState.for_shape((L, d))
+        state_sparse = AdamState.for_shape((L, d))
+        for _ in range(6):
+            grad = rng.normal(size=(L, d)) * 10.0 ** rng.integers(-6, 6, size=(L, d))
+            rows = rng.permutation(L)
+            adam_step(dense, grad, state_dense, 0.05)
+            adam_step_rows(sparse, rows, grad[rows], state_sparse, 0.05)
+            np.testing.assert_array_equal(sparse, dense)
+            np.testing.assert_array_equal(state_sparse.m, state_dense.m)
+            np.testing.assert_array_equal(state_sparse.v, state_dense.v)
+        assert state_sparse.step_count == state_dense.step_count == 6
+        assert state_dense.m.any() and state_dense.v.any()
+
     def test_untouched_rows_bit_identical(self):
         rng = np.random.default_rng(4)
         params = rng.normal(size=(5, 3))

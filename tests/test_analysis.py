@@ -9,6 +9,7 @@ from driftvec.analysis import (DriftSeries, compute_drift, directedness,
                                stability_fraction, write_drift_csv,
                                write_histogram_csv)
 from driftvec.errors import DataError
+from driftvec.shrinkreg import word_drifts
 
 from conftest import toy_corpus
 
@@ -43,6 +44,12 @@ class TestComputeDrift:
         Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         np.testing.assert_allclose(compute_drift(Ut @ Q, U0 @ Q),
                                    compute_drift(Ut, U0), atol=1e-9)
+
+    @pytest.mark.parametrize("norm", [compute_drift, word_drifts])
+    def test_shape_mismatch_raises_through_both_names(self, norm):
+        # (1, 3) would broadcast against (4, 3); it must raise instead
+        with pytest.raises(ValueError, match="share a shape"):
+            norm(np.ones((4, 3)), np.zeros((1, 3)))
 
 
 class TestDriftSeries:

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +63,7 @@ EXPORTED_FILES = {
     ("dsg", "mean"): "t2.mean.vec",
     ("dsg", "var"): "t2.var.vec",
     ("dsg", "context"): "t2.ctx.mean.vec",
+    ("dsg", "context_var"): "t2.ctx.var.vec",
     ("dbe", "word"): "t2.vec",
     ("dbe", "context"): "context.vec",
 }
@@ -312,6 +315,18 @@ class TestInputContract:
         assert run(["eval", "--run", tmp_path / "run", "--split", "test"]) == 2
         assert "short.json: 2 slices" in capsys.readouterr().err
 
+    def test_malformed_vocabulary_line(self, pipeline, tmp_path, capsys):
+        vocab = tmp_path / "v.tsv"
+        vocab.write_text("w0\t0\t5\nw1\tx\t3\n")
+        args = train_args(pipeline, tmp_path / "run")
+        args[args.index("--vocab") + 1] = vocab
+        assert run(args) == 2
+        assert "v.tsv:2: malformed vocabulary line" in capsys.readouterr().err
+
+        vocab.write_text("w0\t0\t5\nw1\t1\tmany\n")
+        assert run(args) == 2
+        assert "v.tsv:2: malformed vocabulary line" in capsys.readouterr().err
+
     def test_non_numeric_vector_entry(self, pipeline, tmp_path, capsys):
         pre = tmp_path / "pre.vec"
         pre.write_text("2 4\nw0000 0.1 0.2 0.3 0.4\nw0001 0.1 oops 0.3 0.4\n")
@@ -359,3 +374,32 @@ seed = 5
     manifest = read_manifest(tmp_path / "cfg_run")
     assert manifest["config"]["train"]["epochs"] == 2   # flag wins
     assert manifest["config"]["train"]["seed"] == 5     # file value kept
+
+
+def test_readme_config_block_loads(pipeline, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    for name in ("vocab.tsv", "data.train.json", "data.valid.json", "data.test.json"):
+        assert f"demo/{name}" in block
+        block = block.replace(f"demo/{name}", str(pipeline / name))
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(block, encoding="utf-8")
+    outdir = tmp_path / "readme_run"
+    assert run(["train", "--config", cfg, "--out", outdir, "--dim", "4",
+                "--epochs", "1", "--batch-size", "256", "--window", "2"]) == 0
+    config = read_manifest(outdir)["config"]
+    assert config["model"] == "dbe"
+    assert config["init"] == {"scheme": "random", "pretrained": None, "fixed_variance": 0.1}
+    assert config["reg"] == {"alpha": 0.0, "beta": "mean", "enabled": False}
+    assert config["data"]["test"] == str(pipeline / "data.test.json")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("dim = 4\n[train]\nepochs = 1\n", "bad.ini:1: key before any [section] header"),
+    ("[train]\ndim = 4\nepochs = 1\ndim = 5\n", "bad.ini:4: key 'dim' given twice in [train]"),
+])
+def test_malformed_config_file_is_data_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert run(["train", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err

@@ -35,6 +35,14 @@ class TestBuildVocabulary:
         with pytest.raises(EmptyCorpusError):
             build_vocabulary(sliced, {"a"}, 10)
 
+    def test_stopwords_are_left_out_of_every_count(self):
+        # hand count without "the": a=3 (2 + 1), b=2 (0 + 2), c=1
+        sliced = sliced_from_strings([["the a the a", "c"], ["b the a b"]])
+        vocab = build_vocabulary(sliced, {"the"}, 10)
+        assert list(vocab.words) == ["a", "b", "c"]
+        np.testing.assert_array_equal(vocab.total_count, [3, 2, 1])
+        np.testing.assert_array_equal(vocab.slice_count, [[2, 1], [0, 2], [1, 0]])
+
     def test_truncates_to_max_size(self):
         # 12000 distinct words, keep the 10000 most frequent
         docs = [[f"w{i}" for i in range(12_000)] + ["w0"]]
@@ -116,6 +124,24 @@ class TestSliceCorpus:
         assert corpus.T == 1
         assert report.oov_tokens == 1
         assert corpus.slices[0][0].tolist() == [vocab.id_of["a"], vocab.id_of["b"]]
+
+    def test_report_counts_oov_all_oov_document_and_empty_slice(self):
+        vocab, _ = toy_corpus([["a b"]])
+        docs = [
+            (datetime(2000, 6, 1), ["a", "zzz", "b", "yyy"]),
+            (datetime(2000, 9, 1), ["xxx", "zzz"]),        # every token OOV
+            (datetime(2002, 3, 1), ["b"]),
+            (datetime(1999, 1, 1), ["a"]),                 # before the boundaries
+        ]
+        boundaries = [datetime(y, 1, 1) for y in (2000, 2001, 2002, 2003)]
+        corpus, report = slice_corpus(docs, boundaries, vocab)
+        assert report.kept == 3
+        assert report.dropped == 1
+        assert report.oov_tokens == 4
+        assert report.empty_slices == (1,)
+        assert corpus.doc_counts() == [2, 0, 1]
+        assert corpus.token_counts() == [2, 0, 1]
+        assert corpus.slices[0][1].tolist() == []
 
 
 class TestSplitHoldout:

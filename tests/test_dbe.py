@@ -189,7 +189,7 @@ class TestSweepSchedule:
         U_all = [rng.normal(size=(L, d)) for _ in range(T)]
         V = rng.normal(size=(L, d))
         params = DbeParams(drift_precision=0.8, base_precision=0.05)
-        reg = RegConfig(alpha=0.7, beta=0.1, enabled=True)
+        reg = RegConfig(alpha=0.7, beta=0.1)
         ref = rng.normal(size=(L, d))
         betas = [0.0, 0.1, 0.2]
         per_slice = []

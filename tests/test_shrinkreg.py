@@ -87,11 +87,11 @@ class TestGradient:
 
 class TestRegConfig:
     def test_mean_sentinel(self):
-        cfg = RegConfig(alpha=0.5, beta="mean", enabled=True)
+        cfg = RegConfig(alpha=0.5, beta="mean")
         assert resolve_beta(cfg, np.array([1.0, 2.0, 3.0])) == 2.0
 
     def test_fixed_beta(self):
-        cfg = RegConfig(alpha=0.5, beta=0.25, enabled=True)
+        cfg = RegConfig(alpha=0.5, beta=0.25)
         assert resolve_beta(cfg, np.array([1.0, 9.0])) == 0.25
 
     def test_rejects_negative_alpha(self):
