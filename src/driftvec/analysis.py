@@ -23,7 +23,6 @@ class DriftSeries:
 
     reference_slice: int
     values: np.ndarray          # (L, T), nonnegative
-    model_tag: str = ""
 
     @property
     def T(self):
@@ -37,7 +36,7 @@ class DriftSeries:
         self.values.setflags(write=False)
 
 
-def drift_series(matrices, reference_slice: int, model_tag: str = "") -> DriftSeries:
+def drift_series(matrices, reference_slice: int) -> DriftSeries:
     """Assemble a series from per-slice word matrices (means for DSG)."""
     T = len(matrices)
     if not 0 <= reference_slice < T:
@@ -47,15 +46,13 @@ def drift_series(matrices, reference_slice: int, model_tag: str = "") -> DriftSe
     for t in range(T):
         if t != reference_slice:
             values[:, t] = compute_drift(matrices[t], ref)
-    return DriftSeries(reference_slice=reference_slice, values=values,
-                       model_tag=model_tag)
+    return DriftSeries(reference_slice=reference_slice, values=values)
 
 
 @dataclass(frozen=True)
 class HistogramExport:
     bin_edges: np.ndarray       # (bins + 1,)
     counts: dict                # target slice -> (bins,) int array
-    log_scale: bool = True
 
 
 def drift_histogram(series: DriftSeries, bins: int) -> HistogramExport:

@@ -11,7 +11,8 @@ import argparse
 import configparser
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from collections import defaultdict, namedtuple
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -62,11 +63,11 @@ class RunConfig:
     valid_path: str = ""
     test_path: str = ""
     subset_fraction: float = 1.0
-    train: TrainConfig = None
-    scheme: inits.InitScheme = None
-    dsg_params: dsg_mod.DsgParams = None
-    dbe_params: dbe_mod.DbeParams = None
-    reg: RegConfig = None
+    train: TrainConfig = field(default_factory=TrainConfig)
+    scheme: inits.InitScheme = field(default_factory=inits.InitScheme)
+    dsg_params: dsg_mod.DsgParams = field(default_factory=dsg_mod.DsgParams)
+    dbe_params: dbe_mod.DbeParams = field(default_factory=dbe_mod.DbeParams)
+    reg: RegConfig = field(default_factory=RegConfig)
 
     def validate(self):
         if self.model not in inits.MODEL_KINDS:
@@ -79,9 +80,56 @@ class RunConfig:
             raise ValueError("subset fraction must lie in (0, 1]")
 
 
+def _beta(text):
+    """A reg threshold: a number, or the sentinel 'mean'."""
+    return text if text == "mean" else float(text)
+
+
+# One row per train setting: its INI section and key, its flag (None: INI
+# only), the parser of its text, and the RunConfig part (None: RunConfig
+# itself) and field it fills. Defaults live on the dataclasses alone.
+Setting = namedtuple("Setting", "section key flag parse part field choices help",
+                     defaults=(None, None))
+TRAIN_SETTINGS = (
+    Setting("run", "model", "--model", str, None, "model", choices=inits.MODEL_KINDS),
+    Setting("run", "out", "--out", str, None, "out"),
+    Setting("data", "vocab", "--vocab", str, None, "vocab"),
+    Setting("data", "train", "--train", str, None, "train_path"),
+    Setting("data", "valid", "--valid", str, None, "valid_path"),
+    Setting("data", "test", "--test", str, None, "test_path"),
+    Setting("data", "subset_fraction", "--subset", float, None, "subset_fraction"),
+    Setting("train", "dim", "--dim", int, "train", "dim"),
+    Setting("train", "window", "--window", int, "train", "window"),
+    Setting("train", "negative_ratio", "--negative-ratio", int, "train", "negative_ratio"),
+    Setting("train", "learning_rate", "--learning-rate", float, "train", "learning_rate"),
+    Setting("train", "epochs", "--epochs", int, "train", "epochs"),
+    Setting("train", "batch_size", "--batch-size", int, "train", "batch_size"),
+    Setting("train", "seed", "--seed", int, "train", "seed"),
+    Setting("init", "scheme", "--init", lambda text: text.replace("-", "_"), "scheme", "kind",
+            choices=["random", "internal", "backward_external", "backward-external"]),
+    Setting("init", "pretrained", "--pretrained", lambda text: text or None,
+            "scheme", "pretrained_path"),
+    Setting("init", "fixed_variance", None, float, "scheme", "fixed_variance"),
+    Setting("dsg", "diffusion", "--diffusion", float, "dsg_params", "diffusion_var"),
+    Setting("dsg", "anchor", "--anchor", float, "dsg_params", "anchor_var"),
+    Setting("dsg", "samples", "--samples", int, "dsg_params", "samples_per_step"),
+    Setting("dsg", "entropy", "--entropy", str, "dsg_params", "entropy_mode",
+            choices=["sum_var", "exact"]),
+    Setting("dbe", "drift_precision", "--drift-precision", float, "dbe_params", "drift_precision"),
+    Setting("dbe", "base_precision", "--base-precision", float, "dbe_params", "base_precision"),
+    Setting("reg", "alpha", "--reg-alpha", float, "reg", "alpha"),
+    Setting("reg", "beta", "--reg-beta", _beta, "reg", "beta", help="threshold value or 'mean'"),
+)
+
+
 def _read_ini(path):
-    """Parse a config file; ``;`` starts a comment, also after a value."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    """Parse a config file; ``;`` starts a comment, also after a value,
+    and values are literal (no ``%`` interpolation). Every section and
+    key must name a row of TRAIN_SETTINGS."""
+    # No header can name the empty section, so a [DEFAULT] section is
+    # read as an ordinary, unknown one instead of leaking into the others.
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None,
+                                       default_section="")
     if not Path(path).exists():
         raise DataError(f"config file not found: {path}")
     try:
@@ -95,68 +143,34 @@ def _read_ini(path):
     except configparser.DuplicateOptionError as exc:
         raise DataError(f"{path}:{exc.lineno}: key {exc.option!r} given twice "
                         f"in [{exc.section}]") from exc
+    known = {(s.section, s.key) for s in TRAIN_SETTINGS}
+    for section in parser.sections():
+        if section not in {s.section for s in TRAIN_SETTINGS}:
+            raise DataError(f"{path}: unknown section [{section}]")
+        for key in parser[section]:
+            if (section, key) not in known:
+                raise DataError(f"{path}: unknown key {key!r} in [{section}]")
     return parser
 
 
 def resolve_run_config(args) -> RunConfig:
-    """Merge config-file values and flag overrides (flags win)."""
+    """Merge config-file values and flag overrides (flags win). A setting
+    given in neither keeps its dataclass default."""
     ini = _read_ini(args.config) if args.config else configparser.ConfigParser()
-
-    def get(section, key, fallback=None):
-        return ini.get(section, key, fallback=fallback) if ini.has_section(section) else fallback
-
-    def pick(flag_value, section, key, cast, fallback):
-        if flag_value is not None:
-            return flag_value
-        raw = get(section, key)
-        return cast(raw) if raw is not None else fallback
-
-    model = pick(args.model, "run", "model", str, "isg")
-    out = pick(args.out, "run", "out", str, "run")
-    vocab = pick(args.vocab, "data", "vocab", str, "")
-    train_path = pick(args.train, "data", "train", str, "")
-    valid_path = pick(args.valid, "data", "valid", str, "")
-    test_path = pick(args.test, "data", "test", str, "")
-    subset = pick(args.subset, "data", "subset_fraction", float, 1.0)
-
-    tc = TrainConfig(
-        dim=pick(args.dim, "train", "dim", int, 100),
-        window=pick(args.window, "train", "window", int, 4),
-        negative_ratio=pick(args.negative_ratio, "train", "negative_ratio", int, 1),
-        learning_rate=pick(args.learning_rate, "train", "learning_rate", float, 0.1),
-        epochs=pick(args.epochs, "train", "epochs", int, 100),
-        batch_size=pick(args.batch_size, "train", "batch_size", int, 1024),
-        seed=pick(args.seed, "train", "seed", int, 0),
-    )
-
-    scheme_kind = pick(args.init, "init", "scheme", str, inits.RANDOM)
-    scheme_kind = scheme_kind.replace("-", "_")
-    scheme = inits.InitScheme(
-        kind=scheme_kind,
-        pretrained_path=pick(args.pretrained, "init", "pretrained", str, None) or None,
-        fixed_variance=pick(None, "init", "fixed_variance", float, 0.1),
-    )
-
-    dsg_params = dsg_mod.DsgParams(
-        diffusion_var=pick(args.diffusion, "dsg", "diffusion", float, 1.0),
-        anchor_var=pick(args.anchor, "dsg", "anchor", float, 0.1),
-        samples_per_step=pick(args.samples, "dsg", "samples", int, 1),
-        entropy_mode=pick(args.entropy, "dsg", "entropy", str, dsg_mod.ENTROPY_SUM_VAR),
-    )
-    dbe_params = dbe_mod.DbeParams(
-        drift_precision=pick(args.drift_precision, "dbe", "drift_precision", float, 1.0),
-        base_precision=pick(args.base_precision, "dbe", "base_precision", float, 0.01),
-    )
-
-    alpha = pick(args.reg_alpha, "reg", "alpha", float, 0.0)
-    beta_raw = pick(args.reg_beta, "reg", "beta", str, "mean")
-    beta = beta_raw if beta_raw == "mean" else float(beta_raw)
-    reg = RegConfig(alpha=alpha, beta=beta)
-
-    cfg = RunConfig(model=model, out=out, vocab=vocab, train_path=train_path,
-                    valid_path=valid_path, test_path=test_path,
-                    subset_fraction=subset, train=tc, scheme=scheme,
-                    dsg_params=dsg_params, dbe_params=dbe_params, reg=reg)
+    given = defaultdict(dict)
+    for s in TRAIN_SETTINGS:
+        value = getattr(args, s.flag[2:].replace("-", "_")) if s.flag else None
+        if value is None and ini.has_option(s.section, s.key):
+            raw = ini.get(s.section, s.key)
+            try:
+                value = s.parse(raw)
+            except ValueError as exc:
+                raise DataError(f"{args.config}: [{s.section}] {s.key} = {raw!r}: {exc}") from exc
+        if value is not None:
+            given[s.part][s.field] = value
+    cfg = RunConfig(**given.pop(None, {}))
+    for part, values in given.items():
+        setattr(cfg, part, replace(getattr(cfg, part), **values))
     cfg.validate()
     return cfg
 
@@ -351,7 +365,7 @@ def cmd_drift(args) -> int:
     if T < 2:
         raise DataError(f"{args.run}: drift needs at least two slices, the run has {T}")
     words, word_mats = runs.load_word_matrices(args.run, kind, T)
-    series = analysis.drift_series(word_mats, args.t0, kind)
+    series = analysis.drift_series(word_mats, args.t0)
     outdir = Path(args.out or args.run)
     outdir.mkdir(parents=True, exist_ok=True)
     analysis.write_drift_csv(series, words, outdir / "drift.csv")
@@ -430,31 +444,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a diachronic model")
     p.add_argument("--config", default=None, help="INI run configuration")
-    p.add_argument("--model", choices=inits.MODEL_KINDS, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--vocab", default=None)
-    p.add_argument("--train", default=None)
-    p.add_argument("--valid", default=None)
-    p.add_argument("--test", default=None)
-    p.add_argument("--subset", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--negative-ratio", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--init", default=None,
-                   choices=["random", "internal", "backward_external", "backward-external"])
-    p.add_argument("--pretrained", default=None)
-    p.add_argument("--diffusion", type=float, default=None)
-    p.add_argument("--anchor", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--entropy", choices=["sum_var", "exact"], default=None)
-    p.add_argument("--drift-precision", type=float, default=None)
-    p.add_argument("--base-precision", type=float, default=None)
-    p.add_argument("--reg-alpha", type=float, default=None)
-    p.add_argument("--reg-beta", default=None, help="threshold value or 'mean'")
+    for s in TRAIN_SETTINGS:
+        if s.flag:
+            p.add_argument(s.flag, type=s.parse, choices=s.choices, help=s.help)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="held-out positive log-likelihood of a run")

@@ -286,18 +286,19 @@ def dsg_filter_step(slice_docs, vocab, prev_posterior, params: DsgParams,
             adam_step(muV, gmuV, states[2], config.learning_rate, "muV")
             adam_step(logvarV, glvV, states[3], config.learning_rate, "logvarV")
 
-        log_prior = (expected_log_gaussian(muU, np.exp(logvarU), priorU)
-                     + expected_log_gaussian(muV, np.exp(logvarV), priorV))
-        entropy = entropy_value((np.exp(logvarU), np.exp(logvarV)),
-                                params.entropy_mode)
+        varU, varV = np.exp(logvarU), np.exp(logvarV)
+        if not (varU.all() and varV.all()):
+            raise NumericalError(f"posterior variance underflowed to 0 at slice "
+                                 f"{slice_index}, epoch {epoch}")
+        log_prior = (expected_log_gaussian(muU, varU, priorU)
+                     + expected_log_gaussian(muV, varV, priorV))
+        entropy = entropy_value((varU, varV), params.entropy_mode)
         trace["elbo"].append(like_sum + log_prior + entropy)
         trace["lpos"].append(lpos_sum / total_pos if total_pos else 0.0)
         if eval_pairs is not None:
             trace["holdout_lpos"].append(mean_lpos(eval_pairs, muU, muV))
 
-    qU = GaussianEmbeddingMatrix(muU, np.exp(logvarU))
-    qV = GaussianEmbeddingMatrix(muV, np.exp(logvarV))
-    return qU, qV, trace
+    return GaussianEmbeddingMatrix(muU, varU), GaussianEmbeddingMatrix(muV, varV), trace
 
 
 def train_dsg(corpus, vocab, init, params: DsgParams, config: TrainConfig,

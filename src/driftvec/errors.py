@@ -18,4 +18,4 @@ class EmptyCorpusError(DataError):
 
 
 class NumericalError(DriftvecError):
-    """A non-finite value appeared during training."""
+    """A non-finite value or an underflowed variance appeared during training."""

@@ -261,11 +261,11 @@ def test_criterion_3_directedness(gradual_full):
 
     with criterion(3, "directedness"):
         means = dsg_word_means(res.corpus, res.vocab, full_cfg)
-        tau_dsg_full = directedness(drift_series(means, 0, "dsg"), word_ids=[w])
+        tau_dsg_full = directedness(drift_series(means, 0), word_ids=[w])
         assert tau_dsg_full >= 0.8, f"DSG full-corpus directedness {tau_dsg_full}"
 
         mats = dbe_word_mats(res.corpus, res.vocab, full_cfg, DbeParams())
-        tau_dbe_full = directedness(drift_series(mats, 0, "dbe"), word_ids=[w])
+        tau_dbe_full = directedness(drift_series(mats, 0), word_ids=[w])
         assert tau_dbe_full >= 0.8, f"DBE full-corpus directedness {tau_dbe_full}"
 
         # 1%-scale budget: ~1k tokens/slice, same generator family; the
@@ -285,9 +285,9 @@ def test_criterion_3_directedness(gradual_full):
             iU, iV = init_random(small.vocab.size, cfg.dim, seed, "isg")
             model, _, _ = train_incremental(small.corpus, small.vocab, iU, iV, cfg)
             tau_isg = directedness(
-                drift_series(list(model.U), 0, "isg"), word_ids=[ws])
+                drift_series(list(model.U), 0), word_ids=[ws])
             means = dsg_word_means(small.corpus, small.vocab, cfg)
-            tau_dsg = directedness(drift_series(means, 0, "dsg"), word_ids=[ws])
+            tau_dsg = directedness(drift_series(means, 0), word_ids=[ws])
             gaps.append((tau_isg, tau_dsg))
             ok += tau_isg <= tau_dsg - 0.3
         assert ok >= 4, f"ordering held in {ok}/5 seeds: {gaps}"
@@ -308,11 +308,11 @@ def test_criterion_4_discrimination(abrupt_scarce, abrupt_dsg_means,
 
     with criterion(4, "discrimination"):
         for tag, mats in (("dsg", abrupt_dsg_means), ("dbe", abrupt_dbe_mats)):
-            series = drift_series(mats, 0, tag)
+            series = drift_series(mats, 0)
             final = series.values[:, series.T - 1]
             rank = int((final > final[w]).sum())
             assert rank < top, f"{tag} planted rank {rank} not in top {top}"
-        dbe_series = drift_series(abrupt_dbe_mats, 0, "dbe")
+        dbe_series = drift_series(abrupt_dbe_mats, 0)
         stability = stability_fraction(dbe_series, dbe_series.T - 1, 0.5)
         assert stability >= 0.5, f"DBE stability fraction {stability}"
         elapsed = time.time() - start

@@ -1,3 +1,4 @@
+import configparser
 import json
 import re
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftvec.cli import main, parse_boundaries
+from driftvec.cli import TRAIN_SETTINGS, main, parse_boundaries
 from driftvec.runs import read_manifest
 from driftvec.sgns import load_embedding_text
 
@@ -376,9 +377,13 @@ seed = 5
     assert manifest["config"]["train"]["seed"] == 5     # file value kept
 
 
-def test_readme_config_block_loads(pipeline, tmp_path):
+def readme_config_block():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    return re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+
+
+def test_readme_config_block_loads(pipeline, tmp_path):
+    block = readme_config_block()
     for name in ("vocab.tsv", "data.train.json", "data.valid.json", "data.test.json"):
         assert f"demo/{name}" in block
         block = block.replace(f"demo/{name}", str(pipeline / name))
@@ -397,9 +402,36 @@ def test_readme_config_block_loads(pipeline, tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("dim = 4\n[train]\nepochs = 1\n", "bad.ini:1: key before any [section] header"),
     ("[train]\ndim = 4\nepochs = 1\ndim = 5\n", "bad.ini:4: key 'dim' given twice in [train]"),
+    ("[train]\nlearning_rat = 5\n", "bad.ini: unknown key 'learning_rat' in [train]"),
+    ("[train]\ndim = 4\n[bogus]\nx = 1\n", "bad.ini: unknown section [bogus]"),
+    ("[DEFAULT]\nseed = 1\n[train]\ndim = 4\n", "bad.ini: unknown section [DEFAULT]"),
+    ("[train]\ndim = abc\n", "bad.ini: [train] dim = 'abc': invalid literal for int()"),
 ])
 def test_malformed_config_file_is_data_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text)
     assert run(["train", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_readme_config_block_names_every_setting():
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+    parser.read_string(readme_config_block())
+    documented = {(section, key) for section in parser.sections() for key in parser[section]}
+    assert documented == {(s.section, s.key) for s in TRAIN_SETTINGS}
+
+
+def test_config_values_are_literal(pipeline, tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"""
+[run]
+out = {tmp_path / 'runs' / '50%'}
+[data]
+vocab = {pipeline / 'vocab.tsv'}
+train = {pipeline / 'data.train.json'}
+[train]
+dim = 4
+epochs = 1
+""")
+    assert run(["train", "--config", cfg]) == 0
+    assert read_manifest(tmp_path / "runs" / "50%")["config"]["out"].endswith("50%")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from driftvec.corpus import extract_pairs
+from driftvec.errors import NumericalError
 from driftvec.dsg import (DsgParams, ElboTerms, GaussianEmbeddingMatrix,
                           GaussianPrior, combine_priors, dsg_elbo,
                           dsg_filter_step, expected_log_gaussian,
@@ -229,6 +230,14 @@ class TestFilterStep:
         sd = np.sqrt(qU.variance)
         within = np.abs(qU.mean - prev_mean) <= 3 * sd
         assert within.mean() >= 0.99
+
+
+    def test_variance_underflow_is_numerical_error(self):
+        vocab, corpus = toy_corpus([["a b c d e"] * 40])
+        init = init_random(vocab.size, 2, 0, "dsg")
+        with pytest.raises(NumericalError, match="variance underflowed to 0 at slice 0, epoch"):
+            dsg_filter_step(corpus.slices[0], vocab, init, DsgParams(),
+                            small_config(dim=2, epochs=30, learning_rate=200))
 
 
 class TestTrainDsg:
