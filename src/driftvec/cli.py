@@ -69,15 +69,17 @@ class RunConfig:
     dbe_params: dbe_mod.DbeParams = field(default_factory=dbe_mod.DbeParams)
     reg: RegConfig = field(default_factory=RegConfig)
 
-    def validate(self):
+    def __post_init__(self):
         if self.model not in inits.MODEL_KINDS:
             raise ValueError(f"unknown model {self.model!r}")
+        if not 0 < self.subset_fraction <= 1:
+            raise ValueError("subset fraction must lie in (0, 1]")
+
+    def validate(self):
         if not self.vocab:
             raise ValueError("a vocabulary file is required (--vocab or [data] vocab)")
         if not self.train_path:
             raise ValueError("a training corpus is required (--train or [data] train)")
-        if not 0 < self.subset_fraction <= 1:
-            raise ValueError("subset fraction must lie in (0, 1]")
 
 
 def _beta(text):
@@ -106,7 +108,7 @@ TRAIN_SETTINGS = (
     Setting("train", "batch_size", "--batch-size", int, "train", "batch_size"),
     Setting("train", "seed", "--seed", int, "train", "seed"),
     Setting("init", "scheme", "--init", lambda text: text.replace("-", "_"), "scheme", "kind",
-            choices=["random", "internal", "backward_external", "backward-external"]),
+            choices=("random", "internal", "backward_external", "backward-external")),
     Setting("init", "pretrained", "--pretrained", lambda text: text or None,
             "scheme", "pretrained_path"),
     Setting("init", "fixed_variance", None, float, "scheme", "fixed_variance"),
@@ -114,7 +116,7 @@ TRAIN_SETTINGS = (
     Setting("dsg", "anchor", "--anchor", float, "dsg_params", "anchor_var"),
     Setting("dsg", "samples", "--samples", int, "dsg_params", "samples_per_step"),
     Setting("dsg", "entropy", "--entropy", str, "dsg_params", "entropy_mode",
-            choices=["sum_var", "exact"]),
+            choices=("sum_var", "exact")),
     Setting("dbe", "drift_precision", "--drift-precision", float, "dbe_params", "drift_precision"),
     Setting("dbe", "base_precision", "--base-precision", float, "dbe_params", "base_precision"),
     Setting("reg", "alpha", "--reg-alpha", float, "reg", "alpha"),
@@ -153,24 +155,46 @@ def _read_ini(path):
     return parser
 
 
+def _run_config(given) -> RunConfig:
+    """The RunConfig holding ``{Setting: value}``; every dataclass check runs."""
+    parts = defaultdict(dict)
+    for s, value in given.items():
+        parts[s.part][s.field] = value
+    cfg = RunConfig(**parts.pop(None, {}))
+    for part, values in parts.items():
+        setattr(cfg, part, replace(getattr(cfg, part), **values))
+    return cfg
+
+
 def resolve_run_config(args) -> RunConfig:
     """Merge config-file values and flag overrides (flags win). A setting
     given in neither keeps its dataclass default."""
     ini = _read_ini(args.config) if args.config else configparser.ConfigParser()
-    given = defaultdict(dict)
+    given, from_file = {}, {}
     for s in TRAIN_SETTINGS:
         value = getattr(args, s.flag[2:].replace("-", "_")) if s.flag else None
         if value is None and ini.has_option(s.section, s.key):
-            raw = ini.get(s.section, s.key)
+            raw = from_file[s] = ini.get(s.section, s.key)
             try:
                 value = s.parse(raw)
             except ValueError as exc:
                 raise DataError(f"{args.config}: [{s.section}] {s.key} = {raw!r}: {exc}") from exc
         if value is not None:
-            given[s.part][s.field] = value
-    cfg = RunConfig(**given.pop(None, {}))
-    for part, values in given.items():
-        setattr(cfg, part, replace(getattr(cfg, part), **values))
+            given[s] = value
+    try:
+        cfg = _run_config(given)
+    except ValueError as exc:
+        # A file value is at fault when leaving it out clears or changes the
+        # failure; failing that, the file is when leaving all of them out does.
+        candidates = [({s}, f" [{s.section}] {s.key} = {raw!r}:") for s, raw in from_file.items()]
+        for dropped, where in candidates + [(set(from_file), "")]:
+            try:
+                _run_config({k: v for k, v in given.items() if k not in dropped})
+            except ValueError as other:
+                if str(other) == str(exc):
+                    continue
+            raise DataError(f"{args.config}:{where} {exc}") from exc
+        raise
     cfg.validate()
     return cfg
 

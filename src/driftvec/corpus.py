@@ -189,7 +189,7 @@ def load_vocabulary(path) -> Vocabulary:
     The export format carries no per-slice detail, so the loaded
     ``slice_count`` is a single column equal to ``total_count``.
     """
-    words = []
+    id_of = {}
     totals = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -204,16 +204,21 @@ def load_vocabulary(path) -> Vocabulary:
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: malformed vocabulary line: id and "
                                 f"count must be integers, got {line.rstrip()!r}") from exc
-            if idx != len(words):
+            if idx != len(id_of):
                 raise DataError(f"{path}:{lineno}: ids must be dense and ordered")
-            words.append(word)
+            # a word is one whitespace-free field of the embedding text format
+            if word.split() != [word]:
+                raise DataError(f"{path}:{lineno}: word {word!r} is empty or holds whitespace")
+            if word in id_of:
+                raise DataError(f"{path}:{lineno}: word {word!r} given twice")
+            id_of[word] = idx
             totals.append(total)
-    if not words:
+    if not id_of:
         raise EmptyCorpusError(f"empty vocabulary file: {path}")
     total_count = np.array(totals, dtype=np.int64)
     return Vocabulary(
-        words=tuple(words),
-        id_of={w: i for i, w in enumerate(words)},
+        words=tuple(id_of),
+        id_of=id_of,
         total_count=total_count,
         slice_count=total_count[:, None].copy(),
     )

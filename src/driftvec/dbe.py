@@ -164,12 +164,9 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
             traces[t]["holdout_lpos"] = []
 
     for epoch in range(config.epochs):
-        per_slice = []
-        total_pos = 0
-        for t in range(T):
-            n_pos, minibatches = epoch_batches(corpus.slices[t], vocab, config, t, epoch)
-            total_pos += n_pos
-            per_slice.append(minibatches)
+        pos_counts, per_slice = zip(*(epoch_batches(corpus.slices[t], vocab, config, t, epoch)
+                                      for t in range(T)))
+        total_pos = sum(pos_counts)
 
         penalty = None
         if reg_active:
@@ -182,7 +179,6 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
             penalty = (reg, ref, betas)
 
         lpos_sums = [0.0] * T
-        pos_counts = [0] * T
         for sweep in _round_robin(per_slice):
             sweep_pos = 0
             for t, (centers, contexts, labels) in sweep:
@@ -191,10 +187,8 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
                 if not math.isfinite(loglik):
                     raise NumericalError(
                         f"non-finite loss at slice {t}, epoch {epoch}")
-                n_pos = int(labels.sum())
                 lpos_sums[t] += lp
-                pos_counts[t] += n_pos
-                sweep_pos += n_pos
+                sweep_pos += int(labels.sum())
                 adam_step_rows(U_all[t], u_rows, gU_rows, statesU[t],
                                config.learning_rate, f"U[{t}]")
                 adam_step_rows(V, v_rows, gV_rows, stateV,

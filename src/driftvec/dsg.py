@@ -161,25 +161,22 @@ def dsg_elbo(batch, qU: GaussianEmbeddingMatrix, qV: GaussianEmbeddingMatrix,
     and context matrices. The likelihood term is a ``samples_per_step``
     Monte-Carlo average; prior and entropy terms are exact.
     """
-    for q in (qU, qV):
+    qs = (qU, qV)
+    for q in qs:
         if np.any(q.variance <= 0):
             raise ValueError("posterior variances must be positive")
-    priorU, priorV = priors
     rng = np.random.default_rng(seed)
-    L, d = qU.mean.shape
     like = 0.0
     if len(batch):
-        sigU = np.sqrt(qU.variance)
-        sigV = np.sqrt(qV.variance)
+        sigmas = [np.sqrt(q.variance) for q in qs]
         for _ in range(params.samples_per_step):
-            Us = qU.mean + sigU * rng.standard_normal((L, d))
-            Vs = qV.mean + sigV * rng.standard_normal((L, d))
-            total, _ = sgns_log_likelihood(batch, Us, Vs)
-            like += total
+            samples = [q.mean + sigma * rng.standard_normal(q.mean.shape)
+                       for q, sigma in zip(qs, sigmas)]
+            like += sgns_log_likelihood(batch, *samples)[0]
         like /= params.samples_per_step
-    log_prior = (expected_log_gaussian(qU.mean, qU.variance, priorU)
-                 + expected_log_gaussian(qV.mean, qV.variance, priorV))
-    entropy = entropy_value((qU.variance, qV.variance), params.entropy_mode)
+    log_prior = sum(expected_log_gaussian(q.mean, q.variance, prior)
+                    for q, prior in zip(qs, priors))
+    entropy = entropy_value([q.variance for q in qs], params.entropy_mode)
     return ElboTerms(likelihood=like, log_prior=log_prior, entropy=entropy)
 
 
@@ -207,27 +204,24 @@ def dsg_filter_step(slice_docs, vocab, prev_posterior, params: DsgParams,
     are optimized for ``config.epochs`` epochs. Variances are optimized
     through their logarithm so they stay positive.
 
+    Each minibatch steps all four variational matrices on its likelihood
+    gradient plus its share of the prior/entropy gradient. A slice with
+    no pairs still takes one prior/entropy-only step per epoch, on an
+    empty minibatch whose likelihood gradient is exactly zero.
+
     When ``reg.alpha`` > 0 and ``ref_mean`` is given, the drift penalty
     against ``ref_mean`` is subtracted from the bound; its threshold is
     refreshed at each epoch start.
 
     Returns ``(qU, qV, trace)``.
     """
-    qU_prev, qV_prev = prev_posterior
-    L, d = qU_prev.mean.shape
-    priorU_mean, prior_var = combine_priors(qU_prev.mean, params.diffusion_var,
-                                            params.anchor_var)
-    priorV_mean, _ = combine_priors(qV_prev.mean, params.diffusion_var,
-                                    params.anchor_var)
-    priorU = GaussianPrior(priorU_mean, prior_var)
-    priorV = GaussianPrior(priorV_mean, prior_var)
-
-    muU = priorU_mean.copy()
-    muV = priorV_mean.copy()
-    logvarU = np.full((L, d), math.log(prior_var))
-    logvarV = np.full((L, d), math.log(prior_var))
-
-    states = [AdamState.for_shape((L, d)) for _ in range(4)]
+    L, d = prev_posterior[0].mean.shape
+    # index 0 is the word matrix U, index 1 the context matrix V
+    priors = [GaussianPrior(*combine_priors(q.mean, params.diffusion_var, params.anchor_var))
+              for q in prev_posterior]
+    mus = [prior.mean.copy() for prior in priors]
+    logvars = [np.full((L, d), math.log(prior.variance)) for prior in priors]
+    states = {name: AdamState.for_shape((L, d)) for name in ("muU", "logvarU", "muV", "logvarV")}
     trace = {"elbo": [], "lpos": []}
     if eval_pairs is not None:
         trace["holdout_lpos"] = []
@@ -242,63 +236,47 @@ def dsg_filter_step(slice_docs, vocab, prev_posterior, params: DsgParams,
 
         beta = 0.0
         if reg_active:
-            beta = shrinkreg.resolve_beta(reg, shrinkreg.word_drifts(muU, ref_mean))
+            beta = shrinkreg.resolve_beta(reg, shrinkreg.word_drifts(mus[0], ref_mean))
             trace["reg_beta"].append(beta)
 
         like_sum = 0.0
         lpos_sum = 0.0
-        minibatches = list(minibatches)
-        if not minibatches:
-            minibatches = [(np.empty(0, dtype=np.int64),) * 3]
+        minibatches = list(minibatches) or [(np.empty(0, dtype=np.int64),) * 3]
         for b_idx, (centers, contexts, labels) in enumerate(minibatches):
-            n_pos = int(labels.sum()) if len(labels) else 0
-            frac = (n_pos / total_pos) if total_pos else 1.0
-            if len(centers):
-                S = params.samples_per_step
-                epsU = eps_rng.standard_normal((S, L, d))
-                epsV = eps_rng.standard_normal((S, L, d))
-                like, batch_lpos, gmuU, glvU, gmuV, glvV = sampled_likelihood_grads(
-                    centers, contexts, labels, muU, logvarU, muV, logvarV,
-                    epsU, epsV)
-                if not math.isfinite(like):
-                    raise NumericalError(
-                        f"non-finite bound at slice {slice_index}, epoch {epoch}, batch {b_idx}")
-                like_sum += like
-                lpos_sum += batch_lpos
-            else:
-                gmuU = np.zeros((L, d))
-                glvU = np.zeros((L, d))
-                gmuV = np.zeros((L, d))
-                glvV = np.zeros((L, d))
+            frac = (int(labels.sum()) / total_pos) if total_pos else 1.0
+            eps = [eps_rng.standard_normal((params.samples_per_step, L, d)) for _ in mus]
+            like, batch_lpos, *grads = sampled_likelihood_grads(
+                centers, contexts, labels, mus[0], logvars[0], mus[1], logvars[1], *eps)
+            if not math.isfinite(like):
+                raise NumericalError(
+                    f"non-finite bound at slice {slice_index}, epoch {epoch}, batch {b_idx}")
+            like_sum += like
+            lpos_sum += batch_lpos
 
-            pmuU, plvU = _prior_entropy_grads(muU, logvarU, priorU, params.entropy_mode)
-            pmuV, plvV = _prior_entropy_grads(muV, logvarV, priorV, params.entropy_mode)
-            gmuU += frac * pmuU
-            glvU += frac * plvU
-            gmuV += frac * pmuV
-            glvV += frac * plvV
-            if reg_active:
-                gmuU -= frac * shrinkreg.drift_regularizer_grad(
-                    muU, ref_mean, reg.alpha, beta)
+            for side, mu, logvar, prior, gmu, glv in zip(
+                    "UV", mus, logvars, priors, grads[0::2], grads[1::2]):
+                pmu, plv = _prior_entropy_grads(mu, logvar, prior, params.entropy_mode)
+                gmu += frac * pmu
+                glv += frac * plv
+                if reg_active and side == "U":
+                    gmu -= frac * shrinkreg.drift_regularizer_grad(
+                        mu, ref_mean, reg.alpha, beta)
+                for name, param, grad in ((f"mu{side}", mu, gmu), (f"logvar{side}", logvar, glv)):
+                    adam_step(param, grad, states[name], config.learning_rate, name)
 
-            adam_step(muU, gmuU, states[0], config.learning_rate, "muU")
-            adam_step(logvarU, glvU, states[1], config.learning_rate, "logvarU")
-            adam_step(muV, gmuV, states[2], config.learning_rate, "muV")
-            adam_step(logvarV, glvV, states[3], config.learning_rate, "logvarV")
-
-        varU, varV = np.exp(logvarU), np.exp(logvarV)
-        if not (varU.all() and varV.all()):
+        variances = [np.exp(logvar) for logvar in logvars]
+        if not all(var.all() for var in variances):
             raise NumericalError(f"posterior variance underflowed to 0 at slice "
                                  f"{slice_index}, epoch {epoch}")
-        log_prior = (expected_log_gaussian(muU, varU, priorU)
-                     + expected_log_gaussian(muV, varV, priorV))
-        entropy = entropy_value((varU, varV), params.entropy_mode)
+        log_prior = sum(expected_log_gaussian(mu, var, prior)
+                        for mu, var, prior in zip(mus, variances, priors))
+        entropy = entropy_value(variances, params.entropy_mode)
         trace["elbo"].append(like_sum + log_prior + entropy)
         trace["lpos"].append(lpos_sum / total_pos if total_pos else 0.0)
         if eval_pairs is not None:
-            trace["holdout_lpos"].append(mean_lpos(eval_pairs, muU, muV))
+            trace["holdout_lpos"].append(mean_lpos(eval_pairs, *mus))
 
-    return GaussianEmbeddingMatrix(muU, varU), GaussianEmbeddingMatrix(muV, varV), trace
+    return (*map(GaussianEmbeddingMatrix, mus, variances), trace)
 
 
 def train_dsg(corpus, vocab, init, params: DsgParams, config: TrainConfig,

@@ -98,9 +98,8 @@ def train_slice(slice_docs, vocab, initU: np.ndarray, initV: np.ndarray,
     trace = {"lpos": [], "holdout_lpos": []} if eval_pairs is not None else {"lpos": []}
 
     for epoch in range(config.epochs):
-        _, minibatches = epoch_batches(slice_docs, vocab, config, slice_index, epoch)
+        n_pos, minibatches = epoch_batches(slice_docs, vocab, config, slice_index, epoch)
         lpos_sum = 0.0
-        n_pos = 0
         for b_idx, (centers, contexts, labels) in enumerate(minibatches):
             u_rows, gU, v_rows, gV, loglik, lpos = batch_grad_rows(
                 centers, contexts, labels, U, V)
@@ -110,7 +109,6 @@ def train_slice(slice_docs, vocab, initU: np.ndarray, initV: np.ndarray,
             adam_step_rows(U, u_rows, gU, stateU, config.learning_rate, "U")
             adam_step_rows(V, v_rows, gV, stateV, config.learning_rate, "V")
             lpos_sum += lpos
-            n_pos += int(labels.sum())
         trace["lpos"].append(lpos_sum / n_pos if n_pos else 0.0)
         if eval_pairs is not None:
             trace["holdout_lpos"].append(mean_lpos(eval_pairs, U, V))

@@ -328,6 +328,22 @@ class TestInputContract:
         assert run(args) == 2
         assert "v.tsv:2: malformed vocabulary line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("a\t0\t5\nb\t1\t4\na\t2\t3\n", "v.tsv:3: word 'a' given twice"),
+        ("a\t0\t5\n\t1\t4\n", "v.tsv:2: word '' is empty or holds whitespace"),
+        ("w 0\t0\t5\n", "v.tsv:1: word 'w 0' is empty or holds whitespace"),
+    ])
+    def test_vocabulary_words_are_distinct_single_fields(self, pipeline, tmp_path, capsys,
+                                                          text, message):
+        # a word the .vec text format cannot hold would make train write
+        # checkpoints that eval rejects
+        vocab = tmp_path / "v.tsv"
+        vocab.write_text(text)
+        args = train_args(pipeline, tmp_path / "run")
+        args[args.index("--vocab") + 1] = vocab
+        assert run(args) == 2
+        assert message in capsys.readouterr().err
+
     def test_non_numeric_vector_entry(self, pipeline, tmp_path, capsys):
         pre = tmp_path / "pre.vec"
         pre.write_text("2 4\nw0000 0.1 0.2 0.3 0.4\nw0001 0.1 oops 0.3 0.4\n")
@@ -406,12 +422,25 @@ def test_readme_config_block_loads(pipeline, tmp_path):
     ("[train]\ndim = 4\n[bogus]\nx = 1\n", "bad.ini: unknown section [bogus]"),
     ("[DEFAULT]\nseed = 1\n[train]\ndim = 4\n", "bad.ini: unknown section [DEFAULT]"),
     ("[train]\ndim = abc\n", "bad.ini: [train] dim = 'abc': invalid literal for int()"),
+    ("[train]\ndim = 0\n", "bad.ini: [train] dim = '0': dim must be >= 1"),
+    ("[run]\nmodel = foo\n", "bad.ini: [run] model = 'foo': unknown model 'foo'"),
+    ("[init]\nscheme = bogus\n", "bad.ini: [init] scheme = 'bogus': unknown init scheme"),
+    ("[init]\nscheme = backward_external\n",
+     "bad.ini: [init] scheme = 'backward_external': backward_external requires pretrained_path"),
+    ("[dsg]\ndiffusion = 0\nanchor = 0\n", "bad.ini: diffusion_var and anchor_var must be > 0"),
 ])
 def test_malformed_config_file_is_data_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text)
     assert run(["train", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_bad_flag_value_beside_a_config_file_is_usage_error(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "ok.ini"
+    cfg.write_text("[train]\nwindow = 2\n")
+    assert run([*train_args(pipeline, tmp_path / "run"), "--config", cfg, "--dim", "0"]) == 1
+    assert "error: dim must be >= 1" in capsys.readouterr().err
 
 
 def test_readme_config_block_names_every_setting():

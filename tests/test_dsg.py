@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from driftvec.adam import AdamState, adam_step
 from driftvec.corpus import extract_pairs
 from driftvec.errors import NumericalError
 from driftvec.dsg import (DsgParams, ElboTerms, GaussianEmbeddingMatrix,
@@ -156,8 +157,10 @@ class TestSampledGradients:
     def test_bits_equal_dense_sampling(self, rng, S):
         # reference: sample every row of both matrices, take the dense
         # np.add.at gradients and chain them through the reparameterization
-        for _ in range(30):
-            L, d, n = int(rng.integers(1, 15)), int(rng.integers(1, 5)), int(rng.integers(1, 30))
+        for case in range(31):
+            # case 0 is the empty minibatch an empty slice trains on
+            L, d = int(rng.integers(1, 15)), int(rng.integers(1, 5))
+            n = int(rng.integers(1, 30)) if case else 0
             muU, muV, lvU, lvV = rng.normal(size=(4, L, d))
             epsU = rng.standard_normal((S, L, d))
             epsV = rng.standard_normal((S, L, d))
@@ -185,6 +188,9 @@ class TestSampledGradients:
             assert got[:2] == (value * inv, lpos * inv)
             for g, e in zip(got[2:], expected):
                 np.testing.assert_array_equal(g, e * inv)
+            if n == 0:
+                assert got[:2] == (0.0, 0.0)
+                assert all(not g.any() and not np.signbit(g).any() for g in got[2:])
 
 
 class TestFilterStep:
@@ -203,6 +209,39 @@ class TestFilterStep:
         assert np.abs(qU.mean).max() < np.abs(prev_mean).max()
         # sum-of-variances entropy at prior variance 1/11 shrinks variance
         assert qU.variance.max() < 1.0 / 11.0
+
+    @pytest.mark.parametrize("entropy_mode", ["sum_var", "exact"])
+    def test_empty_slice_bits_equal_prior_entropy_steps(self, entropy_mode):
+        # reference: per epoch, one step of each block on a zero
+        # likelihood gradient plus 1.0 x the prior/entropy gradient
+        vocab, _ = toy_corpus([["a b c"]])
+        rng = np.random.default_rng(4)
+        prev = tuple(GaussianEmbeddingMatrix(rng.normal(size=(vocab.size, 3)),
+                                             np.ones((vocab.size, 3))) for _ in range(2))
+        params = DsgParams(entropy_mode=entropy_mode)
+        config = small_config(dim=3, epochs=3)
+        qU, qV, trace = dsg_filter_step((), vocab, prev, params, config)
+
+        blocks = []
+        for q in prev:
+            mean, var = combine_priors(q.mean, params.diffusion_var, params.anchor_var)
+            blocks.append((mean.copy(), np.full(mean.shape, math.log(var)),
+                           GaussianPrior(mean, var)))
+        states = [AdamState.for_shape(qU.mean.shape) for _ in range(4)]
+        for _ in range(config.epochs):
+            for (mu, logvar, prior), state_mu, state_lv in zip(blocks, states[::2], states[1::2]):
+                var = np.exp(logvar)
+                gmu = np.zeros(mu.shape)
+                glv = np.zeros(mu.shape)
+                gmu += 1.0 * (-(mu - prior.mean) / prior.variance)
+                glv += 1.0 * (-var / (2.0 * prior.variance)
+                              + (var if entropy_mode == "sum_var" else 0.5))
+                adam_step(mu, gmu, state_mu, config.learning_rate)
+                adam_step(logvar, glv, state_lv, config.learning_rate)
+        for q, (mu, logvar, _) in zip((qU, qV), blocks):
+            np.testing.assert_array_equal(q.mean, mu)
+            np.testing.assert_array_equal(q.variance, np.exp(logvar))
+        assert trace["lpos"] == [0.0] * config.epochs
 
     def test_changed_context_drifts_more_than_constant(self):
         # "a" co-occurs with c in slice 0 but with b in slice 1;
