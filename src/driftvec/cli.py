@@ -23,7 +23,7 @@ from . import dsg as dsg_mod
 from . import isg as isg_mod
 from .adam import save_adam_state
 from .corpus import load_corpus, load_vocabulary, parse_timestamp, save_corpus, save_vocabulary
-from .errors import DataError, DriftvecError, NumericalError
+from .errors import DataError, DriftvecError, NumericalError, open_text
 from .sgns import TrainConfig, load_embedding_text, save_embedding_text
 from .shrinkreg import RegConfig
 
@@ -111,7 +111,6 @@ TRAIN_SETTINGS = (
             choices=("random", "internal", "backward_external", "backward-external")),
     Setting("init", "pretrained", "--pretrained", lambda text: text or None,
             "scheme", "pretrained_path"),
-    Setting("init", "fixed_variance", None, float, "scheme", "fixed_variance"),
     Setting("dsg", "diffusion", "--diffusion", float, "dsg_params", "diffusion_var"),
     Setting("dsg", "anchor", "--anchor", float, "dsg_params", "anchor_var"),
     Setting("dsg", "samples", "--samples", int, "dsg_params", "samples_per_step"),
@@ -135,7 +134,8 @@ def _read_ini(path):
     if not Path(path).exists():
         raise DataError(f"config file not found: {path}")
     try:
-        parser.read(path, encoding="utf-8")
+        with open_text(path) as fh:
+            parser.read_file(fh)
     except configparser.MissingSectionHeaderError as exc:
         raise DataError(f"{path}:{exc.lineno}: key before any [section] header") from exc
     except configparser.ParsingError as exc:
@@ -156,13 +156,16 @@ def _read_ini(path):
 
 
 def _run_config(given) -> RunConfig:
-    """The RunConfig holding ``{Setting: value}``; every dataclass check runs."""
+    """The RunConfig holding ``{Setting: value}``; every dataclass check
+    runs, and so do the checks that span parts."""
     parts = defaultdict(dict)
     for s, value in given.items():
         parts[s.part][s.field] = value
     cfg = RunConfig(**parts.pop(None, {}))
     for part, values in parts.items():
         setattr(cfg, part, replace(getattr(cfg, part), **values))
+    if cfg.model == "isg" and cfg.reg.alpha > 0:
+        raise ValueError("model isg does not read the drift penalty; reg alpha must be 0")
     return cfg
 
 
@@ -282,8 +285,7 @@ def _train_config_record(cfg: RunConfig) -> dict:
                  "subset_fraction": cfg.subset_fraction},
         "train": asdict(cfg.train),
         "init": {"scheme": cfg.scheme.kind,
-                 "pretrained": cfg.scheme.pretrained_path,
-                 "fixed_variance": cfg.scheme.fixed_variance},
+                 "pretrained": cfg.scheme.pretrained_path},
         "reg": {"alpha": cfg.reg.alpha,
                 "beta": cfg.reg.beta if isinstance(cfg.reg.beta, str) else float(cfg.reg.beta),
                 "enabled": cfg.reg.alpha > 0},

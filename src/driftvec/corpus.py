@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, EmptyCorpusError
+from .errors import DataError, EmptyCorpusError, open_text
 
 NOISE_POWER = 0.75  # exponent of the unigram noise distribution
 
@@ -36,7 +36,7 @@ def tokenize(text: str) -> list[str]:
 def read_stopwords(path) -> set[str]:
     """One word per line, UTF-8; blank lines ignored."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             word = line.strip()
             if word:
@@ -62,7 +62,7 @@ def read_manifest(path) -> list[tuple[datetime, Path]]:
     """
     base = Path(path).parent
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -86,8 +86,8 @@ def load_documents(manifest_path) -> list[tuple[datetime, list[str]]]:
     for ts, doc_path in read_manifest(manifest_path):
         if not doc_path.exists():
             raise DataError(f"document not found: {doc_path}")
-        text = doc_path.read_text(encoding="utf-8")
-        docs.append((ts, tokenize(text)))
+        with open_text(doc_path) as fh:
+            docs.append((ts, tokenize(fh.read())))
     return docs
 
 
@@ -97,7 +97,7 @@ def load_documents(manifest_path) -> list[tuple[datetime, list[str]]]:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Dense word<->id map with per-slice occurrence counts.
+    """Dense word<->id map with total occurrence counts.
 
     Words are ordered by descending total count, ties broken
     lexicographically, so ids are stable across runs on the same corpus.
@@ -106,7 +106,6 @@ class Vocabulary:
     words: tuple
     id_of: dict
     total_count: np.ndarray       # shape (L,), int64
-    slice_count: np.ndarray       # shape (L, T), int64
 
     @property
     def size(self) -> int:
@@ -114,7 +113,6 @@ class Vocabulary:
 
     def __post_init__(self):
         self.total_count.setflags(write=False)
-        self.slice_count.setflags(write=False)
 
 
 def assign_slices(documents, boundaries):
@@ -146,7 +144,7 @@ def assign_slices(documents, boundaries):
 
 
 def build_vocabulary(sliced_docs, stopwords, max_size: int) -> Vocabulary:
-    """Count words per slice and keep the ``max_size`` most frequent.
+    """Count words over all slices and keep the ``max_size`` most frequent.
 
     ``sliced_docs`` is a per-slice list of token-list documents, as
     produced by :func:`assign_slices`. Stopwords are excluded before
@@ -154,9 +152,7 @@ def build_vocabulary(sliced_docs, stopwords, max_size: int) -> Vocabulary:
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    T = len(sliced_docs)
-    per_slice = [Counter(chain.from_iterable(docs)) for docs in sliced_docs]
-    totals = sum(per_slice, Counter())
+    totals = Counter(chain.from_iterable(chain.from_iterable(sliced_docs)))
     for word in stopwords:
         del totals[word]        # a Counter ignores absent keys
     if not totals:
@@ -166,14 +162,7 @@ def build_vocabulary(sliced_docs, stopwords, max_size: int) -> Vocabulary:
     words = tuple(w for w, _ in ranked)
     id_of = {w: i for i, w in enumerate(words)}
     total_count = np.array([n for _, n in ranked], dtype=np.int64)
-    slice_count = np.zeros((len(words), T), dtype=np.int64)
-    for t, counts in enumerate(per_slice):
-        for tok, n in counts.items():
-            i = id_of.get(tok)
-            if i is not None:
-                slice_count[i, t] = n
-    return Vocabulary(words=words, id_of=id_of, total_count=total_count,
-                      slice_count=slice_count)
+    return Vocabulary(words=words, id_of=id_of, total_count=total_count)
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
@@ -184,14 +173,10 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 
 def load_vocabulary(path) -> Vocabulary:
-    """Load an exported vocabulary.
-
-    The export format carries no per-slice detail, so the loaded
-    ``slice_count`` is a single column equal to ``total_count``.
-    """
+    """Load an exported vocabulary."""
     id_of = {}
     totals = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -215,13 +200,8 @@ def load_vocabulary(path) -> Vocabulary:
             totals.append(total)
     if not id_of:
         raise EmptyCorpusError(f"empty vocabulary file: {path}")
-    total_count = np.array(totals, dtype=np.int64)
-    return Vocabulary(
-        words=tuple(id_of),
-        id_of=id_of,
-        total_count=total_count,
-        slice_count=total_count[:, None].copy(),
-    )
+    return Vocabulary(words=tuple(id_of), id_of=id_of,
+                      total_count=np.array(totals, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +473,9 @@ def load_corpus(path, vocab_size: int | None = None) -> TimeSlicedCorpus:
     """Read a corpus written by :func:`save_corpus`.
 
     With ``vocab_size`` given, every token id must lie in
-    ``[0, vocab_size)``. Any malformed content raises :class:`DataError`
-    naming the file and the offending slice and document.
+    ``[0, vocab_size)``. A corpus with no slices raises :class:`DataError`
+    naming the file; so does any malformed content, naming the offending
+    slice and document too.
     """
     path = Path(path)
     try:
@@ -508,6 +489,8 @@ def load_corpus(path, vocab_size: int | None = None) -> TimeSlicedCorpus:
     raw = payload.get("slices") if isinstance(payload, dict) else None
     if not isinstance(raw, list) or not all(isinstance(docs, list) for docs in raw):
         raise DataError(f'{path}: no "slices" list of per-slice document lists')
+    if not raw:
+        raise DataError(f"{path}: the corpus holds no slices")
     if payload.get("T", len(raw)) != len(raw):
         raise DataError(f"{path}: header says T={payload['T']} but holds {len(raw)} slices")
     slices = tuple(

@@ -4,7 +4,9 @@ Each slice keeps a fully factorized Gaussian posterior over both
 embedding matrices. The posterior mean of slice t-1 defines, through a
 diffusion step combined with a zero-mean anchor, the prior of slice t;
 the variational parameters are then fitted by Adam ascent on the
-evidence lower bound.
+evidence lower bound. Only means pass from slice to slice, so a run
+starts from a plain ``(U, V)`` pair of initial means, like the
+point-estimate models.
 
 The bound has three parts: the data term of the skip-gram likelihood
 estimated with reparameterized draws, the expected log-prior in closed
@@ -192,17 +194,18 @@ def _prior_entropy_grads(mu, logvar, prior: GaussianPrior, mode: str):
     return gmu, glv
 
 
-def dsg_filter_step(slice_docs, vocab, prev_posterior, params: DsgParams,
+def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
                     config: TrainConfig, slice_index: int = 0,
                     reg: shrinkreg.RegConfig | None = None,
                     ref_mean: np.ndarray | None = None,
                     eval_pairs=None):
-    """One filtering update: previous posterior -> slice prior -> new posterior.
+    """One filtering update: previous posterior means -> slice prior -> new posterior.
 
-    The prior is the diffusion/anchor combination of the previous
-    posterior means; the variational parameters start at that prior and
-    are optimized for ``config.epochs`` epochs. Variances are optimized
-    through their logarithm so they stay positive.
+    ``prev_means`` is the ``(U, V)`` pair of the previous posterior's
+    means. The prior is their diffusion/anchor combination; the
+    variational parameters start at that prior and are optimized for
+    ``config.epochs`` epochs. Variances are optimized through their
+    logarithm so they stay positive.
 
     Each minibatch steps all four variational matrices on its likelihood
     gradient plus its share of the prior/entropy gradient. A slice with
@@ -215,10 +218,10 @@ def dsg_filter_step(slice_docs, vocab, prev_posterior, params: DsgParams,
 
     Returns ``(qU, qV, trace)``.
     """
-    L, d = prev_posterior[0].mean.shape
+    L, d = prev_means[0].shape
     # index 0 is the word matrix U, index 1 the context matrix V
-    priors = [GaussianPrior(*combine_priors(q.mean, params.diffusion_var, params.anchor_var))
-              for q in prev_posterior]
+    priors = [GaussianPrior(*combine_priors(mean, params.diffusion_var, params.anchor_var))
+              for mean in prev_means]
     mus = [prior.mean.copy() for prior in priors]
     logvars = [np.full((L, d), math.log(prior.variance)) for prior in priors]
     states = {name: AdamState.for_shape((L, d)) for name in ("muU", "logvarU", "muV", "logvarV")}
@@ -284,11 +287,11 @@ def train_dsg(corpus, vocab, init, params: DsgParams, config: TrainConfig,
               eval_corpus=None):
     """Chain filter steps across slices.
 
-    ``init`` is a ``(GaussianEmbeddingMatrix, GaussianEmbeddingMatrix)``
-    pair acting as the virtual posterior before the first trained slice
-    (its means seed the first prior). Posteriors are returned indexed by
-    calendar slice. The drift penalty, when enabled, measures drift
-    against the first trained slice's posterior mean.
+    ``init`` is a ``(U, V)`` pair of (L, d) arrays acting as the means of
+    the virtual posterior before the first trained slice; they seed the
+    first prior. Posteriors are returned indexed by calendar slice. The
+    drift penalty, when enabled, measures drift against the first
+    trained slice's posterior mean.
 
     Returns ``(posteriors, traces, trained_order)``.
     """
@@ -307,7 +310,7 @@ def train_dsg(corpus, vocab, init, params: DsgParams, config: TrainConfig,
             reg=reg, ref_mean=ref_mean, eval_pairs=eval_pairs)
         posteriors[t] = (qU, qV)
         traces[t] = trace
-        prev = (qU, qV)
+        prev = (qU.mean, qV.mean)
         if pos == 0:
             ref_mean = qU.mean
     return posteriors, traces, order

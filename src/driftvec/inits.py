@@ -1,6 +1,11 @@
 """Initialization schemes: random noise, internal (static pretraining on
 the pooled corpus), and backward-external (pretrained vectors at the most
 recent slice with reverse-chronological training).
+
+Every scheme yields a ``(U, V)`` pair of (L, d) float arrays for each
+model family. dsg reads them as the means of the virtual posterior
+before its first trained slice; its filter builds each prior from means
+alone, so no initial variance is needed.
 """
 
 import warnings
@@ -12,7 +17,7 @@ from . import dbe as dbe_mod
 from . import dsg as dsg_mod
 from . import isg as isg_mod
 from .corpus import TimeSlicedCorpus, Vocabulary
-from .dsg import DsgParams, GaussianEmbeddingMatrix
+from .dsg import DsgParams
 from .errors import DataError
 from .sgns import TrainConfig, load_embedding_text
 
@@ -29,15 +34,12 @@ OOV_SIGMA = 0.1  # stddev of rows filled for words missing from a pretrained fil
 class InitScheme:
     kind: str = RANDOM
     pretrained_path: str | None = None
-    fixed_variance: float = 0.1   # posterior variance for externally seeded Gaussians
 
     def __post_init__(self):
         if self.kind not in (RANDOM, INTERNAL, BACKWARD_EXTERNAL):
             raise ValueError(f"unknown init scheme {self.kind!r}")
         if self.kind == BACKWARD_EXTERNAL and not self.pretrained_path:
             raise ValueError("backward_external requires pretrained_path")
-        if self.fixed_variance <= 0:
-            raise ValueError("fixed_variance must be > 0")
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,7 @@ def init_random(L: int, d: int, seed: int, model_kind: str):
     """Fresh initial matrices for a model family.
 
     Point-estimate models get independent standard-normal word and
-    context matrices. The Bayesian model starts at zero means with unit
-    variances.
+    context matrices. The Bayesian model starts at zero means.
     """
     if L < 1 or d < 1:
         raise ValueError("L and d must be >= 1")
@@ -64,9 +65,7 @@ def init_random(L: int, d: int, seed: int, model_kind: str):
         raise ValueError(f"unknown model kind {model_kind!r}")
     rng = np.random.default_rng([seed, 0x1417])
     if model_kind == "dsg":
-        ones = np.ones((L, d))
-        return (GaussianEmbeddingMatrix(np.zeros((L, d)), ones.copy()),
-                GaussianEmbeddingMatrix(np.zeros((L, d)), ones))
+        return np.zeros((L, d)), np.zeros((L, d))
     U = rng.standard_normal((L, d))
     V = rng.standard_normal((L, d))
     return U, V
@@ -81,7 +80,8 @@ def pool_slices(corpus: TimeSlicedCorpus) -> TimeSlicedCorpus:
 def init_internal(corpus: TimeSlicedCorpus, vocab: Vocabulary,
                   config: TrainConfig, model_kind: str, model_params=None):
     """Static training on the pooled corpus, used as the diachronic
-    run's initializer. Deterministic given ``config.seed``."""
+    run's initializer: its ``(U, V)`` pair, posterior means for dsg.
+    Deterministic given ``config.seed``."""
     pooled = pool_slices(corpus)
     start = init_random(vocab.size, config.dim, config.seed, model_kind)
     if model_kind == "isg":
@@ -92,7 +92,7 @@ def init_internal(corpus: TimeSlicedCorpus, vocab: Vocabulary,
         params = model_params or DsgParams()
         qU, qV, _ = dsg_mod.dsg_filter_step(pooled.slices[0], vocab, start,
                                             params, config, slice_index=0)
-        return qU, qV
+        return qU.mean, qV.mean
     if model_kind == "dbe":
         params = model_params or dbe_mod.DbeParams()
         model, _ = dbe_mod.train_dbe(pooled, vocab, start, params, config)
@@ -135,7 +135,7 @@ def load_pretrained(path, vocab: Vocabulary, oov_seed: int,
 
 def apply_scheme(scheme: InitScheme, model_kind: str, corpus: TimeSlicedCorpus,
                  vocab: Vocabulary, config: TrainConfig, model_params=None):
-    """Resolve a scheme into initial matrices and a training direction.
+    """Resolve a scheme into an initial ``(U, V)`` pair and a training direction.
 
     Directions: ``forward`` trains oldest to newest from the slice-0
     initializer; ``backward`` anchors the most recent slice (external
@@ -164,11 +164,5 @@ def apply_scheme(scheme: InitScheme, model_kind: str, corpus: TimeSlicedCorpus,
         warnings.warn(
             f"pretrained file covers {coverage.covered}/{coverage.total} words; "
             "missing rows were seeded randomly", stacklevel=2)
-    if model_kind == "dsg":
-        var = np.full(pretrained.shape, scheme.fixed_variance)
-        init = (GaussianEmbeddingMatrix(pretrained.copy(), var.copy()),
-                GaussianEmbeddingMatrix(pretrained.copy(), var))
-        return init, isg_mod.BACKWARD
-    if model_kind == "isg":
-        return (pretrained.copy(), pretrained.copy()), isg_mod.BACKWARD
-    return (pretrained.copy(), pretrained.copy()), direction
+    return (pretrained.copy(), pretrained.copy()), (
+        direction if model_kind == "dbe" else isg_mod.BACKWARD)

@@ -7,7 +7,7 @@ Layout under the run directory:
 * ``dsg/t<k>.mean.vec`` / ``t<k>.var.vec``       posterior over word vectors
   and ``t<k>.ctx.mean.vec`` / ``t<k>.ctx.var.vec`` for context vectors
 * ``dbe/t<k>.vec`` + ``dbe/context.vec``         per-slice words, shared contexts
-* ``<model>/adam_*.txt``                         final optimizer state
+* ``dbe/adam_u<k>.txt`` + ``dbe/adam_ctx.txt``   dbe's final optimizer state
 """
 
 import hashlib

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, open_text
 
 
 @dataclass
@@ -207,9 +207,10 @@ def load_embedding_text(path):
     by line to name the first bad row. Non-finite entries are a data
     error too.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
+        header = fh.readline().split()
         try:
-            count, dim = map(int, fh.readline().split())
+            count, dim = map(int, header)
         except ValueError:
             count = dim = -1
         if count < 0 or dim < 0:
@@ -237,7 +238,7 @@ def load_embedding_text(path):
 
 def _raise_row_error(path, count, dim, reason):
     """Raise the DataError naming the first of ``count`` rows that is malformed."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         fh.readline()
         for i in range(count):
             parts = fh.readline().split()

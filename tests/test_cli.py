@@ -278,6 +278,16 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert "noslices.json" in err and '"slices"' in err
 
+    @pytest.mark.parametrize("model", ["isg", "dsg", "dbe"])
+    def test_corpus_with_no_slices(self, pipeline, tmp_path, capsys, model):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"slices": []}))
+        args = train_args(pipeline, tmp_path / "run", model=model)
+        args[args.index("--train") + 1] = empty
+        assert run(args) == 2
+        assert f"{empty}: the corpus holds no slices" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_token_id_outside_vocabulary(self, pipeline, tmp_path, capsys):
         payload = json.loads((pipeline / "data.train.json").read_text())
         payload["slices"][1][2][0] = 30          # the vocabulary has 30 words
@@ -363,6 +373,38 @@ class TestInputContract:
         assert "pre.vec:3: non-finite value in the row of 'w0001'" in err
 
 
+@pytest.mark.parametrize("kind", ["config", "vocab", "manifest", "document", "stopwords",
+                                  "vectors"])
+def test_non_utf8_text_input_is_data_error(pipeline, tmp_path, capsys, kind):
+    bad = tmp_path / f"bad.{kind}"
+    manifest = pipeline / "corpus" / "manifest.tsv"
+    build_vocab = ["build-vocab", "--boundaries", "2000:2003", "--out", tmp_path / "v.tsv"]
+    if kind == "config":
+        bad.write_bytes(b"[train]\ndim = 4\xff\n")
+        argv = ["train", "--config", bad]
+    elif kind == "vocab":
+        bad.write_bytes(b"w0\t0\t5\nw\xff\t1\t3\n")
+        argv = train_args(pipeline, tmp_path / "run")
+        argv[argv.index("--vocab") + 1] = bad
+    elif kind == "manifest":
+        bad.write_bytes(b"2000-01-01\tdoc\xff.txt\n")
+        argv = [*build_vocab, "--manifest", bad]
+    elif kind == "document":
+        bad.write_bytes(b"a b \xff c\n")
+        good = tmp_path / "m.tsv"
+        good.write_text(f"2000-06-01\t{bad}\n")
+        argv = [*build_vocab, "--manifest", good]
+    elif kind == "stopwords":
+        bad.write_bytes(b"the\n\xff\n")
+        argv = [*build_vocab, "--manifest", manifest, "--stopwords", bad]
+    else:
+        bad.write_bytes(b"2 4\nw0000 0.1 0.2 0.3 0.4\nw0001\xff 0.1 0.2 0.3 0.4\n")
+        argv = train_args(pipeline, tmp_path / "run", model="dsg",
+                          extra=["--init", "backward-external", "--pretrained", bad])
+    assert run(argv) == 2
+    assert f"{bad}: not UTF-8 text (byte 0xff" in capsys.readouterr().err
+
+
 def test_subsample_command(pipeline, tmp_path, capsys):
     out = tmp_path / "sub.json"
     assert run(["subsample", "--corpus", pipeline / "data.train.json",
@@ -410,7 +452,7 @@ def test_readme_config_block_loads(pipeline, tmp_path):
                 "--epochs", "1", "--batch-size", "256", "--window", "2"]) == 0
     config = read_manifest(outdir)["config"]
     assert config["model"] == "dbe"
-    assert config["init"] == {"scheme": "random", "pretrained": None, "fixed_variance": 0.1}
+    assert config["init"] == {"scheme": "random", "pretrained": None}
     assert config["reg"] == {"alpha": 0.0, "beta": "mean", "enabled": False}
     assert config["data"]["test"] == str(pipeline / "data.test.json")
 
@@ -428,6 +470,8 @@ def test_readme_config_block_loads(pipeline, tmp_path):
     ("[init]\nscheme = backward_external\n",
      "bad.ini: [init] scheme = 'backward_external': backward_external requires pretrained_path"),
     ("[dsg]\ndiffusion = 0\nanchor = 0\n", "bad.ini: diffusion_var and anchor_var must be > 0"),
+    ("[run]\nmodel = isg\n[reg]\nalpha = 5\n",
+     "bad.ini: [reg] alpha = '5': model isg does not read the drift penalty"),
 ])
 def test_malformed_config_file_is_data_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.ini"
@@ -443,11 +487,75 @@ def test_bad_flag_value_beside_a_config_file_is_usage_error(pipeline, tmp_path, 
     assert "error: dim must be >= 1" in capsys.readouterr().err
 
 
+def test_drift_penalty_flag_with_isg_is_usage_error(pipeline, tmp_path, capsys):
+    outdir = tmp_path / "run"
+    assert run(train_args(pipeline, outdir, extra=["--reg-alpha", "5", "--reg-beta", "0"])) == 1
+    assert "error: model isg does not read the drift penalty" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_readme_config_block_names_every_setting():
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     parser.read_string(readme_config_block())
     documented = {(section, key) for section in parser.sections() for key in parser[section]}
     assert documented == {(s.section, s.key) for s in TRAIN_SETTINGS}
+
+
+# Every train setting but the model and the paths: the model that reads
+# it, INI values it needs beside the base ones, and a value other than
+# its default.
+SETTING_CASES = {
+    "subset_fraction": ("isg", {}, "0.5"),
+    "dim": ("isg", {}, "3"),
+    "window": ("isg", {}, "1"),
+    "negative_ratio": ("isg", {}, "2"),
+    "learning_rate": ("isg", {}, "0.05"),
+    "epochs": ("isg", {}, "2"),
+    "batch_size": ("isg", {}, "64"),
+    "seed": ("isg", {}, "4"),
+    "scheme": ("isg", {}, "internal"),
+    "diffusion": ("dsg", {}, "0.5"),
+    "anchor": ("dsg", {}, "0.5"),
+    "samples": ("dsg", {}, "2"),
+    "entropy": ("dsg", {}, "exact"),
+    "drift_precision": ("dbe", {}, "5.0"),
+    "base_precision": ("dbe", {}, "1.0"),
+    "alpha": ("dbe", {}, "0.5"),
+    # every slice starts at slice 0, so the first epoch's mean drift is 0
+    "beta": ("dbe", {("reg", "alpha"): "0.5", ("train", "epochs"): 2}, "0.0"),
+}
+
+
+def write_ini(path, values):
+    sections = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    path.write_text("".join(f"[{section}]\n" + "".join(lines)
+                            for section, lines in sections.items()))
+
+
+@pytest.mark.parametrize("setting", [
+    s for s in TRAIN_SETTINGS
+    if s.key not in ("model", "out", "vocab", "train", "valid", "test", "pretrained")
+], ids=lambda s: s.key)
+def test_no_setting_is_dead(pipeline, tmp_path, setting):
+    # train once without the key and once with another value: a setting
+    # that training reads changes the checkpoint bytes
+    assert setting.key in SETTING_CASES, f"no case for [{setting.section}] {setting.key}"
+    model, needs, value = SETTING_CASES[setting.key]
+    base = {("data", "vocab"): pipeline / "vocab.tsv",
+            ("data", "train"): pipeline / "data.train.json",
+            ("run", "model"): model, ("train", "dim"): 4, ("train", "epochs"): 1,
+            ("train", "window"): 2, ("train", "batch_size"): 256, ("train", "seed"): 3,
+            **needs}
+    base.pop((setting.section, setting.key), None)
+    checkpoints = []
+    for name, values in (("without", base), ("with", {**base, (setting.section, setting.key): value})):
+        ini = tmp_path / f"{name}.ini"
+        write_ini(ini, {**values, ("run", "out"): tmp_path / name})
+        assert run(["train", "--config", ini]) == 0
+        checkpoints.append({p.name: p.read_bytes() for p in (tmp_path / name / model).iterdir()})
+    assert checkpoints[0] != checkpoints[1], f"[{setting.section}] {setting.key} changes nothing"
 
 
 def test_config_values_are_literal(pipeline, tmp_path):

@@ -41,7 +41,6 @@ class TestBuildVocabulary:
         vocab = build_vocabulary(sliced, {"the"}, 10)
         assert list(vocab.words) == ["a", "b", "c"]
         np.testing.assert_array_equal(vocab.total_count, [3, 2, 1])
-        np.testing.assert_array_equal(vocab.slice_count, [[2, 1], [0, 2], [1, 0]])
 
     def test_truncates_to_max_size(self):
         # 12000 distinct words, keep the 10000 most frequent
@@ -54,13 +53,6 @@ class TestBuildVocabulary:
         vocab, _ = toy_corpus([["a b c d", "b c d", "c d", "d"]])
         for k, word in enumerate(vocab.words):
             assert vocab.id_of[word] == k
-
-    def test_slice_counts_sum_to_totals(self):
-        sliced = sliced_from_strings([["a b a"], ["b b c"], ["a"]])
-        vocab = build_vocabulary(sliced, set(), 10)
-        assert vocab.slice_count.shape == (3, 3)
-        np.testing.assert_array_equal(vocab.slice_count.sum(axis=1),
-                                      vocab.total_count)
 
     def test_export_import_round_trip(self, tmp_path):
         vocab, _ = toy_corpus([["a b a b c", "d a"]])
@@ -327,6 +319,8 @@ def test_corpus_file_round_trip(tmp_path):
     ({"slices": [[[1, "a"]]]}, "slice 0, document 0"),
     ({"slices": [[[[1], [2]]]]}, "slice 0, document 0"),
     ({"slices": [[[1], [2, [3]]]]}, "slice 0, document 1"),
+    ({"slices": []}, "bad.json: the corpus holds no slices"),
+    ({"T": 0, "slices": []}, "bad.json: the corpus holds no slices"),
 ])
 def test_load_corpus_rejects_malformed_content(tmp_path, payload, message):
     path = tmp_path / "bad.json"

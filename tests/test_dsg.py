@@ -117,8 +117,7 @@ class TestElbo:
         # so check convergence rather than exact equality
         vocab, _ = toy_corpus([["a b"]])
         prev_mean = np.zeros((vocab.size, 3))
-        prev = (GaussianEmbeddingMatrix(prev_mean.copy(), np.ones_like(prev_mean)),
-                GaussianEmbeddingMatrix(prev_mean.copy(), np.ones_like(prev_mean)))
+        prev = (prev_mean, prev_mean)
         params = DsgParams(entropy_mode="exact")
         qU, _, _ = dsg_filter_step((), vocab, prev, params,
                                    small_config(dim=3, epochs=200))
@@ -198,8 +197,7 @@ class TestFilterStep:
         vocab, _ = toy_corpus([["a b c"]])
         rng = np.random.default_rng(1)
         prev_mean = rng.normal(size=(vocab.size, 4))
-        prev = (GaussianEmbeddingMatrix(prev_mean.copy(), np.ones_like(prev_mean)),
-                GaussianEmbeddingMatrix(prev_mean.copy(), np.ones_like(prev_mean)))
+        prev = (prev_mean, prev_mean)
         qU, qV, _ = dsg_filter_step((), vocab, prev, DsgParams(),
                                     small_config(dim=4, epochs=5))
         # no data: the mean gradient vanishes at the prior mean, so the
@@ -216,15 +214,14 @@ class TestFilterStep:
         # likelihood gradient plus 1.0 x the prior/entropy gradient
         vocab, _ = toy_corpus([["a b c"]])
         rng = np.random.default_rng(4)
-        prev = tuple(GaussianEmbeddingMatrix(rng.normal(size=(vocab.size, 3)),
-                                             np.ones((vocab.size, 3))) for _ in range(2))
+        prev = tuple(rng.normal(size=(vocab.size, 3)) for _ in range(2))
         params = DsgParams(entropy_mode=entropy_mode)
         config = small_config(dim=3, epochs=3)
         qU, qV, trace = dsg_filter_step((), vocab, prev, params, config)
 
         blocks = []
-        for q in prev:
-            mean, var = combine_priors(q.mean, params.diffusion_var, params.anchor_var)
+        for prev_mean in prev:
+            mean, var = combine_priors(prev_mean, params.diffusion_var, params.anchor_var)
             blocks.append((mean.copy(), np.full(mean.shape, math.log(var)),
                            GaussianPrior(mean, var)))
         states = [AdamState.for_shape(qU.mean.shape) for _ in range(4)]
@@ -260,8 +257,7 @@ class TestFilterStep:
         vocab, corpus = toy_corpus([["a b"] * 200 + ["c d"] * 200])
         rng = np.random.default_rng(2)
         prev_mean = rng.normal(size=(vocab.size, 4)) * 0.5
-        prev = (GaussianEmbeddingMatrix(prev_mean.copy(), np.ones_like(prev_mean)),
-                GaussianEmbeddingMatrix(prev_mean.copy(), np.ones_like(prev_mean)))
+        prev = (prev_mean, prev_mean)
         params = DsgParams(diffusion_var=1e-6, anchor_var=1e6)
         qU, _, _ = dsg_filter_step(corpus.slices[0], vocab, prev, params,
                                    small_config(dim=4, epochs=5,
@@ -346,10 +342,8 @@ class TestFlatPriorDegeneracy:
         vocab, corpus, eval_pairs, U0, V0, cfg = self._setup()
         Ui, Vi, _ = train_slice(corpus.slices[0], vocab, U0, V0, cfg)
         isg_lpos = self._lpos(eval_pairs, Ui, Vi)
-        prev = (GaussianEmbeddingMatrix(U0.copy(), np.ones_like(U0)),
-                GaussianEmbeddingMatrix(V0.copy(), np.ones_like(V0)))
         qU, qV, _ = dsg_filter_step(
-            corpus.slices[0], vocab, prev,
+            corpus.slices[0], vocab, (U0, V0),
             DsgParams(diffusion_var=100.0, anchor_var=1e6), cfg)
         dsg_lpos = self._lpos(eval_pairs, qU.mean, qV.mean)
         # the means must fit the slice data at least as well as a plain
@@ -367,10 +361,8 @@ class TestFlatPriorDegeneracy:
         vocab, corpus, eval_pairs, U0, V0, cfg = self._setup()
         Ui, Vi, _ = train_slice(corpus.slices[0], vocab, U0, V0, cfg)
         isg_lpos = self._lpos(eval_pairs, Ui, Vi)
-        prev = (GaussianEmbeddingMatrix(U0.copy(), np.ones_like(U0)),
-                GaussianEmbeddingMatrix(V0.copy(), np.ones_like(V0)))
         qU, qV, _ = dsg_filter_step(
-            corpus.slices[0], vocab, prev,
+            corpus.slices[0], vocab, (U0, V0),
             DsgParams(diffusion_var=100.0, anchor_var=1e6), cfg)
         dsg_lpos = self._lpos(eval_pairs, qU.mean, qV.mean)
         assert abs(dsg_lpos - isg_lpos) / abs(isg_lpos) < 0.05

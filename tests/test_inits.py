@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from driftvec.dsg import GaussianEmbeddingMatrix
 from driftvec.errors import DataError
 from driftvec.inits import (BACKWARD_EXTERNAL, InitScheme, apply_scheme,
                             init_internal, init_random, load_pretrained,
@@ -32,10 +31,9 @@ class TestRandomInit:
         assert abs(entries.var() - 1.0) < 0.02
 
     def test_dsg_zero_means_unit_variances(self):
-        qU, qV = init_random(4, 3, 0, "dsg")
-        assert isinstance(qU, GaussianEmbeddingMatrix)
-        assert not qU.mean.any() and not qV.mean.any()
-        np.testing.assert_array_equal(qU.variance, np.ones((4, 3)))
+        U, V = init_random(4, 3, 0, "dsg")
+        np.testing.assert_array_equal(U, np.zeros((4, 3)))
+        np.testing.assert_array_equal(V, np.zeros((4, 3)))
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
@@ -118,16 +116,28 @@ class TestLoadPretrained:
 
 class TestApplyScheme:
     def test_backward_external_dsg_fixes_variance(self, tmp_path):
+        # dsg takes the pretrained pair as its initial means, like isg;
+        # no variance is seeded, its filter reads means alone
         vocab, corpus = toy_corpus([["a b"], ["b a"]])
         path = tmp_path / "pre.vec"
         rng = np.random.default_rng(1)
-        save_embedding_text(path, list(vocab.words),
-                            rng.normal(size=(vocab.size, 6)))
+        pretrained = rng.normal(size=(vocab.size, 6))
+        save_embedding_text(path, list(vocab.words), pretrained)
         scheme = InitScheme(kind=BACKWARD_EXTERNAL, pretrained_path=str(path))
-        (qU, qV), direction = apply_scheme(scheme, "dsg", corpus, vocab, cfg(epochs=1))
+        (U0, V0), direction = apply_scheme(scheme, "dsg", corpus, vocab, cfg(epochs=1))
         assert direction == "backward"
-        np.testing.assert_array_equal(qU.variance, np.full((vocab.size, 6), 0.1))
-        np.testing.assert_array_equal(qV.variance, np.full((vocab.size, 6), 0.1))
+        np.testing.assert_array_equal(U0, pretrained)
+        np.testing.assert_array_equal(V0, pretrained)
+        assert U0 is not V0
+
+    def test_backward_external_dbe_is_joint(self, tmp_path):
+        vocab, corpus = toy_corpus([["a b"], ["b a"]])
+        path = tmp_path / "pre.vec"
+        save_embedding_text(path, list(vocab.words), np.ones((vocab.size, 6)))
+        scheme = InitScheme(kind=BACKWARD_EXTERNAL, pretrained_path=str(path))
+        (U0, V0), direction = apply_scheme(scheme, "dbe", corpus, vocab, cfg())
+        assert direction == "joint"
+        np.testing.assert_array_equal(V0, np.ones((vocab.size, 6)))
 
     def test_internal_dbe_returns_anchor_and_context(self):
         vocab, corpus = toy_corpus([["a b c"] * 10, ["c b a"] * 10])
