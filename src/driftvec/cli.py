@@ -12,7 +12,7 @@ import configparser
 import sys
 import warnings
 from collections import defaultdict, namedtuple
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
 
@@ -62,7 +62,6 @@ class RunConfig:
     train_path: str = ""
     valid_path: str = ""
     test_path: str = ""
-    subset_fraction: float = 1.0
     train: TrainConfig = field(default_factory=TrainConfig)
     scheme: inits.InitScheme = field(default_factory=inits.InitScheme)
     dsg_params: dsg_mod.DsgParams = field(default_factory=dsg_mod.DsgParams)
@@ -72,8 +71,6 @@ class RunConfig:
     def __post_init__(self):
         if self.model not in inits.MODEL_KINDS:
             raise ValueError(f"unknown model {self.model!r}")
-        if not 0 < self.subset_fraction <= 1:
-            raise ValueError("subset fraction must lie in (0, 1]")
 
     def validate(self):
         if not self.vocab:
@@ -99,7 +96,6 @@ TRAIN_SETTINGS = (
     Setting("data", "train", "--train", str, None, "train_path"),
     Setting("data", "valid", "--valid", str, None, "valid_path"),
     Setting("data", "test", "--test", str, None, "test_path"),
-    Setting("data", "subset_fraction", "--subset", float, None, "subset_fraction"),
     Setting("train", "dim", "--dim", int, "train", "dim"),
     Setting("train", "window", "--window", int, "train", "window"),
     Setting("train", "negative_ratio", "--negative-ratio", int, "train", "negative_ratio"),
@@ -276,34 +272,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _train_config_record(cfg: RunConfig) -> dict:
-    record = {
-        "model": cfg.model,
-        "out": cfg.out,
-        "data": {"vocab": cfg.vocab, "train": cfg.train_path,
-                 "valid": cfg.valid_path, "test": cfg.test_path,
-                 "subset_fraction": cfg.subset_fraction},
-        "train": asdict(cfg.train),
-        "init": {"scheme": cfg.scheme.kind,
-                 "pretrained": cfg.scheme.pretrained_path},
-        "reg": {"alpha": cfg.reg.alpha,
-                "beta": cfg.reg.beta if isinstance(cfg.reg.beta, str) else float(cfg.reg.beta),
-                "enabled": cfg.reg.alpha > 0},
-    }
-    if cfg.model == "dsg":
-        record["dsg"] = asdict(cfg.dsg_params)
-    if cfg.model == "dbe":
-        record["dbe"] = asdict(cfg.dbe_params)
-    return record
-
-
 def cmd_train(args) -> int:
     cfg = resolve_run_config(args)
     vocab = load_vocabulary(cfg.vocab)
     train_corpus = load_corpus(cfg.train_path, vocab.size)
-    if cfg.subset_fraction < 1:
-        train_corpus = corpus_mod.subsample_corpus(
-            train_corpus, cfg.subset_fraction, cfg.train.seed)
     valid_corpus = load_corpus(cfg.valid_path, vocab.size) if cfg.valid_path else None
     if valid_corpus is not None and valid_corpus.T != train_corpus.T:
         raise DataError(f"{cfg.valid_path}: {valid_corpus.T} slices, but the "
@@ -316,19 +288,21 @@ def cmd_train(args) -> int:
 
     rundir = Path(cfg.out)
     rundir.mkdir(parents=True, exist_ok=True)
+    # The resolved settings table, [dsg] and [dbe] only for their own
+    # model; written back as INI, it retrains the run.
+    config = defaultdict(dict)
+    for s in TRAIN_SETTINGS:
+        if s.section not in ("dsg", "dbe") or s.section == cfg.model:
+            config[s.section][s.key] = getattr(getattr(cfg, s.part) if s.part else cfg, s.field)
+    paths = {**config["data"], "pretrained": config["init"]["pretrained"]}
     manifest = {
         "model": cfg.model,
         "direction": direction,
         "T": train_corpus.T,
-        "config": _train_config_record(cfg),
-        "inputs": {},
+        "config": config,
+        "inputs": {key: {"path": str(path), "sha256": runs.content_hash(path)}
+                   for key, path in paths.items() if path},
     }
-    for label, path in (("vocab", cfg.vocab), ("train", cfg.train_path),
-                        ("valid", cfg.valid_path), ("test", cfg.test_path),
-                        ("pretrained", cfg.scheme.pretrained_path)):
-        if path:
-            manifest["inputs"][label] = {"path": str(path),
-                                         "sha256": runs.content_hash(path)}
 
     if cfg.model == "isg":
         model, traces, order = isg_mod.train_incremental(
@@ -356,8 +330,6 @@ def cmd_train(args) -> int:
         manifest["trained_order"] = list(range(train_corpus.T))
         manifest["traces"] = {str(t): tr for t, tr in info["per_slice"].items()}
         manifest["prior_trace"] = info["prior"]
-        if "reg_beta" in info:
-            manifest["reg_beta"] = info["reg_beta"]
 
     runs.write_manifest(rundir, manifest)
     print(f"trained {cfg.model} ({direction}) over {train_corpus.T} slices -> {rundir}")

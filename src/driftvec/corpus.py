@@ -484,7 +484,7 @@ def load_corpus(path, vocab_size: int | None = None) -> TimeSlicedCorpus:
                 payload = json.loads(fh.read().decode("utf-8"))
         else:
             payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DataError(f"unreadable corpus file {path}: {exc}") from exc
     raw = payload.get("slices") if isinstance(payload, dict) else None
     if not isinstance(raw, list) or not all(isinstance(docs, list) for docs in raw):

@@ -139,10 +139,12 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
 
     The drift penalty, when enabled, joins the prior step. It measures
     each slice against a snapshot of slice 0 taken at the start of the
-    epoch; its thresholds (one per slice) are frozen for the epoch
-    alongside the snapshot.
+    epoch; its thresholds are frozen for the epoch alongside the
+    snapshot, and each slice after the first records its own per epoch
+    in its trace's ``reg_beta``.
 
-    Returns ``(DbeModel, traces)``.
+    Returns ``(DbeModel, info)``: ``info`` holds the per-slice traces,
+    the per-epoch prior trace and the final Adam states.
     """
     U0, V0 = init
     T = corpus.T
@@ -155,7 +157,9 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
     reg_active = reg is not None and reg.alpha > 0
     traces = {t: {"lpos": []} for t in range(T)}
     prior_trace = []
-    beta_trace = []
+    if reg_active:
+        for t in range(1, T):
+            traces[t]["reg_beta"] = []
     eval_pairs = None
     if eval_corpus is not None:
         eval_pairs = [corpus_mod.extract_pairs(eval_corpus.slices[t], config.window)
@@ -175,7 +179,7 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
             for t in range(1, T):
                 betas[t] = shrinkreg.resolve_beta(
                     reg, shrinkreg.word_drifts(U_all[t], ref))
-            beta_trace.append(list(betas))
+                traces[t]["reg_beta"].append(betas[t])
             penalty = (reg, ref, betas)
 
         lpos_sums = [0.0] * T
@@ -215,6 +219,4 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
     model = DbeModel(U=U_all, V=V)
     info = {"per_slice": traces, "prior": prior_trace,
             "adam": {"U": statesU, "V": stateV}}
-    if reg_active:
-        info["reg_beta"] = beta_trace
     return model, info

@@ -14,7 +14,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, open_text
 from .sgns import load_embedding_text, save_embedding_text
 
 
@@ -34,13 +34,6 @@ def write_manifest(rundir, payload: dict) -> None:
         fh.write("\n")
 
 
-def read_manifest(rundir) -> dict:
-    path = Path(rundir) / "run.json"
-    if not path.exists():
-        raise DataError(f"no run manifest at {path}")
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 # (model kind, role) -> checkpoint file name under ``<run>/<kind>/``,
 # formatted with the slice index. ``export --role`` reads the same table.
 CHECKPOINT_FILES = {
@@ -54,6 +47,50 @@ CHECKPOINT_FILES = {
     ("dbe", "word"): "t{}.vec",
     ("dbe", "context"): "context.vec",
 }
+
+
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _input_paths(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(entry, dict) and isinstance(entry.get("path"), str) for entry in value.values())
+
+
+_CHECKPOINT_KINDS = sorted({kind for kind, _ in CHECKPOINT_FILES})
+
+# Manifest field -> (its check, what eval, drift and export need there).
+_MANIFEST_FIELDS = {
+    ("model",): (lambda v: isinstance(v, str) and v in _CHECKPOINT_KINDS,
+                 f"one of {_CHECKPOINT_KINDS}"),
+    ("T",): (_positive_int, "an integer >= 1"),
+    ("inputs",): (_input_paths, 'an object of {"path": ...} entries'),
+    ("config", "train", "window"): (_positive_int, "an integer >= 1"),
+}
+
+
+def read_manifest(rundir) -> dict:
+    """The parsed ``run.json``; a DataError naming the file when it is not
+    a JSON object or lacks a field that eval, drift or export read."""
+    path = Path(rundir) / "run.json"
+    if not path.exists():
+        raise DataError(f"no run manifest at {path}")
+    with open_text(path) as fh:
+        text = fh.read()
+    try:
+        manifest = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: not JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: not a JSON object")
+    for keys, (valid, expected) in _MANIFEST_FIELDS.items():
+        value = manifest
+        for key in keys:
+            value = value.get(key) if isinstance(value, dict) else None
+        if not valid(value):
+            raise DataError(f"{path}: {'.'.join(keys)} must be {expected}, not {value!r}")
+    return manifest
 
 
 def checkpoint_path(rundir, kind: str, role: str, t: int) -> Path:
@@ -98,30 +135,47 @@ def _load(path):
     return load_embedding_text(path)
 
 
+def _load_like(path, first_path, first_words, width):
+    """The matrix at ``path``, which must hold the words of ``first_path``,
+    slice 0's word checkpoint, in their order, and ``width`` columns."""
+    words, matrix = _load(path)
+    if words != first_words:
+        row = next(i for i, (a, b) in enumerate(zip(words + [None], first_words + [None]))
+                   if a != b)
+        holds = [repr(w[row]) if row < len(w) else "no row" for w in (words, first_words)]
+        raise DataError(f"{path}: row {row + 1} holds {holds[0]}, but "
+                        f"{first_path} holds {holds[1]}")
+    if matrix.shape[1] != width:
+        raise DataError(f"{path}: {matrix.shape[1]} columns, but {first_path} has {width}")
+    return matrix
+
+
 def load_word_matrices(rundir, kind: str, T: int):
     """``(words, matrices)``: the per-slice word matrices of a run (posterior
-    means for the Bayesian model) and the word list read with slice 0."""
-    words, mats = [], []
-    for t in range(T):
-        slice_words, matrix = _load(checkpoint_path(rundir, kind, "word", t))
-        if t == 0:
-            words = slice_words
-        mats.append(matrix)
-    return words, mats
+    means for the Bayesian model) and the word list read with slice 0,
+    whose words and width every later slice must share."""
+    first_path = checkpoint_path(rundir, kind, "word", 0)
+    words, matrix = _load(first_path)
+    return words, [matrix] + [
+        _load_like(checkpoint_path(rundir, kind, "word", t), first_path, words, matrix.shape[1])
+        for t in range(1, T)]
 
 
 def load_slice_matrices(rundir, kind: str, T: int):
     """Word and context matrices per slice, ready for scoring.
 
     For the Bayesian model these are posterior means; for the Bernoulli
-    model the shared context matrix is repeated per slice.
+    model the shared context matrix is repeated per slice. Context
+    checkpoints must share the words and width of slice 0's word one.
     """
-    _, words_mats = load_word_matrices(rundir, kind, T)
+    words, word_mats = load_word_matrices(rundir, kind, T)
+    first = (checkpoint_path(rundir, kind, "word", 0), words, word_mats[0].shape[1])
     if kind == "dbe":
-        ctx_mats = [_load(checkpoint_path(rundir, kind, "context", 0))[1]] * T
+        ctx_mats = [_load_like(checkpoint_path(rundir, kind, "context", 0), *first)] * T
     else:
-        ctx_mats = [_load(checkpoint_path(rundir, kind, "context", t))[1] for t in range(T)]
-    return words_mats, ctx_mats
+        ctx_mats = [_load_like(checkpoint_path(rundir, kind, "context", t), *first)
+                    for t in range(T)]
+    return word_mats, ctx_mats
 
 
 def checkpoint_words(rundir, kind: str):

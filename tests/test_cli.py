@@ -1,6 +1,7 @@
 import configparser
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -242,9 +243,11 @@ class TestTrainEvalDrift:
         assert run(train_args(pipeline, outdir, model="dbe",
                               extra=["--reg-alpha", "0.5", "--reg-beta", "mean"])) == 0
         manifest = read_manifest(outdir)
-        assert manifest["config"]["reg"]["enabled"] is True
-        assert len(manifest["reg_beta"]) == 2          # one row per epoch
-        assert len(manifest["reg_beta"][0]) == 3       # one beta per slice
+        assert manifest["config"]["reg"] == {"alpha": 0.5, "beta": "mean"}
+        # slice 0 is the reference; every later slice has one beta per epoch
+        assert "reg_beta" not in manifest and "reg_beta" not in manifest["traces"]["0"]
+        for t in ("1", "2"):
+            assert len(manifest["traces"][t]["reg_beta"]) == 2
         assert (outdir / "dbe" / "context.vec").exists()
         assert (outdir / "dbe" / "adam_ctx.txt").exists()
 
@@ -451,9 +454,10 @@ def test_readme_config_block_loads(pipeline, tmp_path):
     assert run(["train", "--config", cfg, "--out", outdir, "--dim", "4",
                 "--epochs", "1", "--batch-size", "256", "--window", "2"]) == 0
     config = read_manifest(outdir)["config"]
-    assert config["model"] == "dbe"
+    assert config["run"] == {"model": "dbe", "out": str(outdir)}
     assert config["init"] == {"scheme": "random", "pretrained": None}
-    assert config["reg"] == {"alpha": 0.0, "beta": "mean", "enabled": False}
+    assert config["reg"] == {"alpha": 0.0, "beta": "mean"}
+    assert "dsg" not in config
     assert config["data"]["test"] == str(pipeline / "data.test.json")
 
 
@@ -505,7 +509,6 @@ def test_readme_config_block_names_every_setting():
 # it, INI values it needs beside the base ones, and a value other than
 # its default.
 SETTING_CASES = {
-    "subset_fraction": ("isg", {}, "0.5"),
     "dim": ("isg", {}, "3"),
     "window": ("isg", {}, "1"),
     "negative_ratio": ("isg", {}, "2"),
@@ -571,4 +574,104 @@ dim = 4
 epochs = 1
 """)
     assert run(["train", "--config", cfg]) == 0
-    assert read_manifest(tmp_path / "runs" / "50%")["config"]["out"].endswith("50%")
+    assert read_manifest(tmp_path / "runs" / "50%")["config"]["run"]["out"].endswith("50%")
+
+
+# Flags beside the base ones in train_args for each model's retrain case.
+RETRAIN_FLAGS = {
+    "isg": ["--init", "internal"],
+    "dsg": ["--init", "internal", "--reg-alpha", "0.1", "--entropy", "exact"],
+    "dbe": ["--reg-alpha", "0.1", "--reg-beta", "0.2"],
+}
+
+
+@pytest.mark.parametrize("model", list(RETRAIN_FLAGS))
+def test_run_json_config_retrains_the_run(pipeline, tmp_path, model):
+    # the config block of run.json, written back as INI, is the whole run
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(train_args(pipeline, first, model=model, extra=RETRAIN_FLAGS[model])) == 0
+    config = read_manifest(first)["config"]
+    write_ini(tmp_path / "run.ini", {(section, key): "" if value is None else value
+                                     for section, values in config.items()
+                                     for key, value in values.items()})
+    assert run(["train", "--config", tmp_path / "run.ini", "--out", second]) == 0
+    names = sorted(p.name for p in (first / model).iterdir())
+    assert names == sorted(p.name for p in (second / model).iterdir())
+    for name in names:
+        assert (first / model / name).read_bytes() == (second / model / name).read_bytes(), name
+
+
+VALID_MANIFEST = {"model": "isg", "T": 3, "inputs": {}, "config": {"train": {"window": 2}}}
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"model": "isg", "T": 3', "not JSON (Expecting ',' delimiter"),
+    ("[1, 2]", "not a JSON object"),
+    ('{"model": "dbe", "inputs": {}}', "T must be an integer >= 1, not None"),
+    (json.dumps({**VALID_MANIFEST, "model": "xsg"}), "model must be one of ['dbe', 'dsg', 'isg']"),
+    (json.dumps({**VALID_MANIFEST, "model": ["isg"]}), "model must be one of"),
+    (json.dumps({**VALID_MANIFEST, "T": 0}), "T must be an integer >= 1, not 0"),
+    (json.dumps({**VALID_MANIFEST, "T": True}), "T must be an integer >= 1, not True"),
+    (json.dumps({**VALID_MANIFEST, "inputs": []}), "inputs must be an object"),
+    (json.dumps({**VALID_MANIFEST, "inputs": {"valid": 5}}), "inputs must be an object"),
+    (json.dumps({**VALID_MANIFEST, "config": {"train": {}}}),
+     "config.train.window must be an integer >= 1, not None"),
+    (json.dumps({**VALID_MANIFEST, "config": {"train": {"window": "2"}}}),
+     "config.train.window must be an integer >= 1, not '2'"),
+])
+@pytest.mark.parametrize("command", ["eval", "drift", "export"])
+def test_damaged_manifest_is_data_error(tmp_path, capsys, command, text, message):
+    (tmp_path / "run.json").write_text(text)
+    extra = ["--out", tmp_path / "t0.vec"] if command == "export" else []
+    assert run([command, "--run", tmp_path, *extra]) == 2
+    assert f"data error: {tmp_path / 'run.json'}: {message}" in capsys.readouterr().err
+
+
+def swap_rows(path, i, j):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[i + 1], lines[j + 1] = lines[j + 1], lines[i + 1]
+    path.write_text("".join(lines))
+
+
+def cut_rows(path, keep):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(f"{keep} {lines[0].split()[1]}\n" + "".join(lines[1:keep + 1]))
+
+
+def narrow(path):
+    # keep the words, drop the last of the 4 columns
+    lines = path.read_text().splitlines()
+    path.write_text(f"{lines[0].split()[0]} 3\n"
+                    + "".join(" ".join(line.split()[:4]) + "\n" for line in lines[1:]))
+
+
+@pytest.mark.parametrize("command", ["eval", "drift"])
+@pytest.mark.parametrize("model, name, damage, message", [
+    ("dsg", "t1.mean.vec", lambda p: swap_rows(p, 4, 7), "row 5 holds 'w"),
+    ("isg", "t1.vec", lambda p: cut_rows(p, 27), "row 28 holds no row, but"),
+    ("dbe", "t2.vec", lambda p: swap_rows(p, 0, 1), "row 1 holds 'w"),
+    ("isg", "t2.vec", narrow, "3 columns, but"),
+])
+def test_damaged_word_checkpoint_is_data_error(trained_runs, tmp_path, capsys,
+                                               command, model, name, damage, message):
+    rundir = tmp_path / "run"
+    shutil.copytree(trained_runs[model], rundir)
+    damage(rundir / model / name)
+    assert run([command, "--run", rundir]) == 2
+    assert f"data error: {rundir / model / name}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage, message", [(lambda p: swap_rows(p, 2, 3), "row 3 holds 'w"),
+                                             (narrow, "3 columns, but")])
+@pytest.mark.parametrize("model, name, first", [("isg", "t2.ctx.vec", "t0.vec"),
+                                                ("dsg", "t0.ctx.mean.vec", "t0.mean.vec"),
+                                                ("dbe", "context.vec", "t0.vec")])
+def test_eval_checks_context_checkpoints_against_slice_0(trained_runs, tmp_path, capsys,
+                                                        model, name, first, damage, message):
+    rundir = tmp_path / "run"
+    shutil.copytree(trained_runs[model], rundir)
+    damage(rundir / model / name)
+    assert run(["eval", "--run", rundir]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {rundir / model / name}: {message}" in err
+    assert str(rundir / model / first) in err

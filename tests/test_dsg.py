@@ -7,9 +7,10 @@ from driftvec.adam import AdamState, adam_step
 from driftvec.corpus import extract_pairs
 from driftvec.errors import NumericalError
 from driftvec.dsg import (DsgParams, ElboTerms, GaussianEmbeddingMatrix,
-                          GaussianPrior, combine_priors, dsg_elbo,
-                          dsg_filter_step, expected_log_gaussian,
-                          sampled_likelihood_grads, train_dsg)
+                          GaussianPrior, _prior_entropy_grads, combine_priors,
+                          dsg_elbo, dsg_filter_step, entropy_value,
+                          expected_log_gaussian, sampled_likelihood_grads,
+                          train_dsg)
 from driftvec.inits import init_random
 from driftvec.isg import train_slice
 from driftvec.sgns import TrainConfig, sgns_gradients, sgns_log_likelihood
@@ -151,6 +152,21 @@ class TestSampledGradients:
         np.testing.assert_allclose(glvV, finite_difference(value, lvV),
                                    rtol=1e-3, atol=1e-7)
 
+
+    @pytest.mark.parametrize("mode", ["sum_var", "exact"])
+    def test_prior_entropy_grads_match_finite_differences(self, rng, mode):
+        L, d = 5, 3
+        mu = rng.normal(size=(L, d))
+        logvar = rng.normal(size=(L, d)) * 0.3
+        prior = GaussianPrior(mean=rng.normal(size=(L, d)), variance=0.7)
+
+        def value():
+            var = np.exp(logvar)
+            return expected_log_gaussian(mu, var, prior) + entropy_value([var], mode)
+
+        gmu, glv = _prior_entropy_grads(mu, logvar, prior, mode)
+        np.testing.assert_allclose(gmu, finite_difference(value, mu), rtol=1e-4)
+        np.testing.assert_allclose(glv, finite_difference(value, logvar), rtol=1e-4)
 
     @pytest.mark.parametrize("S", [1, 3])
     def test_bits_equal_dense_sampling(self, rng, S):
