@@ -24,7 +24,8 @@ from . import isg as isg_mod
 from .adam import save_adam_state
 from .corpus import load_corpus, load_vocabulary, parse_timestamp, save_corpus, save_vocabulary
 from .errors import DataError, DriftvecError, NumericalError, open_text
-from .sgns import TrainConfig, load_embedding_text, save_embedding_text
+from .sgns import TrainConfig, save_embedding_text
+from .sgns import load_embedding_text  # noqa: F401 -- bench/layers.py patches this name
 from .shrinkreg import RegConfig
 
 EXIT_OK = 0
@@ -308,21 +309,21 @@ def cmd_train(args) -> int:
         model, traces, order = isg_mod.train_incremental(
             train_corpus, vocab, init[0], init[1], cfg.train,
             direction=direction, eval_corpus=valid_corpus)
-        runs.save_isg_checkpoints(rundir, vocab.words, model)
+        manifest["checkpoints"] = runs.save_isg_checkpoints(rundir, vocab.words, model)
         manifest["trained_order"] = order
         manifest["traces"] = {str(t): tr for t, tr in traces.items()}
     elif cfg.model == "dsg":
         posteriors, traces, order = dsg_mod.train_dsg(
             train_corpus, vocab, init, cfg.dsg_params, cfg.train,
             direction=direction, reg=cfg.reg, eval_corpus=valid_corpus)
-        runs.save_dsg_checkpoints(rundir, vocab.words, posteriors)
+        manifest["checkpoints"] = runs.save_dsg_checkpoints(rundir, vocab.words, posteriors)
         manifest["trained_order"] = order
         manifest["traces"] = {str(t): tr for t, tr in traces.items()}
     else:
         model, info = dbe_mod.train_dbe(
             train_corpus, vocab, init, cfg.dbe_params, cfg.train,
             reg=cfg.reg, eval_corpus=valid_corpus)
-        runs.save_dbe_checkpoints(rundir, vocab.words, model)
+        manifest["checkpoints"] = runs.save_dbe_checkpoints(rundir, vocab.words, model)
         adam = info.pop("adam")
         for t, state in enumerate(adam["U"]):
             save_adam_state(state, rundir / "dbe" / f"adam_u{t}.txt")
@@ -338,12 +339,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     manifest = runs.read_manifest(args.run)
-    kind = manifest["model"]
     split_entry = manifest["inputs"].get(args.split)
     if not split_entry:
         raise DataError(f"run manifest records no {args.split!r} corpus")
     window = manifest["config"]["train"]["window"]
-    word_mats, ctx_mats = runs.load_slice_matrices(args.run, kind, manifest["T"])
+    word_mats, ctx_mats = runs.load_slice_matrices(args.run, manifest)
     corpus = load_corpus(split_entry["path"], word_mats[0].shape[0])
     if corpus.T != manifest["T"]:
         raise DataError(f"{split_entry['path']}: {corpus.T} slices, but the run "
@@ -358,11 +358,10 @@ def cmd_eval(args) -> int:
 
 def cmd_drift(args) -> int:
     manifest = runs.read_manifest(args.run)
-    kind = manifest["model"]
     T = manifest["T"]
     if T < 2:
         raise DataError(f"{args.run}: drift needs at least two slices, the run has {T}")
-    words, word_mats = runs.load_word_matrices(args.run, kind, T)
+    words, word_mats = runs.load_word_matrices(args.run, manifest)
     series = analysis.drift_series(word_mats, args.t0)
     outdir = Path(args.out or args.run)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -384,11 +383,8 @@ def cmd_drift(args) -> int:
 
 def cmd_export(args) -> int:
     manifest = runs.read_manifest(args.run)
-    kind = manifest["model"]
-    src = runs.checkpoint_path(args.run, kind, args.role, args.slice)
-    if not src.exists():
-        raise DataError(f"missing checkpoint {src}")
-    words, matrix = load_embedding_text(src)
+    src = runs.checkpoint_path(args.run, manifest["model"], args.role, args.slice)
+    words, matrix = runs.load_checkpoint(args.run, manifest, args.role, args.slice)
     save_embedding_text(args.out, words, matrix)
     print(f"exported {src} -> {args.out}")
     return EXIT_OK

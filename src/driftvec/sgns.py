@@ -229,11 +229,17 @@ def load_embedding_text(path):
         _raise_row_error(path, count, dim, None)
     words = rows["word"].tolist()
     matrix = np.ascontiguousarray(rows["vector"])
+    check_finite_rows(path, words, matrix)
+    return words, matrix
+
+
+def check_finite_rows(path, words, matrix) -> None:
+    """A DataError naming the first row of the file at ``path`` that holds
+    a non-finite value."""
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
         raise DataError(f"{path}:{i + 2}: non-finite value in the row of {words[i]!r}")
-    return words, matrix
 
 
 def _raise_row_error(path, count, dim, reason):

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from driftvec import runs
 from driftvec.cli import TRAIN_SETTINGS, main, parse_boundaries
-from driftvec.runs import read_manifest
-from driftvec.sgns import load_embedding_text
+from driftvec.runs import content_hash, read_manifest
+from driftvec.sgns import load_embedding_text, save_embedding_text
 
 
 def run(argv):
@@ -675,3 +676,147 @@ def test_eval_checks_context_checkpoints_against_slice_0(trained_runs, tmp_path,
     err = capsys.readouterr().err
     assert f"data error: {rundir / model / name}: {message}" in err
     assert str(rundir / model / first) in err
+
+
+# ---------------------------------------------------------------------------
+# Binary checkpoint twins
+# ---------------------------------------------------------------------------
+
+def run_outputs(rundir, model, dest):
+    """Every file eval, drift and export write for the run at ``rundir``."""
+    dest.mkdir()
+    assert run(["eval", "--run", rundir, "--split", "valid", "--out", dest / "eval.txt"]) == 0
+    assert run(["drift", "--run", rundir, "--out", dest]) == 0
+    for role in ("word", "context") + (("var",) if model == "dsg" else ()):
+        assert run(["export", "--run", rundir, "--slice", "1", "--role", role,
+                    "--out", dest / f"{role}.vec"]) == 0
+    return {p.name: p.read_bytes() for p in sorted(dest.iterdir())}
+
+
+def edit_manifest(rundir, edit):
+    manifest = json.loads((rundir / "run.json").read_text())
+    edit(manifest)
+    (rundir / "run.json").write_text(json.dumps(manifest))
+
+
+def no_text_parse(path):
+    raise AssertionError(f"{path} was parsed as text")
+
+
+@pytest.mark.parametrize("model", ["isg", "dsg", "dbe"])
+def test_checkpoint_twins_are_pinned(trained_runs, model):
+    rundir = trained_runs[model]
+    pins = read_manifest(rundir)["checkpoints"]
+    vecs = sorted(p for p in (rundir / model).iterdir() if p.suffix == ".vec")
+    assert sorted(pins) == [f"{model}/{p.name}" for p in vecs]
+    for vec in vecs:
+        words, matrix = load_embedding_text(vec)
+        twin = np.load(vec.with_suffix(".npy"), allow_pickle=False)
+        assert twin.dtype == np.float64 and np.array_equal(twin, matrix)
+        assert pins[f"{model}/{vec.name}"] == {"sha256": content_hash(vec),
+                                               "npy_sha256": content_hash(vec.with_suffix(".npy"))}
+
+
+@pytest.mark.parametrize("model", ["isg", "dsg", "dbe"])
+def test_outputs_do_not_depend_on_twins(trained_runs, tmp_path, monkeypatch, model):
+    with monkeypatch.context() as patch:
+        # intact pinned twins: no checkpoint is parsed as text
+        patch.setattr(runs, "load_embedding_text", no_text_parse)
+        expected = run_outputs(trained_runs[model], model, tmp_path / "twins")
+    no_twins = tmp_path / "no_twins"
+    shutil.copytree(trained_runs[model], no_twins)
+    for twin in (no_twins / model).glob("*.npy"):
+        twin.unlink()
+    no_pins = tmp_path / "no_pins"
+    shutil.copytree(trained_runs[model], no_pins)
+    edit_manifest(no_pins, lambda m: m.pop("checkpoints"))
+    assert run_outputs(no_twins, model, tmp_path / "out_no_twins") == expected
+    assert run_outputs(no_pins, model, tmp_path / "out_no_pins") == expected
+
+
+def flip_last_byte(twin, pins):
+    data = bytearray(twin.read_bytes())
+    data[-1] ^= 1
+    twin.write_bytes(bytes(data))
+
+
+def truncate(twin, pins):
+    twin.write_bytes(twin.read_bytes()[:-8])
+
+
+def drop_last_row(twin, pins):
+    # a twin of another shape whose pin matches it
+    np.save(twin, np.load(twin)[:-1])
+    pins[f"{twin.parent.name}/{twin.stem}.vec"]["npy_sha256"] = content_hash(twin)
+
+
+@pytest.mark.parametrize("damage", [flip_last_byte, truncate, drop_last_row])
+@pytest.mark.parametrize("model", ["isg", "dsg", "dbe"])
+def test_damaged_twin_falls_back_to_text(trained_runs, tmp_path, model, damage):
+    expected = run_outputs(trained_runs[model], model, tmp_path / "intact")
+    rundir = tmp_path / "run"
+    shutil.copytree(trained_runs[model], rundir)
+    pins = read_manifest(rundir)["checkpoints"]
+    for twin in (rundir / model).glob("*.npy"):
+        damage(twin, pins)
+    edit_manifest(rundir, lambda m: m.update(checkpoints=pins))
+    assert run_outputs(rundir, model, tmp_path / "damaged") == expected
+
+
+@pytest.mark.parametrize("model", ["isg", "dsg", "dbe"])
+def test_vec_rewritten_after_training_is_what_eval_reads(trained_runs, tmp_path, model):
+    # the .vec is hashed first, so a stale twin is never read
+    expected = run_outputs(trained_runs[model], model, tmp_path / "original")
+    edited, reference = tmp_path / "edited", tmp_path / "reference"
+    shutil.copytree(trained_runs[model], edited)
+    for vec in (edited / model).glob("*.vec"):
+        words, matrix = load_embedding_text(vec)
+        save_embedding_text(vec, words, matrix * 1.5 + 0.25 * (matrix < 0.3))
+    shutil.copytree(edited, reference)
+    for twin in (reference / model).glob("*.npy"):
+        twin.unlink()
+    outputs = run_outputs(edited, model, tmp_path / "out_edited")
+    assert outputs == run_outputs(reference, model, tmp_path / "out_reference")
+    for name in ("eval.txt", "drift.csv", "word.vec"):
+        assert outputs[name] != expected[name], name
+
+
+@pytest.mark.parametrize("model", ["isg", "dsg", "dbe"])
+def test_twin_path_checks_finiteness(trained_runs, tmp_path, capsys, model):
+    rundir = tmp_path / "run"
+    shutil.copytree(trained_runs[model], rundir)
+    vec = runs.checkpoint_path(rundir, model, "word", 1)
+    words, matrix = load_embedding_text(vec)
+    matrix[4, 2] = np.nan
+    save_embedding_text(vec, words, matrix)
+    np.save(vec.with_suffix(".npy"), matrix)
+    edit_manifest(rundir, lambda m: m["checkpoints"][f"{model}/{vec.name}"].update(
+        sha256=content_hash(vec), npy_sha256=content_hash(vec.with_suffix(".npy"))))
+    message = f"data error: {vec}:6: non-finite value in the row of {words[4]!r}"
+    for command in ("eval", "drift"):
+        assert run([command, "--run", rundir]) == 2
+        assert message in capsys.readouterr().err
+    vec.with_suffix(".npy").unlink()
+    assert run(["eval", "--run", rundir]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_killed_retrain_leaves_no_manifest(pipeline, tmp_path, monkeypatch, capsys):
+    rundir = tmp_path / "run"
+    assert run(train_args(pipeline, rundir)) == 0
+    calls = []
+    save = runs.save_embedding_text
+
+    def dies_on_third_call(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise OSError("killed")
+        return save(*args)
+
+    monkeypatch.setattr(runs, "save_embedding_text", dies_on_third_call)
+    assert run(train_args(pipeline, rundir, extra=["--seed", "4"])) == 2
+    capsys.readouterr()
+    for command in ("eval", "drift", "export"):
+        extra = ["--out", tmp_path / "t0.vec"] if command == "export" else []
+        assert run([command, "--run", rundir, *extra]) == 2
+        assert f"no run manifest at {rundir / 'run.json'}" in capsys.readouterr().err
