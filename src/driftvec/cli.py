@@ -14,6 +14,7 @@ import warnings
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field, replace
 from datetime import datetime
+from functools import partial
 from pathlib import Path
 
 from . import analysis, inits, runs, synth as synth_mod
@@ -323,11 +324,12 @@ def cmd_train(args) -> int:
         model, info = dbe_mod.train_dbe(
             train_corpus, vocab, init, cfg.dbe_params, cfg.train,
             reg=cfg.reg, eval_corpus=valid_corpus)
-        manifest["checkpoints"] = runs.save_dbe_checkpoints(rundir, vocab.words, model)
         adam = info.pop("adam")
-        for t, state in enumerate(adam["U"]):
-            save_adam_state(state, rundir / "dbe" / f"adam_u{t}.txt")
-        save_adam_state(adam["V"], rundir / "dbe" / "adam_ctx.txt")
+        states = {**{f"adam_u{t}.txt": state for t, state in enumerate(adam["U"])},
+                  "adam_ctx.txt": adam["V"]}
+        manifest["checkpoints"] = runs.save_dbe_checkpoints(rundir, vocab.words, model, [
+            runs.TextFile(rundir / "dbe" / name, 2 * state.m.size, partial(save_adam_state, state))
+            for name, state in states.items()])
         manifest["trained_order"] = list(range(train_corpus.T))
         manifest["traces"] = {str(t): tr for t, tr in info["per_slice"].items()}
         manifest["prior_trace"] = info["prior"]
@@ -345,6 +347,9 @@ def cmd_eval(args) -> int:
     window = manifest["config"]["train"]["window"]
     word_mats, ctx_mats = runs.load_slice_matrices(args.run, manifest)
     corpus = load_corpus(split_entry["path"], word_mats[0].shape[0])
+    if split_entry.get("sha256") not in (None, runs.content_hash(split_entry["path"])):
+        raise DataError(f"{split_entry['path']}: changed since training; its sha256 is not "
+                        f"the one run.json records for the {args.split} split")
     if corpus.T != manifest["T"]:
         raise DataError(f"{split_entry['path']}: {corpus.T} slices, but the run "
                         f"has {manifest['T']}")

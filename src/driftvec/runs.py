@@ -19,12 +19,26 @@ twin, a ``.vec`` edited after training) parses the ``.vec`` text.
 
 ``train`` removes ``run.json`` before it writes the first checkpoint and
 writes it again last, so a run killed in between has no manifest.
+
+This module writes every file of a run. ``train`` hands it all of a
+run's text files (checkpoints, twins, dbe's optimizer state) once
+training has ended, and :func:`write_text_files` spreads them over the
+usable cores: lane 0 runs in the calling process, every other lane in
+a child forked after the matrices are final, so the children read the
+matrices from memory they share with the parent. No setting controls
+this; with one usable core no child starts. Each file, and
+``run.json``, is written to a ``<name>.tmp`` sibling and renamed into
+place, so a run killed midway leaves no partial file under a final name.
 """
 
 import hashlib
 import io
 import json
+import multiprocessing
+import os
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,12 +54,100 @@ def content_hash(path) -> str:
     return digest.hexdigest()
 
 
+def _replace_into(path, write) -> None:
+    """``write(tmp)`` a sibling of ``path`` named ``<name>.tmp``, then
+    rename it onto ``path``; a failed write leaves ``path`` untouched."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _dump_json(payload, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_manifest(rundir, payload: dict) -> None:
     rundir = Path(rundir)
     rundir.mkdir(parents=True, exist_ok=True)
-    with open(rundir / "run.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _replace_into(rundir / "run.json", partial(_dump_json, payload))
+
+
+class TextFile(NamedTuple):
+    """One text file of a run: ``write(tmp)`` writes its bytes to ``tmp``.
+    ``size``, its float count, orders the files across lanes; ``twin``, if
+    given, is saved beside it as ``<stem>.npy``."""
+    path: Path
+    size: int
+    write: Callable
+    twin: np.ndarray | None = None
+
+
+def _save_twin(matrix, tmp) -> None:
+    # a file object, since np.save appends .npy to a name that lacks it
+    with open(tmp, "wb") as fh:
+        np.save(fh, matrix)
+
+
+def _write_lane(files):
+    """Write ``files`` in turn; None, or a message naming the one that failed."""
+    for f in files:
+        try:
+            _replace_into(f.path, f.write)
+            if f.twin is not None:
+                _replace_into(f.path.with_suffix(".npy"), partial(_save_twin, f.twin))
+        except Exception as exc:  # a lane reports any failure as its file's
+            return f"cannot write {f.path}: {exc}"
+    return None
+
+
+def _child_lane(files, conn) -> None:
+    error = _write_lane(files)
+    if error is not None:
+        conn.send(error)
+
+
+def write_text_files(files) -> None:
+    """Write ``files`` on ``min(usable cores, len(files))`` lanes.
+
+    Largest first, each file goes to the least-loaded lane. Lane 0 runs
+    here; each other lane runs in a child forked from this process, which
+    only formats and writes what it inherited. Fork, not spawn: a spawned
+    child would need every matrix pickled to it; a forked one calls no
+    BLAS, so the parent's BLAS threads cannot stall it. Every lane is joined
+    before a failure is raised, as a DataError naming the file the lane
+    was writing, or the lane when its child died without saying.
+    """
+    lanes = [[] for _ in range(min(len(os.sched_getaffinity(0)), len(files)))]
+    loads = [0] * len(lanes)
+    for f in sorted(files, key=lambda f: -f.size):
+        k = loads.index(min(loads))
+        lanes[k].append(f)
+        loads[k] += f.size
+    fork = multiprocessing.get_context("fork")
+    children = []
+    for lane in lanes[1:]:
+        reader, writer = fork.Pipe(duplex=False)
+        child = fork.Process(target=_child_lane, args=(lane, writer))
+        child.start()
+        children.append((child, reader, writer, lane))
+    errors = [_write_lane(lanes[0])] if lanes else []
+    for k, (child, reader, writer, lane) in enumerate(children, start=1):
+        child.join()
+        with reader, writer:
+            error = reader.recv() if reader.poll() else None
+        if error is None and child.exitcode != 0:
+            error = (f"writer lane {k} of {len(lanes)} exited with code {child.exitcode} "
+                     f"while writing one of {', '.join(str(f.path) for f in lane)}")
+        errors.append(error)
+    failed = [e for e in errors if e is not None]
+    if failed:
+        raise DataError(failed[0])
 
 
 # (model kind, role) -> checkpoint file name under ``<run>/<kind>/``,
@@ -115,52 +217,44 @@ def checkpoint_path(rundir, kind: str, role: str, t: int) -> Path:
     return Path(rundir) / kind / name.format(t)
 
 
-def _begin_checkpoints(rundir, kind) -> dict:
-    """Remove the run's manifest, so a run killed from here on has none,
-    and make the model directory; returns the empty pin table."""
-    (Path(rundir) / "run.json").unlink(missing_ok=True)
-    (Path(rundir) / kind).mkdir(parents=True, exist_ok=True)
-    return {}
-
-
 def _pin_key(path: Path) -> str:
     return f"{path.parent.name}/{path.name}"
 
 
-def _save(pins, path, words, matrix) -> None:
-    """Write one checkpoint and its binary twin; pin both in ``pins``."""
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    save_embedding_text(path, words, matrix)
-    twin = path.with_suffix(".npy")
-    np.save(twin, matrix)
-    pins[_pin_key(path)] = {"sha256": content_hash(path), "npy_sha256": content_hash(twin)}
+def save_checkpoints(rundir, kind, words, matrices, extra=()) -> dict:
+    """Write a run's checkpoints, ``{(role, t): matrix}``, each with its
+    twin, and the text files in ``extra``; returns the checkpoints' pins
+    for ``run.json``. The run's manifest is removed first, so a run
+    killed from here on has none."""
+    (Path(rundir) / "run.json").unlink(missing_ok=True)
+    (Path(rundir) / kind).mkdir(parents=True, exist_ok=True)
+    files = []
+    for (role, t), matrix in matrices.items():
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        files.append(TextFile(checkpoint_path(rundir, kind, role, t), matrix.size,
+                              lambda tmp, m=matrix: save_embedding_text(tmp, words, m), matrix))
+    write_text_files(files + list(extra))
+    return {_pin_key(f.path): {"sha256": content_hash(f.path),
+                               "npy_sha256": content_hash(f.path.with_suffix(".npy"))}
+            for f in files}
 
 
 def save_isg_checkpoints(rundir, words, model) -> dict:
-    """Write the run's checkpoints; returns their pins for ``run.json``."""
-    pins = _begin_checkpoints(rundir, "isg")
-    for t in range(model.T):
-        _save(pins, checkpoint_path(rundir, "isg", "word", t), words, model.U[t])
-        _save(pins, checkpoint_path(rundir, "isg", "context", t), words, model.V[t])
-    return pins
+    return save_checkpoints(rundir, "isg", words, {
+        (role, t): mats[t] for t in range(model.T)
+        for role, mats in (("word", model.U), ("context", model.V))})
 
 
 def save_dsg_checkpoints(rundir, words, posteriors) -> dict:
-    pins = _begin_checkpoints(rundir, "dsg")
-    for t, (qU, qV) in enumerate(posteriors):
-        _save(pins, checkpoint_path(rundir, "dsg", "mean", t), words, qU.mean)
-        _save(pins, checkpoint_path(rundir, "dsg", "var", t), words, qU.variance)
-        _save(pins, checkpoint_path(rundir, "dsg", "context", t), words, qV.mean)
-        _save(pins, checkpoint_path(rundir, "dsg", "context_var", t), words, qV.variance)
-    return pins
+    return save_checkpoints(rundir, "dsg", words, {
+        (role, t): matrix for t, (qU, qV) in enumerate(posteriors)
+        for role, matrix in (("mean", qU.mean), ("var", qU.variance),
+                             ("context", qV.mean), ("context_var", qV.variance))})
 
 
-def save_dbe_checkpoints(rundir, words, model) -> dict:
-    pins = _begin_checkpoints(rundir, "dbe")
-    for t in range(model.T):
-        _save(pins, checkpoint_path(rundir, "dbe", "word", t), words, model.U[t])
-    _save(pins, checkpoint_path(rundir, "dbe", "context", 0), words, model.V)
-    return pins
+def save_dbe_checkpoints(rundir, words, model, extra=()) -> dict:
+    return save_checkpoints(rundir, "dbe", words, {
+        **{("word", t): model.U[t] for t in range(model.T)}, ("context", 0): model.V}, extra)
 
 
 def _pinned_twin(path: Path, pins):

@@ -1,7 +1,12 @@
 import configparser
 import json
+import multiprocessing
+import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -820,3 +825,152 @@ def test_killed_retrain_leaves_no_manifest(pipeline, tmp_path, monkeypatch, caps
         extra = ["--out", tmp_path / "t0.vec"] if command == "export" else []
         assert run([command, "--run", rundir, *extra]) == 2
         assert f"no run manifest at {rundir / 'run.json'}" in capsys.readouterr().err
+
+
+def run_files(rundir):
+    return {str(p.relative_to(rundir)): p.read_bytes()
+            for p in sorted(Path(rundir).rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("model", ["isg", "dsg", "dbe"])
+def test_lane_count_does_not_change_outputs(pipeline, tmp_path, monkeypatch, model):
+    fork_start = multiprocessing.context.ForkProcess.start
+    started = []
+
+    def counted_start(process):
+        started.append(process)
+        fork_start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counted_start)
+    rundir = tmp_path / "run"
+    outputs = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        started.clear()
+        shutil.rmtree(rundir, ignore_errors=True)
+        assert run(train_args(pipeline, rundir, model=model)) == 0
+        assert len(started) == cores - 1
+        assert all(p.exitcode == 0 for p in started)
+        outputs[cores] = run_files(rundir)
+    assert "run.json" in outputs[1] and not any(name.endswith(".tmp") for name in outputs[1])
+    assert outputs[2] == outputs[1]
+
+
+def test_writer_starts_a_child_per_lane_beyond_the_first(tmp_path, monkeypatch):
+    fork_start = multiprocessing.context.ForkProcess.start
+    started = []
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                        lambda process: (started.append(process), fork_start(process)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    for count in (1, 2, 3, 6):
+        started.clear()
+        files = [runs.TextFile(tmp_path / f"{count}.{i}.txt", i,
+                               lambda tmp, i=i: Path(tmp).write_text(f"file {i}\n"))
+                 for i in range(count)]
+        runs.write_text_files(files)
+        assert len(started) == min(4, count) - 1
+        assert [f.path.read_text() for f in files] == [f"file {i}\n" for i in range(count)]
+    assert sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".tmp") == []
+
+
+def train_in_child_python(pipeline, rundir, prelude, model="isg"):
+    """``train`` in a fresh interpreter after ``prelude``; its real stderr."""
+    src = Path(runs.__file__).resolve().parents[1]
+    code = f"{prelude}\nimport sys\nfrom driftvec.cli import main\nsys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, train_args(pipeline, rundir, model=model))],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+
+
+TWO_CORES = "import os\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+
+
+@pytest.mark.parametrize("lane", [0, 1])
+def test_lane_that_cannot_write_exits_2(pipeline, tmp_path, lane):
+    # two lanes of equal files alternate: t0.vec is lane 0's, t0.ctx.vec lane 1's
+    rundir = tmp_path / "run"
+    blocked = rundir / "isg" / ("t0.vec", "t0.ctx.vec")[lane]
+    blocked.mkdir(parents=True)
+    result = train_in_child_python(pipeline, rundir, TWO_CORES)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"data error: cannot write {blocked}: ")
+    assert "Traceback" not in result.stderr
+    assert not (rundir / "run.json").exists()
+
+
+def test_lane_whose_child_dies_exits_2(pipeline, tmp_path):
+    rundir = tmp_path / "run"
+    prelude = TWO_CORES + (
+        "from driftvec import runs\n"
+        "parent, save = os.getpid(), runs.save_embedding_text\n"
+        "def save_or_die(*args):\n"
+        "    if os.getpid() != parent:\n"
+        "        os._exit(9)\n"
+        "    return save(*args)\n"
+        "runs.save_embedding_text = save_or_die\n")
+    result = train_in_child_python(pipeline, rundir, prelude, model="dbe")
+    assert result.returncode == 2
+    assert result.stderr.startswith("data error: writer lane 1 of 2 exited with code 9 "
+                                    "while writing one of ")
+    assert str(rundir / "dbe" / "adam_u1.txt") in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (rundir / "run.json").exists()
+
+
+KILL_MIDWAY = (
+    "import os, signal\n"
+    "calls = []\n"
+    "def write_half_then_die(path, text):\n"
+    "    calls.append(path)\n"
+    "    if len(calls) == {nth}:\n"
+    "        with open(path, 'w') as fh:\n"
+    "            fh.write(text[:len(text) // 2])\n"
+    "        os.kill(os.getpid(), signal.SIGKILL)\n")
+
+
+@pytest.mark.parametrize("target", ["checkpoint", "manifest"])
+def test_write_killed_midway_leaves_no_partial_file(pipeline, tmp_path, target):
+    rundir = tmp_path / "run"
+    prelude = "import os\nos.sched_getaffinity = lambda pid: {0}\n"
+    if target == "checkpoint":
+        # the third checkpoint dies half written
+        prelude += KILL_MIDWAY.format(nth=3) + (
+            "from driftvec import runs\n"
+            "save = runs.save_embedding_text\n"
+            "def save_or_die(path, words, matrix):\n"
+            "    save(path, words, matrix)\n"
+            "    with open(path) as fh:\n"
+            "        write_half_then_die(path, fh.read())\n"
+            "runs.save_embedding_text = save_or_die\n")
+    else:
+        prelude += KILL_MIDWAY.format(nth=1) + (
+            "import json\n"
+            "json.dump = lambda payload, fh, **kw: write_half_then_die(\n"
+            "    fh.name, json.dumps(payload, **kw))\n")
+    result = train_in_child_python(pipeline, rundir, prelude)
+    assert result.returncode == -signal.SIGKILL
+    partial = [p for p in rundir.rglob("*.tmp")]
+    assert len(partial) == 1 and partial[0].stat().st_size > 0
+    assert not partial[0].with_suffix("").exists()
+    assert not (rundir / "run.json").exists()
+    for vec in (rundir / "isg").glob("*.vec"):
+        words, matrix = load_embedding_text(vec)
+        assert np.array_equal(np.load(vec.with_suffix(".npy")), matrix)
+
+
+def test_eval_rejects_a_split_changed_after_training(pipeline, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline, data, ignore=shutil.ignore_patterns("corpus"))
+    rundir = tmp_path / "run"
+    assert run(train_args(data, rundir)) == 0
+    assert run(["eval", "--run", rundir, "--split", "valid"]) == 0
+    valid = data / "data.valid.json"
+    assert run(["subsample", "--corpus", valid, "--fraction", "0.5", "--seed", "0",
+                "--out", valid]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--run", rundir, "--split", "valid"]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {valid}: changed since training; its sha256 is not the one "
+        "run.json records for the valid split\n")
+    assert run(["eval", "--run", rundir, "--split", "test"]) == 0
