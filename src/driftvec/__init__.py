@@ -16,12 +16,12 @@ from .analysis import (DriftSeries, compute_drift, directedness, drift_histogram
 from .corpus import (SkipGramBatch, TimeSlicedCorpus, Vocabulary, build_vocabulary,
                      extract_pairs, sample_negatives, slice_corpus, split_holdout,
                      subsample_corpus)
-from .dbe import DbeModel, DbeParams, dbe_loss, dbe_prior, train_dbe
+from .dbe import DbeParams, dbe_loss, dbe_prior, train_dbe
 from .dsg import (DsgParams, GaussianEmbeddingMatrix, combine_priors, dsg_elbo,
                   dsg_filter_step, train_dsg)
 from .inits import InitScheme, apply_scheme, init_internal, init_random, load_pretrained
-from .isg import IsgModel, train_incremental, train_slice
-from .sgns import TrainConfig, mean_lpos, sgns_gradients, sgns_log_likelihood, sigmoid
+from .isg import train_incremental, train_slice
+from .sgns import TrainConfig, TrainResult, mean_lpos, sgns_gradients, sgns_log_likelihood, sigmoid
 from .shrinkreg import RegConfig, drift_regularizer, hardshrink
 from .synth import PlantedChange, SynthSpec, TopicProfile, generate
 

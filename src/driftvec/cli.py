@@ -307,32 +307,23 @@ def cmd_train(args) -> int:
     }
 
     if cfg.model == "isg":
-        model, traces, order = isg_mod.train_incremental(
-            train_corpus, vocab, init[0], init[1], cfg.train,
-            direction=direction, eval_corpus=valid_corpus)
-        manifest["checkpoints"] = runs.save_isg_checkpoints(rundir, vocab.words, model)
-        manifest["trained_order"] = order
-        manifest["traces"] = {str(t): tr for t, tr in traces.items()}
+        result = isg_mod.train_incremental(train_corpus, vocab, init, cfg.train,
+                                           direction=direction, eval_corpus=valid_corpus)
     elif cfg.model == "dsg":
-        posteriors, traces, order = dsg_mod.train_dsg(
-            train_corpus, vocab, init, cfg.dsg_params, cfg.train,
-            direction=direction, reg=cfg.reg, eval_corpus=valid_corpus)
-        manifest["checkpoints"] = runs.save_dsg_checkpoints(rundir, vocab.words, posteriors)
-        manifest["trained_order"] = order
-        manifest["traces"] = {str(t): tr for t, tr in traces.items()}
+        result = dsg_mod.train_dsg(train_corpus, vocab, init, cfg.dsg_params, cfg.train,
+                                   direction=direction, reg=cfg.reg, eval_corpus=valid_corpus)
     else:
-        model, info = dbe_mod.train_dbe(
-            train_corpus, vocab, init, cfg.dbe_params, cfg.train,
-            reg=cfg.reg, eval_corpus=valid_corpus)
-        adam = info.pop("adam")
-        states = {**{f"adam_u{t}.txt": state for t, state in enumerate(adam["U"])},
-                  "adam_ctx.txt": adam["V"]}
-        manifest["checkpoints"] = runs.save_dbe_checkpoints(rundir, vocab.words, model, [
-            runs.TextFile(rundir / "dbe" / name, 2 * state.m.size, partial(save_adam_state, state))
-            for name, state in states.items()])
-        manifest["trained_order"] = list(range(train_corpus.T))
-        manifest["traces"] = {str(t): tr for t, tr in info["per_slice"].items()}
-        manifest["prior_trace"] = info["prior"]
+        result = dbe_mod.train_dbe(train_corpus, vocab, init, cfg.dbe_params, cfg.train,
+                                   reg=cfg.reg, eval_corpus=valid_corpus)
+    adam_files = [runs.TextFile(rundir / cfg.model / f"adam_{name}.txt", 2 * state.m.size,
+                                partial(save_adam_state, state))
+                  for name, state in result.adam.items()]
+    manifest["checkpoints"] = runs.save_checkpoints(rundir, cfg.model, vocab.words,
+                                                    result.matrices, adam_files)
+    manifest["trained_order"] = result.order
+    manifest["traces"] = {str(t): tr for t, tr in result.traces.items()}
+    if result.prior_trace is not None:
+        manifest["prior_trace"] = result.prior_trace
 
     runs.write_manifest(rundir, manifest)
     print(f"trained {cfg.model} ({direction}) over {train_corpus.T} slices -> {rundir}")

@@ -19,7 +19,7 @@ from .adam import AdamState, adam_step, adam_step_rows
 from .errors import NumericalError
 from .isg import epoch_batches
 from .isg import epoch_positives  # noqa: F401 -- bench/layers.py patches this name
-from .sgns import TrainConfig, batch_grad_rows, mean_lpos, sgns_log_likelihood
+from .sgns import TrainConfig, TrainResult, batch_grad_rows, mean_lpos, sgns_log_likelihood
 from . import shrinkreg
 
 
@@ -29,18 +29,9 @@ class DbeParams:
     base_precision: float = 0.01    # zero-mean pull on V and U_0
 
     def __post_init__(self):
-        if self.drift_precision <= 0 or self.base_precision <= 0:
-            raise ValueError("precisions must be > 0")
-
-
-@dataclass
-class DbeModel:
-    U: list                  # per calendar slice, (L, d) word matrix
-    V: np.ndarray            # shared (L, d) context matrix
-
-    @property
-    def T(self):
-        return len(self.U)
+        if not all(math.isfinite(p) and p > 0 for p in (self.drift_precision,
+                                                          self.base_precision)):
+            raise ValueError("precisions must be > 0 and finite")
 
 
 def dbe_prior(U_all, V: np.ndarray, params: DbeParams) -> float:
@@ -143,8 +134,9 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
     snapshot, and each slice after the first records its own per epoch
     in its trace's ``reg_beta``.
 
-    Returns ``(DbeModel, info)``: ``info`` holds the per-slice traces,
-    the per-epoch prior trace and the final Adam states.
+    Returns a :class:`TrainResult` with every slice's ``word`` matrix,
+    the shared ``context`` matrix, the log prior after each epoch and
+    the final Adam states, ``u<t>`` per word matrix and ``ctx``.
     """
     U0, V0 = init
     T = corpus.T
@@ -216,7 +208,6 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
                     mean_lpos(eval_pairs[t], U_all[t], V))
         prior_trace.append(dbe_prior(U_all, V, params))
 
-    model = DbeModel(U=U_all, V=V)
-    info = {"per_slice": traces, "prior": prior_trace,
-            "adam": {"U": statesU, "V": stateV}}
-    return model, info
+    adam = {**{f"u{t}": state for t, state in enumerate(statesU)}, "ctx": stateV}
+    return TrainResult({"word": U_all, "context": [V]}, traces, list(range(T)),
+                       prior_trace, adam)

@@ -25,7 +25,8 @@ from .adam import AdamState, adam_step
 from .errors import NumericalError
 from .isg import FORWARD, epoch_batches, training_order
 from .isg import epoch_positives  # noqa: F401 -- bench/layers.py patches this name
-from .sgns import TrainConfig, batch_grad_rows, mean_lpos, sgns_log_likelihood, touched_rows
+from .sgns import (TrainConfig, TrainResult, batch_grad_rows, mean_lpos, sgns_log_likelihood,
+                   touched_rows)
 from . import shrinkreg
 
 ENTROPY_SUM_VAR = "sum_var"
@@ -56,8 +57,8 @@ class DsgParams:
     entropy_mode: str = ENTROPY_SUM_VAR
 
     def __post_init__(self):
-        if self.diffusion_var <= 0 or self.anchor_var <= 0:
-            raise ValueError("diffusion_var and anchor_var must be > 0")
+        if not all(math.isfinite(v) and v > 0 for v in (self.diffusion_var, self.anchor_var)):
+            raise ValueError("diffusion_var and anchor_var must be > 0 and finite")
         if self.samples_per_step < 1:
             raise ValueError("samples_per_step must be >= 1")
         if self.entropy_mode not in (ENTROPY_SUM_VAR, ENTROPY_EXACT):
@@ -293,11 +294,12 @@ def train_dsg(corpus, vocab, init, params: DsgParams, config: TrainConfig,
     drift penalty, when enabled, measures drift against the first
     trained slice's posterior mean.
 
-    Returns ``(posteriors, traces, trained_order)``.
+    Returns a :class:`TrainResult`: posterior means under ``word`` and
+    ``context``, posterior variances under ``var`` and ``context_var``.
     """
     T = corpus.T
     order = training_order(T, direction)
-    posteriors = [None] * T
+    matrices = {role: [None] * T for role in ("word", "var", "context", "context_var")}
     traces = {}
     prev = init
     ref_mean = None
@@ -308,9 +310,10 @@ def train_dsg(corpus, vocab, init, params: DsgParams, config: TrainConfig,
         qU, qV, trace = dsg_filter_step(
             corpus.slices[t], vocab, prev, params, config, slice_index=t,
             reg=reg, ref_mean=ref_mean, eval_pairs=eval_pairs)
-        posteriors[t] = (qU, qV)
+        for role, matrix in zip(matrices, (qU.mean, qU.variance, qV.mean, qV.variance)):
+            matrices[role][t] = matrix
         traces[t] = trace
         prev = (qU.mean, qV.mean)
         if pos == 0:
             ref_mean = qU.mean
-    return posteriors, traces, order
+    return TrainResult(matrices, traces, order)

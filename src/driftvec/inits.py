@@ -95,8 +95,8 @@ def init_internal(corpus: TimeSlicedCorpus, vocab: Vocabulary,
         return qU.mean, qV.mean
     if model_kind == "dbe":
         params = model_params or dbe_mod.DbeParams()
-        model, _ = dbe_mod.train_dbe(pooled, vocab, start, params, config)
-        return model.U[0], model.V
+        matrices = dbe_mod.train_dbe(pooled, vocab, start, params, config).matrices
+        return matrices["word"][0], matrices["context"][0]
     raise ValueError(f"unknown model kind {model_kind!r}")
 
 

@@ -9,27 +9,16 @@ them entirely).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import corpus as corpus_mod
 from .adam import AdamState, adam_step_rows
 from .errors import NumericalError
-from .sgns import TrainConfig, batch_grad_rows, mean_lpos
+from .sgns import TrainConfig, TrainResult, batch_grad_rows, mean_lpos
 
 FORWARD = "forward"
 BACKWARD = "backward"
-
-
-@dataclass
-class IsgModel:
-    U: list          # per calendar slice, (L, d) word matrix
-    V: list          # per calendar slice, (L, d) context matrix
-
-    @property
-    def T(self):
-        return len(self.U)
 
 
 def epoch_positives(slice_docs, window: int, seed_key) -> tuple:
@@ -115,22 +104,22 @@ def train_slice(slice_docs, vocab, initU: np.ndarray, initV: np.ndarray,
     return U, V, trace
 
 
-def train_incremental(corpus, vocab, initU: np.ndarray, initV: np.ndarray,
-                      config: TrainConfig, direction: str = FORWARD,
-                      eval_corpus=None):
+def train_incremental(corpus, vocab, init, config: TrainConfig,
+                      direction: str = FORWARD, eval_corpus=None) -> TrainResult:
     """Chain :func:`train_slice` across all slices.
 
+    ``init`` is the ``(U, V)`` pair the first trained slice starts from.
     ``forward`` trains slice 0 from the initializer and each later slice
     from its predecessor; ``backward`` starts at the last slice and
-    updates towards older ones. Outputs are always indexed by calendar
-    slice. Returns ``(IsgModel, traces, trained_order)``.
+    updates towards older ones. Returns a :class:`TrainResult` with the
+    ``word`` and ``context`` matrices of every calendar slice.
     """
     T = corpus.T
     order = training_order(T, direction)
     U_out = [None] * T
     V_out = [None] * T
     traces = {}
-    curU, curV = initU, initV
+    curU, curV = init
     for t in order:
         eval_pairs = None
         if eval_corpus is not None:
@@ -141,4 +130,4 @@ def train_incremental(corpus, vocab, initU: np.ndarray, initV: np.ndarray,
         U_out[t] = curU
         V_out[t] = curV
         traces[t] = trace
-    return IsgModel(U=U_out, V=V_out), traces, order
+    return TrainResult({"word": U_out, "context": V_out}, traces, order)

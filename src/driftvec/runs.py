@@ -20,15 +20,17 @@ twin, a ``.vec`` edited after training) parses the ``.vec`` text.
 ``train`` removes ``run.json`` before it writes the first checkpoint and
 writes it again last, so a run killed in between has no manifest.
 
-This module writes every file of a run. ``train`` hands it all of a
-run's text files (checkpoints, twins, dbe's optimizer state) once
-training has ended, and :func:`write_text_files` spreads them over the
-usable cores: lane 0 runs in the calling process, every other lane in
-a child forked after the matrices are final, so the children read the
-matrices from memory they share with the parent. No setting controls
-this; with one usable core no child starts. Each file, and
-``run.json``, is written to a ``<name>.tmp`` sibling and renamed into
-place, so a run killed midway leaves no partial file under a final name.
+This module writes every file of a run. Once training has ended,
+``train`` hands :func:`save_checkpoints`, the one checkpoint writer, the
+``matrices`` of a :class:`~driftvec.sgns.TrainResult` and dbe's
+optimizer-state files, and :func:`write_text_files` spreads these text
+files and the twins over the usable cores: lane 0 runs in the calling
+process, every other lane in a child forked after the matrices are
+final, so the children read the matrices from memory they share with
+the parent. No setting controls this; with one usable core no child
+starts. Each file, and ``run.json``, is written to a ``<name>.tmp``
+sibling and renamed into place, so a run killed midway leaves no
+partial file under a final name.
 """
 
 import hashlib
@@ -151,7 +153,8 @@ def write_text_files(files) -> None:
 
 
 # (model kind, role) -> checkpoint file name under ``<run>/<kind>/``,
-# formatted with the slice index. ``export --role`` reads the same table.
+# formatted with the slice index. ``export --role`` reads the same table;
+# dsg's ``mean`` is its alias of ``word``, which no trainer returns.
 CHECKPOINT_FILES = {
     ("isg", "word"): "t{}.vec",
     ("isg", "context"): "t{}.ctx.vec",
@@ -222,39 +225,27 @@ def _pin_key(path: Path) -> str:
 
 
 def save_checkpoints(rundir, kind, words, matrices, extra=()) -> dict:
-    """Write a run's checkpoints, ``{(role, t): matrix}``, each with its
-    twin, and the text files in ``extra``; returns the checkpoints' pins
-    for ``run.json``. The run's manifest is removed first, so a run
-    killed from here on has none."""
+    """Write a run's checkpoints, ``{role: [matrix per slice]}`` as in
+    :class:`~driftvec.sgns.TrainResult`, each with its twin, and the text
+    files in ``extra``; returns the checkpoints' pins for ``run.json``.
+    The run's manifest is removed first, so a run killed from here on
+    has none."""
     (Path(rundir) / "run.json").unlink(missing_ok=True)
     (Path(rundir) / kind).mkdir(parents=True, exist_ok=True)
     files = []
-    for (role, t), matrix in matrices.items():
-        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        files.append(TextFile(checkpoint_path(rundir, kind, role, t), matrix.size,
-                              lambda tmp, m=matrix: save_embedding_text(tmp, words, m), matrix))
+    for role, mats in matrices.items():
+        for t, matrix in enumerate(mats):
+            m = np.ascontiguousarray(matrix, dtype=np.float64)
+            files.append(TextFile(checkpoint_path(rundir, kind, role, t), m.size,
+                                  lambda tmp, m=m: save_embedding_text(tmp, words, m), m))
     write_text_files(files + list(extra))
     return {_pin_key(f.path): {"sha256": content_hash(f.path),
                                "npy_sha256": content_hash(f.path.with_suffix(".npy"))}
             for f in files}
 
 
-def save_isg_checkpoints(rundir, words, model) -> dict:
-    return save_checkpoints(rundir, "isg", words, {
-        (role, t): mats[t] for t in range(model.T)
-        for role, mats in (("word", model.U), ("context", model.V))})
-
-
-def save_dsg_checkpoints(rundir, words, posteriors) -> dict:
-    return save_checkpoints(rundir, "dsg", words, {
-        (role, t): matrix for t, (qU, qV) in enumerate(posteriors)
-        for role, matrix in (("mean", qU.mean), ("var", qU.variance),
-                             ("context", qV.mean), ("context_var", qV.variance))})
-
-
-def save_dbe_checkpoints(rundir, words, model, extra=()) -> dict:
-    return save_checkpoints(rundir, "dbe", words, {
-        **{("word", t): model.U[t] for t in range(model.T)}, ("context", 0): model.V}, extra)
+# unused by the package; bench/layers.py still patches these names
+save_isg_checkpoints = save_dsg_checkpoints = save_dbe_checkpoints = save_checkpoints
 
 
 def _pinned_twin(path: Path, pins):

@@ -6,8 +6,9 @@ samples, the data term of the Bayesian filtered model.
 """
 
 import itertools
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,14 +30,30 @@ class TrainConfig:
             raise ValueError("dim must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0 and finite")
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.negative_ratio < 1:
             raise ValueError("negative_ratio must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+
+
+@dataclass
+class TrainResult:
+    """What every trainer returns. ``matrices`` maps each checkpoint role
+    to its (L, d) matrices in calendar-slice order: ``word`` and
+    ``context`` (posterior means for dsg, one shared matrix for dbe), and
+    dsg's posterior ``var`` and ``context_var``. ``traces`` maps each
+    calendar slice to its trace; ``order`` is the training order. Only
+    dbe fills ``prior_trace``, its log prior after each epoch, and
+    ``adam``, its final optimizer states by name."""
+    matrices: dict
+    traces: dict
+    order: list
+    prior_trace: list | None = None
+    adam: dict = field(default_factory=dict)
 
 
 def sigmoid(x):

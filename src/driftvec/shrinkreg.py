@@ -7,6 +7,7 @@ trainers. Its threshold can be a fixed value or the sentinel
 the current per-word drifts and frozen within the epoch.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,13 +19,13 @@ class RegConfig:
     beta: float | str = "mean"    # threshold value, or "mean" to recompute per epoch
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not math.isfinite(self.alpha) or self.alpha < 0:
+            raise ValueError("alpha must be >= 0 and finite")
         if isinstance(self.beta, str):
             if self.beta != "mean":
                 raise ValueError("beta must be a number or the sentinel 'mean'")
-        elif self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        elif not math.isfinite(self.beta) or self.beta < 0:
+            raise ValueError("beta must be >= 0 and finite")
 
 
 def hardshrink(x, beta: float):

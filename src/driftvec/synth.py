@@ -67,6 +67,8 @@ class SynthSpec:
             raise ValueError("vocab_size too small")
         if self.T < 1:
             raise ValueError("T must be >= 1")
+        if self.doc_length < 1:
+            raise ValueError("doc_length must be >= 1")
         if self.tokens_per_slice < self.doc_length:
             raise ValueError("tokens_per_slice must cover at least one document")
         if len(self.topics) < 1:

@@ -25,8 +25,7 @@ from driftvec.dbe import DbeParams, dbe_prior, train_dbe
 from driftvec.dsg import DsgParams, combine_priors, train_dsg
 from driftvec.inits import init_internal, init_random
 from driftvec.isg import train_incremental
-from driftvec.runs import (save_dbe_checkpoints, save_dsg_checkpoints,
-                           save_isg_checkpoints)
+from driftvec.runs import save_checkpoints
 from driftvec.sgns import TrainConfig, sgns_gradients, sgns_log_likelihood
 from driftvec.shrinkreg import (RegConfig, drift_regularizer,
                                 drift_regularizer_grad, hardshrink, word_drifts)
@@ -85,14 +84,12 @@ def abrupt_scarce():
 
 def dsg_word_means(corpus, vocab, cfg, params=DSG_TUNED, reg=None):
     init = init_random(vocab.size, cfg.dim, cfg.seed, "dsg")
-    posteriors, _, _ = train_dsg(corpus, vocab, init, params, cfg, reg=reg)
-    return [q[0].mean for q in posteriors]
+    return train_dsg(corpus, vocab, init, params, cfg, reg=reg).matrices["word"]
 
 
 def dbe_word_mats(corpus, vocab, cfg, params, reg=None):
     init = init_random(vocab.size, cfg.dim, cfg.seed, "dbe")
-    model, _ = train_dbe(corpus, vocab, init, params, cfg, reg=reg)
-    return list(model.U)
+    return train_dbe(corpus, vocab, init, params, cfg, reg=reg).matrices["word"]
 
 
 DSG_SCARCE_CFG = TrainConfig(dim=4, window=4, negative_ratio=1,
@@ -283,9 +280,9 @@ def test_criterion_3_directedness(gradual_full):
             cfg = TrainConfig(dim=4, window=4, negative_ratio=1, learning_rate=0.1,
                               epochs=20, batch_size=4096, seed=seed)
             iU, iV = init_random(small.vocab.size, cfg.dim, seed, "isg")
-            model, _, _ = train_incremental(small.corpus, small.vocab, iU, iV, cfg)
+            model = train_incremental(small.corpus, small.vocab, (iU, iV), cfg)
             tau_isg = directedness(
-                drift_series(list(model.U), 0), word_ids=[ws])
+                drift_series(model.matrices["word"], 0), word_ids=[ws])
             means = dsg_word_means(small.corpus, small.vocab, cfg)
             tau_dsg = directedness(drift_series(means, 0), word_ids=[ws])
             gaps.append((tau_isg, tau_dsg))
@@ -325,13 +322,13 @@ def test_criterion_4_discrimination(abrupt_scarce, abrupt_dsg_means,
 
 def _final_matrices(kind, corpus, vocab, cfg, init):
     if kind == "isg":
-        model, _, _ = train_incremental(corpus, vocab, init[0], init[1], cfg)
-        return list(model.U), list(model.V)
+        mats = train_incremental(corpus, vocab, init, cfg).matrices
+        return mats["word"], mats["context"]
     if kind == "dsg":
-        posteriors, _, _ = train_dsg(corpus, vocab, init, DSG_TUNED, cfg)
-        return ([q[0].mean for q in posteriors], [q[1].mean for q in posteriors])
-    model, _ = train_dbe(corpus, vocab, init, DbeParams(), cfg)
-    return list(model.U), [model.V] * model.T
+        mats = train_dsg(corpus, vocab, init, DSG_TUNED, cfg).matrices
+        return mats["word"], mats["context"]
+    mats = train_dbe(corpus, vocab, init, DbeParams(), cfg).matrices
+    return mats["word"], mats["context"] * corpus.T
 
 
 def test_criterion_5_initialization_benefit():
@@ -428,16 +425,14 @@ def test_criterion_7_determinism_and_conservation(tmp_path):
                 outdir = tmp_path / f"{kind}{attempt}"
                 if kind == "isg":
                     iU, iV = init_random(vocab.size, cfg.dim, cfg.seed, kind)
-                    model, _, _ = train_incremental(corpus, vocab, iU, iV, cfg)
-                    save_isg_checkpoints(outdir, vocab.words, model)
+                    result = train_incremental(corpus, vocab, (iU, iV), cfg)
                 elif kind == "dsg":
                     init = init_random(vocab.size, cfg.dim, cfg.seed, kind)
-                    posteriors, _, _ = train_dsg(corpus, vocab, init, DsgParams(), cfg)
-                    save_dsg_checkpoints(outdir, vocab.words, posteriors)
+                    result = train_dsg(corpus, vocab, init, DsgParams(), cfg)
                 else:
                     init = init_random(vocab.size, cfg.dim, cfg.seed, kind)
-                    model, _ = train_dbe(corpus, vocab, init, DbeParams(), cfg)
-                    save_dbe_checkpoints(outdir, vocab.words, model)
+                    result = train_dbe(corpus, vocab, init, DbeParams(), cfg)
+                save_checkpoints(outdir, kind, vocab.words, result.matrices)
                 dirs.append(outdir / kind)
             files = sorted(p.name for p in dirs[0].iterdir())
             assert files
@@ -484,7 +479,7 @@ def test_criterion_8_absent_word_invariant():
         cfg = TrainConfig(dim=6, window=2, negative_ratio=1, learning_rate=0.1,
                           epochs=5, batch_size=64, seed=2)
         iU, iV = init_random(vocab.size, cfg.dim, cfg.seed, "isg")
-        model, _, _ = train_incremental(corpus, vocab, iU, iV, cfg)
-        assert not np.array_equal(model.U[0][z], iU[z])  # trained in slice 0
-        np.testing.assert_array_equal(model.U[1][z], model.U[0][z])
-        np.testing.assert_array_equal(model.U[2][z], model.U[1][z])
+        U = train_incremental(corpus, vocab, (iU, iV), cfg).matrices["word"]
+        assert not np.array_equal(U[0][z], iU[z])  # trained in slice 0
+        np.testing.assert_array_equal(U[1][z], U[0][z])
+        np.testing.assert_array_equal(U[2][z], U[1][z])

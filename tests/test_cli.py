@@ -14,8 +14,13 @@ import pytest
 
 from driftvec import runs
 from driftvec.cli import TRAIN_SETTINGS, main, parse_boundaries
+from driftvec.corpus import load_corpus, load_vocabulary
+from driftvec.dbe import DbeParams, train_dbe
+from driftvec.dsg import DsgParams, train_dsg
+from driftvec.inits import init_random
+from driftvec.isg import train_incremental
 from driftvec.runs import content_hash, read_manifest
-from driftvec.sgns import load_embedding_text, save_embedding_text
+from driftvec.sgns import TrainConfig, load_embedding_text, save_embedding_text
 
 
 def run(argv):
@@ -120,6 +125,18 @@ def test_unknown_subcommand_exits_one():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("length", ["0", "-3"])
+def test_synth_doc_length_below_one_is_usage_error(tmp_path, length):
+    src = Path(runs.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "driftvec.cli", "synth", "--out", str(tmp_path / "corpus"),
+         "--doc-length", length],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr == "error: doc_length must be >= 1\n"
 
 
 def test_build_vocab_warns_when_max_size_exceeds_distinct(pipeline, tmp_path):
@@ -467,6 +484,19 @@ def test_readme_config_block_loads(pipeline, tmp_path):
     assert config["data"]["test"] == str(pipeline / "data.test.json")
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    # the example's own corpus and epochs take seconds; a smaller run
+    # exercises the same calls
+    for shown, small in (("tokens_per_slice=50_000", "tokens_per_slice=3_000"),
+                         ("epochs=5", "epochs=1")):
+        assert shown in block
+        block = block.replace(shown, small)
+    exec(compile(block, "README.md", "exec"), {})
+    assert -1.0 <= float(capsys.readouterr().out) <= 1.0
+
+
 @pytest.mark.parametrize("text, message", [
     ("dim = 4\n[train]\nepochs = 1\n", "bad.ini:1: key before any [section] header"),
     ("[train]\ndim = 4\nepochs = 1\ndim = 5\n", "bad.ini:4: key 'dim' given twice in [train]"),
@@ -482,6 +512,14 @@ def test_readme_config_block_loads(pipeline, tmp_path):
     ("[dsg]\ndiffusion = 0\nanchor = 0\n", "bad.ini: diffusion_var and anchor_var must be > 0"),
     ("[run]\nmodel = isg\n[reg]\nalpha = 5\n",
      "bad.ini: [reg] alpha = '5': model isg does not read the drift penalty"),
+    ("[train]\nlearning_rate = nan\n",
+     "bad.ini: [train] learning_rate = 'nan': learning_rate must be > 0 and finite"),
+    ("[dsg]\ndiffusion = inf\n",
+     "bad.ini: [dsg] diffusion = 'inf': diffusion_var and anchor_var must be > 0 and finite"),
+    ("[dbe]\nbase_precision = inf\n",
+     "bad.ini: [dbe] base_precision = 'inf': precisions must be > 0 and finite"),
+    ("[reg]\nalpha = nan\n", "bad.ini: [reg] alpha = 'nan': alpha must be >= 0 and finite"),
+    ("[reg]\nbeta = inf\n", "bad.ini: [reg] beta = 'inf': beta must be >= 0 and finite"),
 ])
 def test_malformed_config_file_is_data_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.ini"
@@ -501,6 +539,21 @@ def test_drift_penalty_flag_with_isg_is_usage_error(pipeline, tmp_path, capsys):
     outdir = tmp_path / "run"
     assert run(train_args(pipeline, outdir, extra=["--reg-alpha", "5", "--reg-beta", "0"])) == 1
     assert "error: model isg does not read the drift penalty" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+# Each float flag of train and a model that reads it.
+FLOAT_FLAGS = {"--learning-rate": "isg", "--diffusion": "dsg", "--anchor": "dsg",
+               "--drift-precision": "dbe", "--base-precision": "dbe",
+               "--reg-alpha": "dbe", "--reg-beta": "dbe"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", list(FLOAT_FLAGS))
+def test_non_finite_float_flag_is_usage_error(pipeline, tmp_path, capsys, flag, value):
+    outdir = tmp_path / "run"
+    assert run(train_args(pipeline, outdir, model=FLOAT_FLAGS[flag], extra=[flag, value])) == 1
+    assert " and finite\n" in capsys.readouterr().err
     assert not outdir.exists()
 
 
@@ -830,6 +883,26 @@ def test_killed_retrain_leaves_no_manifest(pipeline, tmp_path, monkeypatch, caps
 def run_files(rundir):
     return {str(p.relative_to(rundir)): p.read_bytes()
             for p in sorted(Path(rundir).rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("model", ["isg", "dsg", "dbe"])
+def test_library_and_cli_write_the_same_checkpoints(pipeline, tmp_path, model):
+    # the settings of train_args
+    vocab = load_vocabulary(pipeline / "vocab.tsv")
+    corpus = load_corpus(pipeline / "data.train.json", vocab.size)
+    cfg = TrainConfig(dim=4, epochs=2, batch_size=256, window=2, seed=3)
+    init = init_random(vocab.size, cfg.dim, cfg.seed, model)
+    if model == "isg":
+        result = train_incremental(corpus, vocab, init, cfg)
+    elif model == "dsg":
+        result = train_dsg(corpus, vocab, init, DsgParams(), cfg)
+    else:
+        result = train_dbe(corpus, vocab, init, DbeParams(), cfg)
+    runs.save_checkpoints(tmp_path / "lib", model, vocab.words, result.matrices)
+    assert run(train_args(pipeline, tmp_path / "cli", model=model)) == 0
+    command = run_files(tmp_path / "cli" / model)
+    assert run_files(tmp_path / "lib" / model) == {
+        name: data for name, data in command.items() if name.endswith((".vec", ".npy"))}
 
 
 @pytest.mark.parametrize("model", ["isg", "dsg", "dbe"])

@@ -99,12 +99,12 @@ class TestTraining:
         vocab, corpus = toy_corpus([["a b c d"] * 50])
         cfg = small_config(epochs=4)
         init = init_random(vocab.size, cfg.dim, 0, "dbe")
-        model, info = train_dbe(corpus, vocab, init, DbeParams(), cfg)
-        assert model.T == 1
-        assert np.isfinite(model.U[0]).all()
+        model = train_dbe(corpus, vocab, init, DbeParams(), cfg)
+        assert len(model.matrices["word"]) == 1
+        assert np.isfinite(model.matrices["word"][0]).all()
         # with one slice the prior has no drift term at all
-        assert info["prior"][-1] == pytest.approx(
-            dbe_prior([model.U[0]], model.V,
+        assert model.prior_trace[-1] == pytest.approx(
+            dbe_prior([model.matrices["word"][0]], model.matrices["context"][0],
                       DbeParams(drift_precision=123.0)), abs=1e-9)
 
     def test_identical_slices_drift_below_shuffled_control(self):
@@ -127,10 +127,10 @@ class TestTraining:
         cfg = small_config(epochs=30, window=2, learning_rate=0.005)
         init = init_random(vocab.size, cfg.dim, 1, "dbe")
         params = DbeParams()
-        model_a, _ = train_dbe(identical, vocab, init, params, cfg)
-        model_b, _ = train_dbe(shuffled, vocab, init, params, cfg)
-        drifts_a = np.linalg.norm(model_a.U[2] - model_a.U[0], axis=1)
-        drifts_b = np.linalg.norm(model_b.U[2] - model_b.U[0], axis=1)
+        U_a = train_dbe(identical, vocab, init, params, cfg).matrices["word"]
+        U_b = train_dbe(shuffled, vocab, init, params, cfg).matrices["word"]
+        drifts_a = np.linalg.norm(U_a[2] - U_a[0], axis=1)
+        drifts_b = np.linalg.norm(U_b[2] - U_b[0], axis=1)
         assert drifts_a.max() < np.percentile(drifts_b, 10)
 
     def test_majority_of_words_stay_stable_on_identical_slices(self):
@@ -143,8 +143,8 @@ class TestTraining:
         corpus = TimeSlicedCorpus(slices=(docs, docs, docs))
         cfg = small_config(epochs=8, window=2)
         init = init_random(vocab.size, cfg.dim, 2, "dbe")
-        model, _ = train_dbe(corpus, vocab, init, DbeParams(), cfg)
-        drifts = np.linalg.norm(model.U[2] - model.U[0], axis=1)
+        U_all = train_dbe(corpus, vocab, init, DbeParams(), cfg).matrices["word"]
+        drifts = np.linalg.norm(U_all[2] - U_all[0], axis=1)
         near_zero = (drifts < 0.1 * drifts.mean()).mean()
         assert near_zero > 0.5
 
@@ -152,11 +152,11 @@ class TestTraining:
         vocab, corpus = toy_corpus([["a b c"] * 25, ["c b a"] * 25])
         cfg = small_config(epochs=3)
         init = init_random(vocab.size, cfg.dim, 5, "dbe")
-        m1, _ = train_dbe(corpus, vocab, init, DbeParams(), cfg)
-        m2, _ = train_dbe(corpus, vocab, init, DbeParams(), cfg)
+        m1 = train_dbe(corpus, vocab, init, DbeParams(), cfg).matrices
+        m2 = train_dbe(corpus, vocab, init, DbeParams(), cfg).matrices
         for t in range(2):
-            np.testing.assert_array_equal(m1.U[t], m2.U[t])
-        np.testing.assert_array_equal(m1.V, m2.V)
+            np.testing.assert_array_equal(m1["word"][t], m2["word"][t])
+        np.testing.assert_array_equal(m1["context"][0], m2["context"][0])
 
 
 class TestSweepSchedule:
@@ -266,8 +266,8 @@ class TestSweepSchedule:
         z = vocab.id_of["z"]
         cfg = small_config(epochs=8, window=2)
         init = init_random(vocab.size, cfg.dim, 3, "dbe")
-        model, _ = train_dbe(corpus, vocab, init, DbeParams(), cfg)
-        U = [m[z] for m in model.U]
+        model = train_dbe(corpus, vocab, init, DbeParams(), cfg)
+        U = [m[z] for m in model.matrices["word"]]
         start = init[0][z]
         assert not np.array_equal(U[1], start)
         midpoint = 0.5 * (U[0] + U[2])

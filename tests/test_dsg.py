@@ -263,9 +263,8 @@ class TestFilterStep:
         slice1 = ["a b"] * 150 + ["d e"] * 150 + ["f g"] * 150
         vocab, corpus = toy_corpus([slice0, slice1])
         init = init_random(vocab.size, 6, 0, "dsg")
-        posteriors, _, _ = train_dsg(corpus, vocab, init, DsgParams(),
-                                     small_config(epochs=12))
-        drift = np.linalg.norm(posteriors[1][0].mean - posteriors[0][0].mean,
+        result = train_dsg(corpus, vocab, init, DsgParams(), small_config(epochs=12))
+        drift = np.linalg.norm(result.matrices["word"][1] - result.matrices["word"][0],
                                axis=1)
         assert drift[vocab.id_of["a"]] > drift[vocab.id_of["d"]]
 
@@ -296,40 +295,38 @@ class TestTrainDsg:
         vocab, corpus = toy_corpus([["a b c"] * 30])
         cfg = small_config(epochs=3)
         init = init_random(vocab.size, cfg.dim, 0, "dsg")
-        posteriors, traces, order = train_dsg(corpus, vocab, init, DsgParams(), cfg)
+        result = train_dsg(corpus, vocab, init, DsgParams(), cfg)
         qU, qV, _ = dsg_filter_step(corpus.slices[0], vocab, init, DsgParams(),
                                     cfg, slice_index=0)
-        assert order == [0]
-        np.testing.assert_array_equal(posteriors[0][0].mean, qU.mean)
-        np.testing.assert_array_equal(posteriors[0][1].variance, qV.variance)
+        assert result.order == [0]
+        np.testing.assert_array_equal(result.matrices["word"][0], qU.mean)
+        np.testing.assert_array_equal(result.matrices["context_var"][0], qV.variance)
 
     def test_holdout_lpos_finite_and_nonpositive(self):
         vocab, corpus = toy_corpus([["a b c d"] * 40, ["b a d c"] * 40])
         cfg = small_config(epochs=4)
         init = init_random(vocab.size, cfg.dim, 0, "dsg")
-        posteriors, traces, _ = train_dsg(corpus, vocab, init, DsgParams(), cfg,
-                                          eval_corpus=corpus)
+        result = train_dsg(corpus, vocab, init, DsgParams(), cfg, eval_corpus=corpus)
         for t in range(2):
-            for v in traces[t]["holdout_lpos"]:
+            for v in result.traces[t]["holdout_lpos"]:
                 assert math.isfinite(v) and v <= 0
 
     def test_backward_order(self):
         vocab, corpus = toy_corpus([["a b"], ["b c"], ["c a"]])
         cfg = small_config(epochs=1)
         init = init_random(vocab.size, cfg.dim, 0, "dsg")
-        _, _, order = train_dsg(corpus, vocab, init, DsgParams(), cfg,
-                                direction="backward")
-        assert order == [2, 1, 0]
+        result = train_dsg(corpus, vocab, init, DsgParams(), cfg, direction="backward")
+        assert result.order == [2, 1, 0]
 
     def test_rerun_bitwise_identical(self):
         vocab, corpus = toy_corpus([["a b c"] * 20, ["c b a"] * 20])
         cfg = small_config(epochs=3)
         init = init_random(vocab.size, cfg.dim, 4, "dsg")
-        p1, _, _ = train_dsg(corpus, vocab, init, DsgParams(), cfg)
-        p2, _, _ = train_dsg(corpus, vocab, init, DsgParams(), cfg)
+        p1 = train_dsg(corpus, vocab, init, DsgParams(), cfg)
+        p2 = train_dsg(corpus, vocab, init, DsgParams(), cfg)
         for t in range(2):
-            np.testing.assert_array_equal(p1[t][0].mean, p2[t][0].mean)
-            np.testing.assert_array_equal(p1[t][0].variance, p2[t][0].variance)
+            np.testing.assert_array_equal(p1.matrices["word"][t], p2.matrices["word"][t])
+            np.testing.assert_array_equal(p1.matrices["var"][t], p2.matrices["var"][t])
 
 
 class TestFlatPriorDegeneracy:

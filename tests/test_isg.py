@@ -60,11 +60,11 @@ def test_single_slice_equals_train_slice():
     vocab, corpus = toy_corpus([["a b c a b", "c b a"]])
     cfg = small_config(epochs=3)
     U0, V0 = init_random(vocab.size, cfg.dim, 5, "isg")
-    model, traces, order = train_incremental(corpus, vocab, U0, V0, cfg)
+    model = train_incremental(corpus, vocab, (U0, V0), cfg)
     U, V, _ = train_slice(corpus.slices[0], vocab, U0, V0, cfg, slice_index=0)
-    assert order == [0]
-    np.testing.assert_array_equal(model.U[0], U)
-    np.testing.assert_array_equal(model.V[0], V)
+    assert model.order == [0]
+    np.testing.assert_array_equal(model.matrices["word"][0], U)
+    np.testing.assert_array_equal(model.matrices["context"][0], V)
 
 
 def test_incremental_drift_below_reinitialization_drift():
@@ -72,13 +72,13 @@ def test_incremental_drift_below_reinitialization_drift():
     vocab, corpus = toy_corpus([docs, docs])
     cfg = small_config(epochs=4, learning_rate=0.01)
     U0, V0 = init_random(vocab.size, cfg.dim, 7, "isg")
-    model, _, _ = train_incremental(corpus, vocab, U0, V0, cfg)
-    incremental = np.linalg.norm(model.U[1] - model.U[0],
+    model = train_incremental(corpus, vocab, (U0, V0), cfg)
+    incremental = np.linalg.norm(model.matrices["word"][1] - model.matrices["word"][0],
                                  axis=1).mean()
     # baseline: slice 1 retrained from an independent random start
     U0b, V0b = init_random(vocab.size, cfg.dim, 99, "isg")
     Ub, _, _ = train_slice(corpus.slices[1], vocab, U0b, V0b, cfg, slice_index=1)
-    reinit = np.linalg.norm(Ub - model.U[0], axis=1).mean()
+    reinit = np.linalg.norm(Ub - model.matrices["word"][0], axis=1).mean()
     assert incremental < reinit
 
 
@@ -88,13 +88,12 @@ def test_backward_direction_trains_new_to_old():
     vocab, corpus = toy_corpus([["a b"], ["b c"], ["c a z"]])
     cfg = small_config(epochs=1)
     U0, V0 = init_random(vocab.size, cfg.dim, 0, "isg")
-    model, traces, order = train_incremental(corpus, vocab, U0, V0, cfg,
-                                             direction="backward")
-    assert order == [2, 1, 0]
+    model = train_incremental(corpus, vocab, (U0, V0), cfg, direction="backward")
+    assert model.order == [2, 1, 0]
     z = vocab.id_of["z"]
-    assert not np.array_equal(model.U[2][z], U0[z])
-    np.testing.assert_array_equal(model.U[1][z], model.U[2][z])
-    np.testing.assert_array_equal(model.U[0][z], model.U[1][z])
+    assert not np.array_equal(model.matrices["word"][2][z], U0[z])
+    np.testing.assert_array_equal(model.matrices["word"][1][z], model.matrices["word"][2][z])
+    np.testing.assert_array_equal(model.matrices["word"][0][z], model.matrices["word"][1][z])
 
 
 def test_absent_words_keep_bit_identical_vectors():
@@ -106,29 +105,29 @@ def test_absent_words_keep_bit_identical_vectors():
     ])
     cfg = small_config(epochs=6)
     U0, V0 = init_random(vocab.size, cfg.dim, 11, "isg")
-    model, _, _ = train_incremental(corpus, vocab, U0, V0, cfg)
+    model = train_incremental(corpus, vocab, (U0, V0), cfg)
     z = vocab.id_of["z"]
     assert all(z not in doc for doc in corpus.slices[1])
-    np.testing.assert_array_equal(model.U[1][z], model.U[0][z])
+    np.testing.assert_array_equal(model.matrices["word"][1][z], model.matrices["word"][0][z])
     # and it was genuinely trained in slice 0
-    assert not np.array_equal(model.U[0][z], U0[z])
+    assert not np.array_equal(model.matrices["word"][0][z], U0[z])
 
 
 def test_rerun_is_bitwise_identical():
     vocab, corpus = toy_corpus([["a b c d e"] * 20, ["e d c b a"] * 20])
     cfg = small_config(epochs=3)
     U0, V0 = init_random(vocab.size, cfg.dim, 13, "isg")
-    m1, _, _ = train_incremental(corpus, vocab, U0, V0, cfg)
-    m2, _, _ = train_incremental(corpus, vocab, U0, V0, cfg)
+    m1 = train_incremental(corpus, vocab, (U0, V0), cfg)
+    m2 = train_incremental(corpus, vocab, (U0, V0), cfg)
     for t in range(2):
-        np.testing.assert_array_equal(m1.U[t], m2.U[t])
-        np.testing.assert_array_equal(m1.V[t], m2.V[t])
+        np.testing.assert_array_equal(m1.matrices["word"][t], m2.matrices["word"][t])
+        np.testing.assert_array_equal(m1.matrices["context"][t], m2.matrices["context"][t])
 
 
 def test_all_outputs_finite():
     vocab, corpus = toy_corpus([["a b b a c"] * 30])
     cfg = small_config(epochs=10, learning_rate=0.5)
     U0, V0 = init_random(vocab.size, cfg.dim, 3, "isg")
-    model, _, _ = train_incremental(corpus, vocab, U0, V0, cfg)
-    assert np.isfinite(model.U[0]).all()
-    assert np.isfinite(model.V[0]).all()
+    model = train_incremental(corpus, vocab, (U0, V0), cfg)
+    assert np.isfinite(model.matrices["word"][0]).all()
+    assert np.isfinite(model.matrices["context"][0]).all()

@@ -115,6 +115,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="vocabulary word"):
             generate(small_spec(planted_changes=[planted(word="zebra")]))
 
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_doc_length_below_one(self, length):
+        with pytest.raises(ValueError, match="doc_length must be >= 1"):
+            generate(small_spec(doc_length=length))
+
 
 class TestFileOutput:
     def test_writes_manifest_documents_and_truth(self, tmp_path):
