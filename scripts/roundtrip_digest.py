@@ -1,0 +1,105 @@
+"""Digest of the README round trip, for comparing two checkouts byte for byte.
+
+    python scripts/roundtrip_digest.py --src CHECKOUT/src --out DIR > digest.txt
+
+Runs the README's command-line round trip with the driftvec under
+``--src``: ``synth``, ``build-vocab`` and ``slice``, then for each model
+``train`` with ``random``, ``internal`` (with the drift penalty for dsg
+and dbe) and ``backward-external`` init (from an exported isg matrix),
+each followed by ``eval``, ``drift`` and ``export`` of every role of
+every slice. Two usage errors close it: ``slice --holdout nan`` and
+``export`` of a slice past the run's last. Every command runs in a fresh
+interpreter with ``DIR`` as its working directory and relative paths,
+so no path in the outputs depends on where ``DIR`` is.
+
+Prints one line per command (exit code, sha256 of stdout and of stderr,
+the arguments) and one per file written under ``DIR`` (relative path,
+sha256). Two checkouts whose behaviour is byte-identical print the same
+digest, so comparing a parent and a change is one ``diff``. Uses the
+standard library only; the commands import driftvec from ``--src``.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+MODELS = ("isg", "dsg", "dbe")
+ROLES = {"isg": ("word", "context"),
+         "dsg": ("word", "mean", "var", "context", "context_var"),
+         "dbe": ("word", "context")}
+SLICES = 4
+DATA = ["--vocab", "demo/vocab.tsv", "--train", "demo/data.train.json",
+        "--valid", "demo/data.valid.json", "--test", "demo/data.test.json"]
+INITS = {
+    "random": lambda model: [],
+    "internal": lambda model: ["--init", "internal"] + (
+        [] if model == "isg" else ["--reg-alpha", "0.1", "--reg-beta", "mean"]),
+    "backward-external": lambda model: ["--init", "backward-external",
+                                        "--pretrained", "pretrained.vec"],
+}
+# the console script's entry point, run from the interpreter
+ENTRY = "import sys; from driftvec.cli import main; sys.exit(main())"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def commands():
+    """The round trip's ``driftvec`` argument lists, in order."""
+    yield ["synth", "--out", "demo", "--vocab-size", "200", "--slices", str(SLICES),
+           "--tokens-per-slice", "20000", "--seed", "1", "--change", "w0199:2:0:1:gradual"]
+    yield ["build-vocab", "--manifest", "demo/manifest.tsv", "--boundaries", "2000:2004",
+           "--max-size", "200", "--out", "demo/vocab.tsv"]
+    yield ["slice", "--manifest", "demo/manifest.tsv", "--vocab", "demo/vocab.tsv",
+           "--boundaries", "2000:2004", "--holdout", "0.1", "--seed", "0",
+           "--out-prefix", "demo/data"]
+    for model in MODELS:
+        for init, flags in INITS.items():
+            run = f"runs/{model}-{init}"
+            yield ["train", "--model", model, "--out", run, *DATA,
+                   "--dim", "16", "--epochs", "10", "--seed", "0", *flags(model)]
+            yield ["eval", "--run", run, "--split", "valid"]
+            yield ["drift", "--run", run, "--t0", "0", "--bins", "60",
+                   "--out", f"analysis/{model}-{init}"]
+            for role in ROLES[model]:
+                for t in range(SLICES):
+                    yield ["export", "--run", run, "--slice", str(t), "--role", role,
+                           "--out", f"exports/{model}-{init}.{role}.t{t}.vec"]
+            if (model, init) == ("isg", "random"):
+                yield ["export", "--run", run, "--slice", str(SLICES - 1),
+                       "--out", "pretrained.vec"]
+    yield ["slice", "--manifest", "demo/manifest.tsv", "--vocab", "demo/vocab.tsv",
+           "--boundaries", "2000:2004", "--holdout", "nan", "--out-prefix", "demo/nan"]
+    yield ["export", "--run", "runs/isg-random", "--slice", str(SLICES),
+           "--out", "exports/past-last.vec"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, help="the checkout's src directory")
+    parser.add_argument("--out", required=True, help="an empty or new working directory")
+    args = parser.parse_args(argv)
+    src, out = Path(args.src).resolve(), Path(args.out)
+    if not (src / "driftvec" / "cli.py").is_file():
+        parser.error(f"{src} holds no driftvec package")
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        parser.error(f"{out} is not empty")
+    (out / "exports").mkdir()
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv_ in commands():
+        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv_], cwd=out, env=env,
+                              capture_output=True, check=False)
+        print(f"cmd exit={proc.returncode} stdout={sha256(proc.stdout)} "
+              f"stderr={sha256(proc.stderr)} driftvec {' '.join(argv_)}", flush=True)
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        print(f"file {path.relative_to(out).as_posix()} {sha256(path.read_bytes())}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

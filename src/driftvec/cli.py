@@ -21,7 +21,6 @@ from . import analysis, inits, runs, synth as synth_mod
 from . import corpus as corpus_mod
 from . import dbe as dbe_mod
 from . import dsg as dsg_mod
-from . import isg as isg_mod
 from .adam import save_adam_state
 from .corpus import load_corpus, load_vocabulary, parse_timestamp, save_corpus, save_vocabulary
 from .errors import DataError, DriftvecError, NumericalError, open_text
@@ -222,6 +221,9 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_slice(args) -> int:
+    if not (args.holdout == 0 or 0 < args.holdout < 1):
+        raise ValueError(f"holdout fraction must be 0 (no split) or lie in (0, 1), "
+                         f"not {args.holdout}")
     docs = corpus_mod.load_documents(args.manifest)
     vocab = load_vocabulary(args.vocab)
     boundaries = parse_boundaries(args.boundaries)
@@ -283,8 +285,7 @@ def cmd_train(args) -> int:
         raise DataError(f"{cfg.valid_path}: {valid_corpus.T} slices, but the "
                         f"training corpus has {train_corpus.T}")
 
-    model_params = cfg.dsg_params if cfg.model == "dsg" else (
-        cfg.dbe_params if cfg.model == "dbe" else None)
+    model_params = getattr(cfg, f"{cfg.model}_params", None)  # isg has none
     init, direction = inits.apply_scheme(cfg.scheme, cfg.model, train_corpus,
                                          vocab, cfg.train, model_params)
 
@@ -294,7 +295,7 @@ def cmd_train(args) -> int:
     # model; written back as INI, it retrains the run.
     config = defaultdict(dict)
     for s in TRAIN_SETTINGS:
-        if s.section not in ("dsg", "dbe") or s.section == cfg.model:
+        if s.section not in inits.MODEL_KINDS or s.section == cfg.model:
             config[s.section][s.key] = getattr(getattr(cfg, s.part) if s.part else cfg, s.field)
     paths = {**config["data"], "pretrained": config["init"]["pretrained"]}
     manifest = {
@@ -306,15 +307,8 @@ def cmd_train(args) -> int:
                    for key, path in paths.items() if path},
     }
 
-    if cfg.model == "isg":
-        result = isg_mod.train_incremental(train_corpus, vocab, init, cfg.train,
-                                           direction=direction, eval_corpus=valid_corpus)
-    elif cfg.model == "dsg":
-        result = dsg_mod.train_dsg(train_corpus, vocab, init, cfg.dsg_params, cfg.train,
-                                   direction=direction, reg=cfg.reg, eval_corpus=valid_corpus)
-    else:
-        result = dbe_mod.train_dbe(train_corpus, vocab, init, cfg.dbe_params, cfg.train,
-                                   reg=cfg.reg, eval_corpus=valid_corpus)
+    result = inits.train_model(cfg.model, train_corpus, vocab, init, cfg.train, model_params,
+                               cfg.reg, direction, valid_corpus)
     adam_files = [runs.TextFile(rundir / cfg.model / f"adam_{name}.txt", 2 * state.m.size,
                                 partial(save_adam_state, state))
                   for name, state in result.adam.items()]
@@ -336,15 +330,15 @@ def cmd_eval(args) -> int:
     if not split_entry:
         raise DataError(f"run manifest records no {args.split!r} corpus")
     window = manifest["config"]["train"]["window"]
-    word_mats, ctx_mats = runs.load_slice_matrices(args.run, manifest)
-    corpus = load_corpus(split_entry["path"], word_mats[0].shape[0])
+    words, mats = runs.load_slice_matrices(args.run, manifest)
+    corpus = load_corpus(split_entry["path"], len(words))
     if split_entry.get("sha256") not in (None, runs.content_hash(split_entry["path"])):
         raise DataError(f"{split_entry['path']}: changed since training; its sha256 is not "
                         f"the one run.json records for the {args.split} split")
     if corpus.T != manifest["T"]:
         raise DataError(f"{split_entry['path']}: {corpus.T} slices, but the run "
                         f"has {manifest['T']}")
-    per_slice, mean = analysis.evaluate_lpos(corpus, word_mats, ctx_mats, window)
+    per_slice, mean = analysis.evaluate_lpos(corpus, mats["word"], mats["context"], window)
     report = analysis.format_lpos_report(per_slice, mean)
     sys.stdout.write(report)
     if args.out:
@@ -357,8 +351,8 @@ def cmd_drift(args) -> int:
     T = manifest["T"]
     if T < 2:
         raise DataError(f"{args.run}: drift needs at least two slices, the run has {T}")
-    words, word_mats = runs.load_word_matrices(args.run, manifest)
-    series = analysis.drift_series(word_mats, args.t0)
+    words, mats = runs.load_slice_matrices(args.run, manifest, roles=("word",))
+    series = analysis.drift_series(mats["word"], args.t0)
     outdir = Path(args.out or args.run)
     outdir.mkdir(parents=True, exist_ok=True)
     analysis.write_drift_csv(series, words, outdir / "drift.csv")
@@ -380,6 +374,8 @@ def cmd_drift(args) -> int:
 def cmd_export(args) -> int:
     manifest = runs.read_manifest(args.run)
     src = runs.checkpoint_path(args.run, manifest["model"], args.role, args.slice)
+    if not 0 <= args.slice < manifest["T"]:
+        raise ValueError(f"slice {args.slice} out of range: the run has {manifest['T']} slices")
     words, matrix = runs.load_checkpoint(args.run, manifest, args.role, args.slice)
     save_embedding_text(args.out, words, matrix)
     print(f"exported {src} -> {args.out}")

@@ -6,6 +6,9 @@ Every scheme yields a ``(U, V)`` pair of (L, d) float arrays for each
 model family. dsg reads them as the means of the virtual posterior
 before its first trained slice; its filter builds each prior from means
 alone, so no initial variance is needed.
+
+:func:`train_model` maps a model kind to its trainer. The internal
+scheme runs it on the pooled corpus, so it pretrains the run's own model.
 """
 
 import warnings
@@ -17,9 +20,8 @@ from . import dbe as dbe_mod
 from . import dsg as dsg_mod
 from . import isg as isg_mod
 from .corpus import TimeSlicedCorpus, Vocabulary
-from .dsg import DsgParams
 from .errors import DataError
-from .sgns import TrainConfig, load_embedding_text
+from .sgns import TrainConfig, TrainResult, load_embedding_text
 
 RANDOM = "random"
 INTERNAL = "internal"
@@ -77,27 +79,33 @@ def pool_slices(corpus: TimeSlicedCorpus) -> TimeSlicedCorpus:
     return TimeSlicedCorpus(slices=(docs,), split_tag=corpus.split_tag)
 
 
+def train_model(kind: str, corpus: TimeSlicedCorpus, vocab: Vocabulary, init,
+                config: TrainConfig, params=None, reg=None, direction: str = isg_mod.FORWARD,
+                eval_corpus=None) -> TrainResult:
+    """Train model ``kind`` from the ``(U, V)`` pair ``init``, with its
+    ``DsgParams`` or ``DbeParams`` (their defaults when None). isg reads
+    no ``params`` or ``reg``, and dbe, trained jointly, no ``direction``."""
+    if kind == "isg":
+        return isg_mod.train_incremental(corpus, vocab, init, config, direction=direction,
+                                         eval_corpus=eval_corpus)
+    if kind == "dsg":
+        return dsg_mod.train_dsg(corpus, vocab, init, params or dsg_mod.DsgParams(), config,
+                                 direction=direction, reg=reg, eval_corpus=eval_corpus)
+    if kind == "dbe":
+        return dbe_mod.train_dbe(corpus, vocab, init, params or dbe_mod.DbeParams(), config,
+                                 reg=reg, eval_corpus=eval_corpus)
+    raise ValueError(f"unknown model kind {kind!r}")
+
+
 def init_internal(corpus: TimeSlicedCorpus, vocab: Vocabulary,
                   config: TrainConfig, model_kind: str, model_params=None):
     """Static training on the pooled corpus, used as the diachronic
     run's initializer: its ``(U, V)`` pair, posterior means for dsg.
     Deterministic given ``config.seed``."""
-    pooled = pool_slices(corpus)
     start = init_random(vocab.size, config.dim, config.seed, model_kind)
-    if model_kind == "isg":
-        U, V, _ = isg_mod.train_slice(pooled.slices[0], vocab, start[0], start[1],
-                                      config, slice_index=0)
-        return U, V
-    if model_kind == "dsg":
-        params = model_params or DsgParams()
-        qU, qV, _ = dsg_mod.dsg_filter_step(pooled.slices[0], vocab, start,
-                                            params, config, slice_index=0)
-        return qU.mean, qV.mean
-    if model_kind == "dbe":
-        params = model_params or dbe_mod.DbeParams()
-        matrices = dbe_mod.train_dbe(pooled, vocab, start, params, config).matrices
-        return matrices["word"][0], matrices["context"][0]
-    raise ValueError(f"unknown model kind {model_kind!r}")
+    matrices = train_model(model_kind, pool_slices(corpus), vocab, start, config,
+                           model_params).matrices
+    return matrices["word"][0], matrices["context"][0]
 
 
 def load_pretrained(path, vocab: Vocabulary, oov_seed: int,

@@ -17,6 +17,9 @@ the ``.vec`` and the twin both hash to their pins and the twin's shape
 is the ``.vec`` header's; anything else (no pin, a missing or damaged
 twin, a ``.vec`` edited after training) parses the ``.vec`` text.
 
+``eval`` and ``drift`` read a run through :func:`load_slice_matrices`:
+a matrix per slice for each role they ask for, each file read once.
+
 ``train`` removes ``run.json`` before it writes the first checkpoint and
 writes it again last, so a run killed in between has no manifest.
 
@@ -304,35 +307,25 @@ def _load_like(path, pins, first_path, first_words, width):
     return matrix
 
 
-def load_word_matrices(rundir, manifest: dict):
-    """``(words, matrices)``: the per-slice word matrices of a run (posterior
-    means for the Bayesian model) and the word list read with slice 0,
-    whose words and width every later slice must share."""
-    kind, pins = manifest["model"], manifest.get("checkpoints")
-    first_path = checkpoint_path(rundir, kind, "word", 0)
-    words, matrix = _load(first_path, pins)
-    return words, [matrix] + [
-        _load_like(checkpoint_path(rundir, kind, "word", t), pins, first_path, words,
-                   matrix.shape[1])
-        for t in range(1, manifest["T"])]
+def load_slice_matrices(rundir, manifest: dict, roles=("word", "context")):
+    """``(words, {role: [matrix per slice]})`` for the run ``manifest``
+    describes, ready for scoring: posterior means for the Bayesian model.
 
-
-def load_slice_matrices(rundir, manifest: dict):
-    """Word and context matrices per slice, ready for scoring.
-
-    For the Bayesian model these are posterior means; for the Bernoulli
-    model the shared context matrix is repeated per slice. Context
-    checkpoints must share the words and width of slice 0's word one.
+    The word list is read with slice 0's word checkpoint, whose words and
+    width every other checkpoint must share. Each distinct file is read
+    once, so dbe's shared ``context.vec`` serves every slice.
     """
     kind, T, pins = manifest["model"], manifest["T"], manifest.get("checkpoints")
-    words, word_mats = load_word_matrices(rundir, manifest)
-    first = (checkpoint_path(rundir, kind, "word", 0), words, word_mats[0].shape[1])
-    if kind == "dbe":
-        ctx_mats = [_load_like(checkpoint_path(rundir, kind, "context", 0), pins, *first)] * T
-    else:
-        ctx_mats = [_load_like(checkpoint_path(rundir, kind, "context", t), pins, *first)
-                    for t in range(T)]
-    return word_mats, ctx_mats
+    paths = {role: [checkpoint_path(rundir, kind, role, t) for t in range(T)] for role in roles}
+    first_path = checkpoint_path(rundir, kind, "word", 0)
+    words, first = _load(first_path, pins)
+    loaded = {first_path: first}
+    for role_paths in paths.values():
+        for path in role_paths:
+            if path not in loaded:
+                loaded[path] = _load_like(path, pins, first_path, words, first.shape[1])
+    return words, {role: [loaded[path] for path in role_paths]
+                   for role, role_paths in paths.items()}
 
 
 def checkpoint_words(rundir, kind: str):

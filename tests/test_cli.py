@@ -139,6 +139,19 @@ def test_synth_doc_length_below_one_is_usage_error(tmp_path, length):
     assert result.stderr == "error: doc_length must be >= 1\n"
 
 
+@pytest.mark.parametrize("fraction", ["nan", "-0.1", "1.5", "inf"])
+def test_slice_holdout_outside_unit_interval_is_usage_error(pipeline, tmp_path, capsys,
+                                                             fraction):
+    assert run(["slice", "--manifest", pipeline / "corpus" / "manifest.tsv",
+                "--vocab", pipeline / "vocab.tsv", "--boundaries", "2000:2003",
+                "--holdout", fraction, "--out-prefix", tmp_path / "data"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: holdout fraction must be 0 (no split) or lie in (0, 1), "
+                   f"not {float(fraction)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_vocab_warns_when_max_size_exceeds_distinct(pipeline, tmp_path):
     with pytest.warns(UserWarning, match="exceeds"):
         code = run(["build-vocab",
@@ -230,6 +243,16 @@ class TestTrainEvalDrift:
         assert run(["export", "--run", trained_runs["isg"], "--role", "var",
                     "--out", dest]) == 1
         assert "not available for model 'isg'" in capsys.readouterr().err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("model, role, t", [("isg", "word", 9), ("isg", "word", -1),
+                                                ("dsg", "var", 3), ("dbe", "context", 9)])
+    def test_export_of_slice_outside_run_is_usage_error(self, trained_runs, tmp_path, capsys,
+                                                        model, role, t):
+        dest = tmp_path / "out.vec"
+        assert run(["export", "--run", trained_runs[model], "--slice", t,
+                    "--role", role, "--out", dest]) == 1
+        assert capsys.readouterr().err == f"error: slice {t} out of range: the run has 3 slices\n"
         assert not dest.exists()
 
     def test_drift_on_one_slice_run_is_data_error(self, tmp_path, capsys):
@@ -734,6 +757,37 @@ def test_eval_checks_context_checkpoints_against_slice_0(trained_runs, tmp_path,
     err = capsys.readouterr().err
     assert f"data error: {rundir / model / name}: {message}" in err
     assert str(rundir / model / first) in err
+
+
+def record_loads(monkeypatch):
+    """The list of checkpoint paths the run loader reads, in read order."""
+    loads, load = [], runs._load
+
+    def recording_load(path, pins=None):
+        loads.append(path)
+        return load(path, pins)
+
+    monkeypatch.setattr(runs, "_load", recording_load)
+    return loads
+
+
+@pytest.mark.parametrize("model", ["isg", "dsg", "dbe"])
+def test_eval_reads_each_checkpoint_file_once(trained_runs, monkeypatch, model):
+    rundir = trained_runs[model]
+    loads = record_loads(monkeypatch)
+    assert run(["eval", "--run", rundir]) == 0
+    paths = [runs.checkpoint_path(rundir, model, role, t)
+             for role in ("word", "context") for t in range(3)]
+    # dbe's three context paths are its one context.vec
+    assert loads == list(dict.fromkeys(paths))
+
+
+@pytest.mark.parametrize("model", ["isg", "dsg", "dbe"])
+def test_drift_reads_no_context_checkpoint(trained_runs, tmp_path, monkeypatch, model):
+    rundir = trained_runs[model]
+    loads = record_loads(monkeypatch)
+    assert run(["drift", "--run", rundir, "--out", tmp_path]) == 0
+    assert loads == [runs.checkpoint_path(rundir, model, "word", t) for t in range(3)]
 
 
 # ---------------------------------------------------------------------------

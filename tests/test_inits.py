@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from driftvec.dbe import DbeParams, train_dbe
+from driftvec.dsg import DsgParams, dsg_filter_step
 from driftvec.errors import DataError
 from driftvec.inits import (BACKWARD_EXTERNAL, InitScheme, apply_scheme,
                             init_internal, init_random, load_pretrained,
                             pool_slices)
+from driftvec.isg import train_slice
 from driftvec.sgns import TrainConfig, save_embedding_text, sigmoid
 
 from conftest import toy_corpus
@@ -40,6 +43,22 @@ class TestRandomInit:
             init_random(2, 2, 0, "glove")
 
 
+def direct_static_training(corpus, vocab, config, kind, params):
+    """The pooled-corpus training an internal init runs, called trainer by
+    trainer: one slice of isg, one dsg filter step, dbe on one slice."""
+    pooled = pool_slices(corpus)
+    U0, V0 = init_random(vocab.size, config.dim, config.seed, kind)
+    if kind == "isg":
+        U, V, _ = train_slice(pooled.slices[0], vocab, U0, V0, config, slice_index=0)
+        return U, V
+    if kind == "dsg":
+        qU, qV, _ = dsg_filter_step(pooled.slices[0], vocab, (U0, V0), params or DsgParams(),
+                                    config, slice_index=0)
+        return qU.mean, qV.mean
+    matrices = train_dbe(pooled, vocab, (U0, V0), params or DbeParams(), config).matrices
+    return matrices["word"][0], matrices["context"][0]
+
+
 class TestInternalInit:
     def test_cooccurring_pairs_rank_above_noncooccurring(self):
         # three isolated pairs; exhaustively check every word's observed
@@ -68,6 +87,22 @@ class TestInternalInit:
         r2 = init_internal(corpus, vocab, cfg(epochs=3), "dbe")
         np.testing.assert_array_equal(r1[0], r2[0])
         np.testing.assert_array_equal(r1[1], r2[1])
+
+    @pytest.mark.parametrize("kind, params", [
+        ("isg", None),
+        ("dsg", None),
+        ("dsg", DsgParams(diffusion_var=0.5, anchor_var=0.2, samples_per_step=2,
+                          entropy_mode="exact")),
+        ("dbe", None),
+        ("dbe", DbeParams(drift_precision=3.0, base_precision=0.1)),
+    ])
+    def test_equals_direct_static_training(self, kind, params):
+        vocab, corpus = toy_corpus([["a b c d"] * 15, ["d c b a"] * 15, ["a c b d"] * 15])
+        config = cfg(epochs=3, batch_size=16)
+        expected = direct_static_training(corpus, vocab, config, kind, params)
+        got = init_internal(corpus, vocab, config, kind, params)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestLoadPretrained:
