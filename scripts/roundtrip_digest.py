@@ -4,13 +4,17 @@
 
 Runs the README's command-line round trip with the driftvec under
 ``--src``: ``synth``, ``build-vocab`` and ``slice``, then for each model
-``train`` with ``random``, ``internal`` (with the drift penalty for dsg
-and dbe) and ``backward-external`` init (from an exported isg matrix),
-each followed by ``eval``, ``drift`` and ``export`` of every role of
-every slice. Two usage errors close it: ``slice --holdout nan`` and
-``export`` of a slice past the run's last. Every command runs in a fresh
-interpreter with ``DIR`` as its working directory and relative paths,
-so no path in the outputs depends on where ``DIR`` is.
+``train`` with ``random``, ``internal`` and ``backward-external`` init
+(from an exported isg matrix), each followed by ``eval``, ``drift`` and
+``export`` of every role of every slice. dsg and dbe train with the
+drift penalty under ``internal`` (threshold ``mean``) and
+``backward-external`` (a fixed threshold), so the digest covers both
+kinds of threshold and the penalty of a backward dsg chain. Four usage
+errors close it: ``slice --holdout nan``, ``export`` of a slice past
+the run's last, and ``drift`` with a reference slice past the last or
+with ``--bins 0``. Every command runs in a fresh interpreter with
+``DIR`` as its working directory and relative paths, so no path in the
+outputs depends on where ``DIR`` is.
 
 Prints one line per command (exit code, sha256 of stdout and of stderr,
 the arguments) and one per file written under ``DIR`` (relative path,
@@ -38,7 +42,8 @@ INITS = {
     "internal": lambda model: ["--init", "internal"] + (
         [] if model == "isg" else ["--reg-alpha", "0.1", "--reg-beta", "mean"]),
     "backward-external": lambda model: ["--init", "backward-external",
-                                        "--pretrained", "pretrained.vec"],
+                                        "--pretrained", "pretrained.vec"] + (
+        [] if model == "isg" else ["--reg-alpha", "0.1", "--reg-beta", "0.05"]),
 }
 # the console script's entry point, run from the interpreter
 ENTRY = "import sys; from driftvec.cli import main; sys.exit(main())"
@@ -76,6 +81,8 @@ def commands():
            "--boundaries", "2000:2004", "--holdout", "nan", "--out-prefix", "demo/nan"]
     yield ["export", "--run", "runs/isg-random", "--slice", str(SLICES),
            "--out", "exports/past-last.vec"]
+    yield ["drift", "--run", "runs/isg-random", "--t0", str(SLICES), "--out", "analysis/past-last"]
+    yield ["drift", "--run", "runs/isg-random", "--bins", "0", "--out", "analysis/no-bins"]
 
 
 def main(argv=None) -> int:

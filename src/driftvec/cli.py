@@ -351,13 +351,12 @@ def cmd_drift(args) -> int:
     T = manifest["T"]
     if T < 2:
         raise DataError(f"{args.run}: drift needs at least two slices, the run has {T}")
+    if not 0 <= args.t0 < T:
+        raise ValueError(f"reference slice {args.t0} out of range: the run has {T} slices")
     words, mats = runs.load_slice_matrices(args.run, manifest, roles=("word",))
+    # every check runs before the first file is written
     series = analysis.drift_series(mats["word"], args.t0)
-    outdir = Path(args.out or args.run)
-    outdir.mkdir(parents=True, exist_ok=True)
-    analysis.write_drift_csv(series, words, outdir / "drift.csv")
     hist = analysis.drift_histogram(series, args.bins)
-    analysis.write_histogram_csv(hist, outdir / "histogram.csv")
     lines = []
     if len(series.target_slices) >= 2:
         lines.append(f"directedness\t{analysis.directedness(series):.4f}")
@@ -366,6 +365,10 @@ def cmd_drift(args) -> int:
     lines.append(f"stability_fraction(t={last}, "
                  f"threshold={args.stability_threshold})\t{stability:.4f}")
     report = "\n".join(lines) + "\n"
+    outdir = Path(args.out or args.run)
+    outdir.mkdir(parents=True, exist_ok=True)
+    analysis.write_drift_csv(series, words, outdir / "drift.csv")
+    analysis.write_histogram_csv(hist, outdir / "histogram.csv")
     sys.stdout.write(report)
     (outdir / "drift_report.txt").write_text(report, encoding="utf-8")
     return EXIT_OK

@@ -7,6 +7,10 @@ consecutive slices (precision ``drift_precision``) while base parameters
 with precision ``base_precision``. The data terms use the same positive
 and negative pair log-likelihoods as the skip-gram objective, scored
 against the shared context matrix.
+
+The held-out pairs and the per-epoch trace are the ones isg and dsg use
+(``isg.holdout_pairs``, ``sgns.record_epoch``), and the drift penalty's
+threshold is recorded by ``shrinkreg.record_beta``, as in dsg.
 """
 
 import math
@@ -14,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import corpus as corpus_mod
 from .adam import AdamState, adam_step, adam_step_rows
 from .errors import NumericalError
-from .isg import epoch_batches
+from .isg import epoch_batches, holdout_pairs
 from .isg import epoch_positives  # noqa: F401 -- bench/layers.py patches this name
-from .sgns import TrainConfig, TrainResult, batch_grad_rows, mean_lpos, sgns_log_likelihood
+from .sgns import TrainConfig, TrainResult, batch_grad_rows, record_epoch, sgns_log_likelihood
 from . import shrinkreg
 
 
@@ -147,17 +150,9 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
     stateV = AdamState.for_shape((L, d))
 
     reg_active = reg is not None and reg.alpha > 0
-    traces = {t: {"lpos": []} for t in range(T)}
+    traces = {t: {} for t in range(T)}
     prior_trace = []
-    if reg_active:
-        for t in range(1, T):
-            traces[t]["reg_beta"] = []
-    eval_pairs = None
-    if eval_corpus is not None:
-        eval_pairs = [corpus_mod.extract_pairs(eval_corpus.slices[t], config.window)
-                      for t in range(T)]
-        for t in range(T):
-            traces[t]["holdout_lpos"] = []
+    eval_pairs = holdout_pairs(eval_corpus, config.window, T)
 
     for epoch in range(config.epochs):
         pos_counts, per_slice = zip(*(epoch_batches(corpus.slices[t], vocab, config, t, epoch)
@@ -167,11 +162,8 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
         penalty = None
         if reg_active:
             ref = U_all[0].copy()
-            betas = [0.0] * T
-            for t in range(1, T):
-                betas[t] = shrinkreg.resolve_beta(
-                    reg, shrinkreg.word_drifts(U_all[t], ref))
-                traces[t]["reg_beta"].append(betas[t])
+            betas = [0.0] + [shrinkreg.record_beta(traces[t], reg, U_all[t], ref)
+                             for t in range(1, T)]
             penalty = (reg, ref, betas)
 
         lpos_sums = [0.0] * T
@@ -201,11 +193,7 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
             del gradU, gradV
 
         for t in range(T):
-            traces[t]["lpos"].append(
-                lpos_sums[t] / pos_counts[t] if pos_counts[t] else 0.0)
-            if eval_pairs is not None:
-                traces[t]["holdout_lpos"].append(
-                    mean_lpos(eval_pairs[t], U_all[t], V))
+            record_epoch(traces[t], lpos_sums[t], pos_counts[t], eval_pairs[t], U_all[t], V)
         prior_trace.append(dbe_prior(U_all, V, params))
 
     adam = {**{f"u{t}": state for t, state in enumerate(statesU)}, "ctx": stateV}

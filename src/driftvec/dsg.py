@@ -13,6 +13,11 @@ estimated with reparameterized draws, the expected log-prior in closed
 form, and an entropy term that by default is the plain sum of posterior
 variances (the coarse approximation this model family uses). Pass
 ``entropy_mode="exact"`` for the true Gaussian entropy instead.
+
+The slice chain, the held-out pairs and the per-epoch trace are the
+ones isg uses (``isg.chain_slices``, ``isg.holdout_pairs``,
+``sgns.record_epoch``); the drift penalty's threshold is recorded by
+``shrinkreg.record_beta``, as in dbe.
 """
 
 import math
@@ -20,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import corpus as corpus_mod
 from .adam import AdamState, adam_step
 from .errors import NumericalError
-from .isg import FORWARD, epoch_batches, training_order
+from .isg import FORWARD, chain_slices, epoch_batches, holdout_pairs
 from .isg import epoch_positives  # noqa: F401 -- bench/layers.py patches this name
-from .sgns import (TrainConfig, TrainResult, batch_grad_rows, mean_lpos, sgns_log_likelihood,
+from .sgns import (TrainConfig, TrainResult, batch_grad_rows, record_epoch, sgns_log_likelihood,
                    touched_rows)
 from . import shrinkreg
 
@@ -226,22 +230,15 @@ def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
     mus = [prior.mean.copy() for prior in priors]
     logvars = [np.full((L, d), math.log(prior.variance)) for prior in priors]
     states = {name: AdamState.for_shape((L, d)) for name in ("muU", "logvarU", "muV", "logvarV")}
-    trace = {"elbo": [], "lpos": []}
-    if eval_pairs is not None:
-        trace["holdout_lpos"] = []
+    trace = {"elbo": []}
     reg_active = reg is not None and reg.alpha > 0 and ref_mean is not None
-    if reg_active:
-        trace["reg_beta"] = []
 
     for epoch in range(config.epochs):
         total_pos, minibatches = epoch_batches(slice_docs, vocab, config,
                                                slice_index, epoch)
         eps_rng = np.random.default_rng([config.seed, slice_index, epoch, 3])
 
-        beta = 0.0
-        if reg_active:
-            beta = shrinkreg.resolve_beta(reg, shrinkreg.word_drifts(mus[0], ref_mean))
-            trace["reg_beta"].append(beta)
+        beta = shrinkreg.record_beta(trace, reg, mus[0], ref_mean) if reg_active else 0.0
 
         like_sum = 0.0
         lpos_sum = 0.0
@@ -276,16 +273,14 @@ def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
                         for mu, var, prior in zip(mus, variances, priors))
         entropy = entropy_value(variances, params.entropy_mode)
         trace["elbo"].append(like_sum + log_prior + entropy)
-        trace["lpos"].append(lpos_sum / total_pos if total_pos else 0.0)
-        if eval_pairs is not None:
-            trace["holdout_lpos"].append(mean_lpos(eval_pairs, *mus))
+        record_epoch(trace, lpos_sum, total_pos, eval_pairs, *mus)
 
     return (*map(GaussianEmbeddingMatrix, mus, variances), trace)
 
 
 def train_dsg(corpus, vocab, init, params: DsgParams, config: TrainConfig,
               direction: str = FORWARD, reg: shrinkreg.RegConfig | None = None,
-              eval_corpus=None):
+              eval_corpus=None) -> TrainResult:
     """Chain filter steps across slices.
 
     ``init`` is a ``(U, V)`` pair of (L, d) arrays acting as the means of
@@ -297,23 +292,17 @@ def train_dsg(corpus, vocab, init, params: DsgParams, config: TrainConfig,
     Returns a :class:`TrainResult`: posterior means under ``word`` and
     ``context``, posterior variances under ``var`` and ``context_var``.
     """
-    T = corpus.T
-    order = training_order(T, direction)
-    matrices = {role: [None] * T for role in ("word", "var", "context", "context_var")}
-    traces = {}
-    prev = init
     ref_mean = None
-    for pos, t in enumerate(order):
-        eval_pairs = None
-        if eval_corpus is not None:
-            eval_pairs = corpus_mod.extract_pairs(eval_corpus.slices[t], config.window)
+
+    def step(t, prev, pairs):
+        nonlocal ref_mean
         qU, qV, trace = dsg_filter_step(
             corpus.slices[t], vocab, prev, params, config, slice_index=t,
-            reg=reg, ref_mean=ref_mean, eval_pairs=eval_pairs)
-        for role, matrix in zip(matrices, (qU.mean, qU.variance, qV.mean, qV.variance)):
-            matrices[role][t] = matrix
-        traces[t] = trace
-        prev = (qU.mean, qV.mean)
-        if pos == 0:
+            reg=reg, ref_mean=ref_mean, eval_pairs=pairs)
+        if ref_mean is None:
             ref_mean = qU.mean
-    return TrainResult(matrices, traces, order)
+        return {"word": qU.mean, "var": qU.variance,
+                "context": qV.mean, "context_var": qV.variance}, trace
+
+    return chain_slices(corpus, init, direction,
+                        holdout_pairs(eval_corpus, config.window, corpus.T), step)

@@ -6,6 +6,11 @@ Per-epoch document order and negative draws are derived from
 never occur in a slice are never selected as centers there, so their
 word vectors pass through the slice untouched (the lazy optimizer skips
 them entirely).
+
+The trainers' shared bookkeeping lives here and in ``sgns``: each
+epoch's pair stream (:func:`epoch_batches`), each slice's held-out pairs
+(:func:`holdout_pairs`), the slice chain of isg and dsg
+(:func:`chain_slices`) and the per-epoch trace (``sgns.record_epoch``).
 """
 
 import math
@@ -15,7 +20,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from .adam import AdamState, adam_step_rows
 from .errors import NumericalError
-from .sgns import TrainConfig, TrainResult, batch_grad_rows, mean_lpos
+from .sgns import TrainConfig, TrainResult, batch_grad_rows, record_epoch
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -60,12 +65,16 @@ def epoch_batches(slice_docs, vocab, config: TrainConfig, slice_index: int,
                                                config.negative_ratio)
 
 
-def training_order(T: int, direction: str) -> list:
-    """Calendar slices in the order a chained trainer visits them:
-    oldest first for ``forward``, newest first for ``backward``."""
-    if direction not in (FORWARD, BACKWARD):
-        raise ValueError(f"unknown direction {direction!r}")
-    return list(range(T)) if direction == FORWARD else list(range(T - 1, -1, -1))
+def holdout_pairs(eval_corpus, window: int, T: int) -> list:
+    """Each slice's held-out ``(centers, contexts)`` pairs from
+    ``eval_corpus``, which must have the training corpus's ``T`` slices;
+    None for each slice without an eval corpus."""
+    if eval_corpus is None:
+        return [None] * T
+    if eval_corpus.T != T:
+        raise ValueError(f"eval corpus has {eval_corpus.T} slices, but the "
+                         f"training corpus has {T}")
+    return [corpus_mod.extract_pairs(docs, window) for docs in eval_corpus.slices]
 
 
 def train_slice(slice_docs, vocab, initU: np.ndarray, initV: np.ndarray,
@@ -84,7 +93,7 @@ def train_slice(slice_docs, vocab, initU: np.ndarray, initV: np.ndarray,
     V = initV.copy()
     stateU = AdamState.for_shape((L, d))
     stateV = AdamState.for_shape((L, d))
-    trace = {"lpos": [], "holdout_lpos": []} if eval_pairs is not None else {"lpos": []}
+    trace = {}
 
     for epoch in range(config.epochs):
         n_pos, minibatches = epoch_batches(slice_docs, vocab, config, slice_index, epoch)
@@ -98,10 +107,26 @@ def train_slice(slice_docs, vocab, initU: np.ndarray, initV: np.ndarray,
             adam_step_rows(U, u_rows, gU, stateU, config.learning_rate, "U")
             adam_step_rows(V, v_rows, gV, stateV, config.learning_rate, "V")
             lpos_sum += lpos
-        trace["lpos"].append(lpos_sum / n_pos if n_pos else 0.0)
-        if eval_pairs is not None:
-            trace["holdout_lpos"].append(mean_lpos(eval_pairs, U, V))
+        record_epoch(trace, lpos_sum, n_pos, eval_pairs, U, V)
     return U, V, trace
+
+
+def chain_slices(corpus, init, direction: str, eval_pairs, step) -> TrainResult:
+    """Train the slices oldest first for ``forward``, newest first for
+    ``backward``. ``step(t, prev, eval_pairs[t])`` trains calendar slice
+    ``t`` from ``prev``, the ``(U, V)`` pair ``init`` or the previous
+    slice's ``word`` and ``context``, and returns ``({role: matrix}, trace)``."""
+    if direction not in (FORWARD, BACKWARD):
+        raise ValueError(f"unknown direction {direction!r}")
+    T = corpus.T
+    order = list(range(T)) if direction == FORWARD else list(range(T - 1, -1, -1))
+    matrices, traces, prev = {}, {}, init
+    for t in order:
+        out, traces[t] = step(t, prev, eval_pairs[t])
+        for role, matrix in out.items():
+            matrices.setdefault(role, [None] * T)[t] = matrix
+        prev = out["word"], out["context"]
+    return TrainResult(matrices, traces, order)
 
 
 def train_incremental(corpus, vocab, init, config: TrainConfig,
@@ -114,20 +139,10 @@ def train_incremental(corpus, vocab, init, config: TrainConfig,
     updates towards older ones. Returns a :class:`TrainResult` with the
     ``word`` and ``context`` matrices of every calendar slice.
     """
-    T = corpus.T
-    order = training_order(T, direction)
-    U_out = [None] * T
-    V_out = [None] * T
-    traces = {}
-    curU, curV = init
-    for t in order:
-        eval_pairs = None
-        if eval_corpus is not None:
-            eval_pairs = corpus_mod.extract_pairs(eval_corpus.slices[t], config.window)
-        curU, curV, trace = train_slice(
-            corpus.slices[t], vocab, curU, curV, config,
-            slice_index=t, eval_pairs=eval_pairs)
-        U_out[t] = curU
-        V_out[t] = curV
-        traces[t] = trace
-    return TrainResult({"word": U_out, "context": V_out}, traces, order)
+    def step(t, prev, pairs):
+        U, V, trace = train_slice(corpus.slices[t], vocab, *prev, config,
+                                  slice_index=t, eval_pairs=pairs)
+        return {"word": U, "context": V}, trace
+
+    return chain_slices(corpus, init, direction,
+                        holdout_pairs(eval_corpus, config.window, corpus.T), step)

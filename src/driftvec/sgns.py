@@ -46,7 +46,9 @@ class TrainResult:
     to its (L, d) matrices in calendar-slice order: ``word`` and
     ``context`` (posterior means for dsg, one shared matrix for dbe), and
     dsg's posterior ``var`` and ``context_var``. ``traces`` maps each
-    calendar slice to its trace; ``order`` is the training order. Only
+    calendar slice to its trace, one value per epoch under each key (see
+    :func:`record_epoch`; dsg adds ``elbo``, and the drift penalty
+    ``reg_beta``); ``order`` is the training order. Only
     dbe fills ``prior_trace``, its log prior after each epoch, and
     ``adam``, its final optimizer states by name."""
     matrices: dict
@@ -54,6 +56,14 @@ class TrainResult:
     order: list
     prior_trace: list | None = None
     adam: dict = field(default_factory=dict)
+
+
+def record_epoch(trace: dict, lpos_sum: float, n_pos: int, eval_pairs, U, V) -> None:
+    """Append an epoch's mean training ``lpos`` over ``n_pos`` positive pairs
+    (0.0 for none) and, given ``eval_pairs``, the ``holdout_lpos`` of ``(U, V)``."""
+    trace.setdefault("lpos", []).append(lpos_sum / n_pos if n_pos else 0.0)
+    if eval_pairs is not None:
+        trace.setdefault("holdout_lpos", []).append(mean_lpos(eval_pairs, U, V))
 
 
 def sigmoid(x):

@@ -5,6 +5,8 @@ the maximized log-likelihood) of the Bayesian filtered and Bernoulli
 trainers. Its threshold can be a fixed value or the sentinel
 ``"mean"``, in which case it is refreshed once per epoch as the mean of
 the current per-word drifts and frozen within the epoch.
+:func:`record_beta` resolves that threshold and records it in the
+slice's trace for both trainers.
 """
 
 import math
@@ -91,3 +93,11 @@ def resolve_beta(config: RegConfig, drifts: np.ndarray) -> float:
     if isinstance(config.beta, str):
         return float(drifts.mean()) if len(drifts) else 0.0
     return float(config.beta)
+
+
+def record_beta(trace: dict, config: RegConfig, current, reference) -> float:
+    """:func:`resolve_beta` on the drifts of ``current`` from ``reference``,
+    also appended to ``trace["reg_beta"]``."""
+    beta = resolve_beta(config, word_drifts(current, reference))
+    trace.setdefault("reg_beta", []).append(beta)
+    return beta

@@ -284,18 +284,34 @@ class TestTrainEvalDrift:
         _, var = load_embedding_text(outdir / "dsg" / "t0.var.vec")
         assert (var > 0).all()
 
-    def test_dbe_run_with_regularizer_records_beta(self, pipeline, tmp_path):
-        outdir = tmp_path / "run_dbe"
-        assert run(train_args(pipeline, outdir, model="dbe",
-                              extra=["--reg-alpha", "0.5", "--reg-beta", "mean"])) == 0
+    @pytest.mark.parametrize("model, init", [("dbe", "random"), ("dsg", "random"),
+                                             ("dsg", "backward-external")])
+    def test_dbe_run_with_regularizer_records_beta(self, pipeline, tmp_path, model, init):
+        extra = ["--reg-alpha", "0.5", "--reg-beta", "mean"]
+        if init == "backward-external":
+            vocab = load_vocabulary(pipeline / "vocab.tsv")
+            pre = tmp_path / "pre.vec"
+            save_embedding_text(pre, list(vocab.words),
+                                np.random.default_rng(0).normal(size=(vocab.size, 4)))
+            extra += ["--init", init, "--pretrained", pre]
+        outdir = tmp_path / "run"
+        assert run(train_args(pipeline, outdir, model=model, extra=extra)) == 0
         manifest = read_manifest(outdir)
         assert manifest["config"]["reg"] == {"alpha": 0.5, "beta": "mean"}
-        # slice 0 is the reference; every later slice has one beta per epoch
-        assert "reg_beta" not in manifest and "reg_beta" not in manifest["traces"]["0"]
-        for t in ("1", "2"):
-            assert len(manifest["traces"][t]["reg_beta"]) == 2
-        assert (outdir / "dbe" / "context.vec").exists()
-        assert (outdir / "dbe" / "adam_ctx.txt").exists()
+        # the reference slice is slice 0, the last for backward dsg, and
+        # has no threshold; every other slice has one per epoch
+        reference = 2 if init == "backward-external" else 0
+        assert "reg_beta" not in manifest
+        assert sorted(manifest["traces"]) == ["0", "1", "2"]
+        for t, trace in manifest["traces"].items():
+            assert len(trace["holdout_lpos"]) == 2
+            if int(t) == reference:
+                assert "reg_beta" not in trace
+            else:
+                assert len(trace["reg_beta"]) == 2
+        if model == "dbe":
+            assert (outdir / "dbe" / "context.vec").exists()
+            assert (outdir / "dbe" / "adam_ctx.txt").exists()
 
     def test_backward_external_direction(self, pipeline, tmp_path):
         from driftvec.corpus import load_vocabulary
@@ -788,6 +804,23 @@ def test_drift_reads_no_context_checkpoint(trained_runs, tmp_path, monkeypatch, 
     loads = record_loads(monkeypatch)
     assert run(["drift", "--run", rundir, "--out", tmp_path]) == 0
     assert loads == [runs.checkpoint_path(rundir, model, "word", t) for t in range(3)]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--t0", "3", "reference slice 3 out of range: the run has 3 slices"),
+    ("--t0", "-1", "reference slice -1 out of range: the run has 3 slices"),
+    ("--bins", "0", "bins must be >= 1"),
+    ("--stability-threshold", "nan", "threshold_fraction must lie in (0, 1)"),
+])
+def test_bad_drift_argument_writes_nothing(trained_runs, tmp_path, monkeypatch, capsys,
+                                           flag, value, message):
+    loads = record_loads(monkeypatch)
+    out = tmp_path / "out"
+    assert run(["drift", "--run", trained_runs["isg"], flag, value, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    if flag == "--t0":
+        assert loads == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from driftvec import corpus as corpus_mod
 from driftvec.dbe import DbeParams, train_dbe
 from driftvec.dsg import DsgParams, dsg_filter_step
 from driftvec.errors import DataError
 from driftvec.inits import (BACKWARD_EXTERNAL, InitScheme, apply_scheme,
                             init_internal, init_random, load_pretrained,
-                            pool_slices)
+                            pool_slices, train_model)
 from driftvec.isg import train_slice
 from driftvec.sgns import TrainConfig, save_embedding_text, sigmoid
 
@@ -201,3 +202,21 @@ class TestApplyScheme:
         (U0, V0), direction = apply_scheme(scheme, "isg", corpus, vocab, cfg())
         assert direction == "backward"
         np.testing.assert_array_equal(U0, np.ones((vocab.size, 6)))
+
+
+@pytest.mark.parametrize("eval_slices", [2, 4])
+@pytest.mark.parametrize("kind", ["isg", "dsg", "dbe"])
+def test_eval_corpus_of_another_length_is_rejected_before_training(monkeypatch, kind,
+                                                                   eval_slices):
+    vocab, corpus = toy_corpus([["a b c"], ["b c a"], ["c a b"]])
+    eval_corpus = corpus_mod.TimeSlicedCorpus(slices=(corpus.slices * 2)[:eval_slices],
+                                              split_tag="valid")
+
+    def no_epoch(*args, **kwargs):
+        raise AssertionError("a slice was trained")
+
+    monkeypatch.setattr(corpus_mod, "sample_negatives", no_epoch)
+    init = init_random(vocab.size, 6, 0, kind)
+    with pytest.raises(ValueError, match=f"eval corpus has {eval_slices} slices, "
+                                         "but the training corpus has 3"):
+        train_model(kind, corpus, vocab, init, cfg(epochs=1), eval_corpus=eval_corpus)
