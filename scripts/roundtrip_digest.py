@@ -9,7 +9,9 @@ Runs the README's command-line round trip with the driftvec under
 ``export`` of every role of every slice. dsg and dbe train with the
 drift penalty under ``internal`` (threshold ``mean``) and
 ``backward-external`` (a fixed threshold), so the digest covers both
-kinds of threshold and the penalty of a backward dsg chain. Four usage
+kinds of threshold and the penalty of a backward dsg chain. A last dsg
+run, with ``random`` init, takes two noise samples per step and the
+exact entropy (``--samples 2 --entropy exact``). Four usage
 errors close it: ``slice --holdout nan``, ``export`` of a slice past
 the run's last, and ``drift`` with a reference slice past the last or
 with ``--bins 0``. Every command runs in a fresh interpreter with
@@ -53,6 +55,14 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def trained_runs():
+    """``(model, run name, extra train flags)`` of each run, in order."""
+    for model in MODELS:
+        for init, flags in INITS.items():
+            yield model, init, flags(model)
+    yield "dsg", "samples2-exact", ["--samples", "2", "--entropy", "exact"]
+
+
 def commands():
     """The round trip's ``driftvec`` argument lists, in order."""
     yield ["synth", "--out", "demo", "--vocab-size", "200", "--slices", str(SLICES),
@@ -62,21 +72,20 @@ def commands():
     yield ["slice", "--manifest", "demo/manifest.tsv", "--vocab", "demo/vocab.tsv",
            "--boundaries", "2000:2004", "--holdout", "0.1", "--seed", "0",
            "--out-prefix", "demo/data"]
-    for model in MODELS:
-        for init, flags in INITS.items():
-            run = f"runs/{model}-{init}"
-            yield ["train", "--model", model, "--out", run, *DATA,
-                   "--dim", "16", "--epochs", "10", "--seed", "0", *flags(model)]
-            yield ["eval", "--run", run, "--split", "valid"]
-            yield ["drift", "--run", run, "--t0", "0", "--bins", "60",
-                   "--out", f"analysis/{model}-{init}"]
-            for role in ROLES[model]:
-                for t in range(SLICES):
-                    yield ["export", "--run", run, "--slice", str(t), "--role", role,
-                           "--out", f"exports/{model}-{init}.{role}.t{t}.vec"]
-            if (model, init) == ("isg", "random"):
-                yield ["export", "--run", run, "--slice", str(SLICES - 1),
-                       "--out", "pretrained.vec"]
+    for model, name, flags in trained_runs():
+        run = f"runs/{model}-{name}"
+        yield ["train", "--model", model, "--out", run, *DATA,
+               "--dim", "16", "--epochs", "10", "--seed", "0", *flags]
+        yield ["eval", "--run", run, "--split", "valid"]
+        yield ["drift", "--run", run, "--t0", "0", "--bins", "60",
+               "--out", f"analysis/{model}-{name}"]
+        for role in ROLES[model]:
+            for t in range(SLICES):
+                yield ["export", "--run", run, "--slice", str(t), "--role", role,
+                       "--out", f"exports/{model}-{name}.{role}.t{t}.vec"]
+        if (model, name) == ("isg", "random"):
+            yield ["export", "--run", run, "--slice", str(SLICES - 1),
+                   "--out", "pretrained.vec"]
     yield ["slice", "--manifest", "demo/manifest.tsv", "--vocab", "demo/vocab.tsv",
            "--boundaries", "2000:2004", "--holdout", "nan", "--out-prefix", "demo/nan"]
     yield ["export", "--run", "runs/isg-random", "--slice", str(SLICES),

@@ -55,6 +55,16 @@ class HistogramExport:
     counts: dict                # target slice -> (bins,) int array
 
 
+def check_bins(bins: int) -> None:
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+
+
+def check_threshold_fraction(threshold_fraction: float) -> None:
+    if not 0 < threshold_fraction < 1:
+        raise ValueError("threshold_fraction must lie in (0, 1)")
+
+
 def drift_histogram(series: DriftSeries, bins: int) -> HistogramExport:
     """Superimposed histograms of drifts toward each target slice.
 
@@ -62,8 +72,7 @@ def drift_histogram(series: DriftSeries, bins: int) -> HistogramExport:
     so per-slice counts each sum to the vocabulary size. Counts are
     meant to be plotted on a log scale.
     """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    check_bins(bins)
     targets = series.target_slices
     pool = series.values[:, targets]
     lo = float(pool.min()) if pool.size else 0.0
@@ -108,8 +117,7 @@ def stability_fraction(series: DriftSeries, target_t: int,
                        threshold_fraction: float) -> float:
     """Fraction of words whose drift to ``target_t`` is below
     ``threshold_fraction`` times the mean drift there."""
-    if not 0 < threshold_fraction < 1:
-        raise ValueError("threshold_fraction must lie in (0, 1)")
+    check_threshold_fraction(threshold_fraction)
     col = series.values[:, target_t]
     return float((col < threshold_fraction * col.mean()).mean())
 

@@ -353,6 +353,8 @@ def cmd_drift(args) -> int:
         raise DataError(f"{args.run}: drift needs at least two slices, the run has {T}")
     if not 0 <= args.t0 < T:
         raise ValueError(f"reference slice {args.t0} out of range: the run has {T} slices")
+    analysis.check_bins(args.bins)
+    analysis.check_threshold_fraction(args.stability_threshold)
     words, mats = runs.load_slice_matrices(args.run, manifest, roles=("word",))
     # every check runs before the first file is written
     series = analysis.drift_series(mats["word"], args.t0)

@@ -18,9 +18,18 @@ The slice chain, the held-out pairs and the per-epoch trace are the
 ones isg uses (``isg.chain_slices``, ``isg.holdout_pairs``,
 ``sgns.record_epoch``); the drift penalty's threshold is recorded by
 ``shrinkreg.record_beta``, as in dbe.
+
+A filter step runs on two threads with no setting to choose: a helper
+draws the next minibatch's noise, into one of two preallocated buffer
+sets, and steps the context side while the word side steps on the
+calling thread. numpy's generator fills and large ufuncs release the
+GIL, so the two overlap. Each noise stream and each matrix stays on one
+thread and sees the serial order's operations, so the results are the
+same bits on any number of cores.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,6 +208,14 @@ def _prior_entropy_grads(mu, logvar, prior: GaussianPrior, mode: str):
     return gmu, glv
 
 
+def _draw_noise(rng, buffers):
+    """Fill ``buffers`` in turn from ``rng``: the bits that
+    ``rng.standard_normal(buf.shape)`` would return, drawn in the same order."""
+    for buf in buffers:
+        rng.standard_normal(out=buf)
+    return buffers
+
+
 def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
                     config: TrainConfig, slice_index: int = 0,
                     reg: shrinkreg.RegConfig | None = None,
@@ -221,6 +238,12 @@ def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
     against ``ref_mean`` is subtracted from the bound; its threshold is
     refreshed at each epoch start.
 
+    One helper thread, joined before this returns or raises, runs beside
+    the minibatch loop: it draws minibatch b+1's noise while b's
+    likelihood runs, then takes b's V-side step while the U side steps
+    here. Errors surface in the serial order (bound, then ``muU``,
+    ``logvarU``, ``muV``, ``logvarV``).
+
     Returns ``(qU, qV, trace)``.
     """
     L, d = prev_means[0].shape
@@ -233,47 +256,58 @@ def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
     trace = {"elbo": []}
     reg_active = reg is not None and reg.alpha > 0 and ref_mean is not None
 
-    for epoch in range(config.epochs):
-        total_pos, minibatches = epoch_batches(slice_docs, vocab, config,
-                                               slice_index, epoch)
-        eps_rng = np.random.default_rng([config.seed, slice_index, epoch, 3])
+    def step_side(side, frac, beta, mu, logvar, prior, gmu, glv):
+        pmu, plv = _prior_entropy_grads(mu, logvar, prior, params.entropy_mode)
+        gmu += frac * pmu
+        glv += frac * plv
+        if reg_active and side == "U":
+            gmu -= frac * shrinkreg.drift_regularizer_grad(mu, ref_mean, reg.alpha, beta)
+        for name, param, grad in ((f"mu{side}", mu, gmu), (f"logvar{side}", logvar, glv)):
+            adam_step(param, grad, states[name], config.learning_rate, name)
 
-        beta = shrinkreg.record_beta(trace, reg, mus[0], ref_mean) if reg_active else 0.0
+    # minibatch b's noise goes to set b % 2, so b + 1's draw never overwrites what b reads
+    eps_sets = [[np.empty((params.samples_per_step, L, d)) for _ in mus] for _ in range(2)]
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for epoch in range(config.epochs):
+            total_pos, minibatches = epoch_batches(slice_docs, vocab, config,
+                                                   slice_index, epoch)
+            eps_rng = np.random.default_rng([config.seed, slice_index, epoch, 3])
+            draw = helper.submit(_draw_noise, eps_rng, eps_sets[0])
 
-        like_sum = 0.0
-        lpos_sum = 0.0
-        minibatches = list(minibatches) or [(np.empty(0, dtype=np.int64),) * 3]
-        for b_idx, (centers, contexts, labels) in enumerate(minibatches):
-            frac = (int(labels.sum()) / total_pos) if total_pos else 1.0
-            eps = [eps_rng.standard_normal((params.samples_per_step, L, d)) for _ in mus]
-            like, batch_lpos, *grads = sampled_likelihood_grads(
-                centers, contexts, labels, mus[0], logvars[0], mus[1], logvars[1], *eps)
-            if not math.isfinite(like):
-                raise NumericalError(
-                    f"non-finite bound at slice {slice_index}, epoch {epoch}, batch {b_idx}")
-            like_sum += like
-            lpos_sum += batch_lpos
+            beta = shrinkreg.record_beta(trace, reg, mus[0], ref_mean) if reg_active else 0.0
 
-            for side, mu, logvar, prior, gmu, glv in zip(
-                    "UV", mus, logvars, priors, grads[0::2], grads[1::2]):
-                pmu, plv = _prior_entropy_grads(mu, logvar, prior, params.entropy_mode)
-                gmu += frac * pmu
-                glv += frac * plv
-                if reg_active and side == "U":
-                    gmu -= frac * shrinkreg.drift_regularizer_grad(
-                        mu, ref_mean, reg.alpha, beta)
-                for name, param, grad in ((f"mu{side}", mu, gmu), (f"logvar{side}", logvar, glv)):
-                    adam_step(param, grad, states[name], config.learning_rate, name)
+            like_sum = 0.0
+            lpos_sum = 0.0
+            minibatches = list(minibatches) or [(np.empty(0, dtype=np.int64),) * 3]
+            for b_idx, (centers, contexts, labels) in enumerate(minibatches):
+                frac = (int(labels.sum()) / total_pos) if total_pos else 1.0
+                eps = draw.result()
+                if b_idx + 1 < len(minibatches):
+                    draw = helper.submit(_draw_noise, eps_rng, eps_sets[(b_idx + 1) % 2])
+                like, batch_lpos, *grads = sampled_likelihood_grads(
+                    centers, contexts, labels, mus[0], logvars[0], mus[1], logvars[1], *eps)
+                if not math.isfinite(like):
+                    raise NumericalError(
+                        f"non-finite bound at slice {slice_index}, epoch {epoch}, batch {b_idx}")
+                like_sum += like
+                lpos_sum += batch_lpos
 
-        variances = [np.exp(logvar) for logvar in logvars]
-        if not all(var.all() for var in variances):
-            raise NumericalError(f"posterior variance underflowed to 0 at slice "
-                                 f"{slice_index}, epoch {epoch}")
-        log_prior = sum(expected_log_gaussian(mu, var, prior)
-                        for mu, var, prior in zip(mus, variances, priors))
-        entropy = entropy_value(variances, params.entropy_mode)
-        trace["elbo"].append(like_sum + log_prior + entropy)
-        record_epoch(trace, lpos_sum, total_pos, eval_pairs, *mus)
+                # an error on the U side is raised before the V side's, as in
+                # the serial order; leaving the block joins the V job either way
+                v_step = helper.submit(step_side, "V", frac, beta, mus[1], logvars[1],
+                                       priors[1], *grads[2:])
+                step_side("U", frac, beta, mus[0], logvars[0], priors[0], *grads[:2])
+                v_step.result()
+
+            variances = [np.exp(logvar) for logvar in logvars]
+            if not all(var.all() for var in variances):
+                raise NumericalError(f"posterior variance underflowed to 0 at slice "
+                                     f"{slice_index}, epoch {epoch}")
+            log_prior = sum(expected_log_gaussian(mu, var, prior)
+                            for mu, var, prior in zip(mus, variances, priors))
+            entropy = entropy_value(variances, params.entropy_mode)
+            trace["elbo"].append(like_sum + log_prior + entropy)
+            record_epoch(trace, lpos_sum, total_pos, eval_pairs, *mus)
 
     return (*map(GaussianEmbeddingMatrix, mus, variances), trace)
 

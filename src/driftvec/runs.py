@@ -14,8 +14,9 @@ float64), and the ``checkpoints`` block of ``run.json`` pins the sha256
 of both, ``{"<kind>/<file>.vec": {"sha256": ..., "npy_sha256": ...}}``.
 The ``.vec`` is the format of record. A load reads the twin only when
 the ``.vec`` and the twin both hash to their pins and the twin's shape
-is the ``.vec`` header's; anything else (no pin, a missing or damaged
-twin, a ``.vec`` edited after training) parses the ``.vec`` text.
+is the ``.vec`` header's. A ``.vec`` without a pin, or next to a
+missing or damaged twin, is parsed as text; a pinned ``.vec`` that no
+longer hashes to its pin (edited after training) is a data error.
 
 ``eval`` and ``drift`` read a run through :func:`load_slice_matrices`:
 a matrix per slice for each role they ask for, each file read once.
@@ -253,14 +254,19 @@ save_isg_checkpoints = save_dsg_checkpoints = save_dbe_checkpoints = save_checkp
 
 def _pinned_twin(path: Path, pins):
     """``(words, matrix)`` read through the binary twin of the checkpoint
-    at ``path``, or None unless the checkpoint and its twin hash to their
-    pins and the twin is a float64 matrix of the checkpoint header's shape."""
+    at ``path``. None when the checkpoint has no pin, or when its twin is
+    missing, does not hash to its pin or is not a float64 matrix of the
+    checkpoint header's shape. A pinned checkpoint that no longer hashes
+    to its pin is a DataError."""
     pin = pins.get(_pin_key(path)) if isinstance(pins, dict) else None
     if not isinstance(pin, dict):
         return None
     text = path.read_bytes()
+    if hashlib.sha256(text).hexdigest() != pin.get("sha256"):
+        raise DataError(f"{path}: changed since training; its sha256 is not the one "
+                        f"run.json pins")
     twin = path.with_suffix(".npy")
-    if hashlib.sha256(text).hexdigest() != pin.get("sha256") or not twin.exists():
+    if not twin.exists():
         return None
     raw = twin.read_bytes()
     if hashlib.sha256(raw).hexdigest() != pin.get("npy_sha256"):

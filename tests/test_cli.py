@@ -725,6 +725,15 @@ def test_damaged_manifest_is_data_error(tmp_path, capsys, command, text, message
     assert f"data error: {tmp_path / 'run.json'}: {message}" in capsys.readouterr().err
 
 
+def unpinned_copy(rundir, dest):
+    """A copy of the run without its ``checkpoints`` block, as written before
+    checkpoints were pinned: a damaged ``.vec`` there is parsed as text, and
+    the checks across files are what catch it."""
+    shutil.copytree(rundir, dest)
+    edit_manifest(dest, lambda m: m.pop("checkpoints"))
+    return dest
+
+
 def swap_rows(path, i, j):
     lines = path.read_text().splitlines(keepends=True)
     lines[i + 1], lines[j + 1] = lines[j + 1], lines[i + 1]
@@ -752,8 +761,7 @@ def narrow(path):
 ])
 def test_damaged_word_checkpoint_is_data_error(trained_runs, tmp_path, capsys,
                                                command, model, name, damage, message):
-    rundir = tmp_path / "run"
-    shutil.copytree(trained_runs[model], rundir)
+    rundir = unpinned_copy(trained_runs[model], tmp_path / "run")
     damage(rundir / model / name)
     assert run([command, "--run", rundir]) == 2
     assert f"data error: {rundir / model / name}: {message}" in capsys.readouterr().err
@@ -766,8 +774,7 @@ def test_damaged_word_checkpoint_is_data_error(trained_runs, tmp_path, capsys,
                                                 ("dbe", "context.vec", "t0.vec")])
 def test_eval_checks_context_checkpoints_against_slice_0(trained_runs, tmp_path, capsys,
                                                         model, name, first, damage, message):
-    rundir = tmp_path / "run"
-    shutil.copytree(trained_runs[model], rundir)
+    rundir = unpinned_copy(trained_runs[model], tmp_path / "run")
     damage(rundir / model / name)
     assert run(["eval", "--run", rundir]) == 2
     err = capsys.readouterr().err
@@ -819,8 +826,7 @@ def test_bad_drift_argument_writes_nothing(trained_runs, tmp_path, monkeypatch, 
     assert run(["drift", "--run", trained_runs["isg"], flag, value, "--out", out]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
-    if flag == "--t0":
-        assert loads == []
+    assert loads == []
 
 
 # ---------------------------------------------------------------------------
@@ -909,21 +915,23 @@ def test_damaged_twin_falls_back_to_text(trained_runs, tmp_path, model, damage):
 
 
 @pytest.mark.parametrize("model", ["isg", "dsg", "dbe"])
-def test_vec_rewritten_after_training_is_what_eval_reads(trained_runs, tmp_path, model):
-    # the .vec is hashed first, so a stale twin is never read
-    expected = run_outputs(trained_runs[model], model, tmp_path / "original")
-    edited, reference = tmp_path / "edited", tmp_path / "reference"
-    shutil.copytree(trained_runs[model], edited)
-    for vec in (edited / model).glob("*.vec"):
-        words, matrix = load_embedding_text(vec)
-        save_embedding_text(vec, words, matrix * 1.5 + 0.25 * (matrix < 0.3))
-    shutil.copytree(edited, reference)
-    for twin in (reference / model).glob("*.npy"):
-        twin.unlink()
-    outputs = run_outputs(edited, model, tmp_path / "out_edited")
-    assert outputs == run_outputs(reference, model, tmp_path / "out_reference")
-    for name in ("eval.txt", "drift.csv", "word.vec"):
-        assert outputs[name] != expected[name], name
+def test_pinned_vec_edited_after_training_is_data_error(trained_runs, tmp_path, capsys, model):
+    rundir = tmp_path / "run"
+    shutil.copytree(trained_runs[model], rundir)
+    vec = runs.checkpoint_path(rundir, model, "word", 1)
+    words, matrix = load_embedding_text(vec)
+    save_embedding_text(vec, words, matrix * 1.5 + 0.25 * (matrix < 0.3))
+    out = tmp_path / "out"
+    for command in (["eval"], ["drift", "--out", out],
+                    ["export", "--slice", "1", "--out", out / "t1.vec"]):
+        assert run([command[0], "--run", rundir, *command[1:]]) == 2
+        assert capsys.readouterr().err == (f"data error: {vec}: changed since training; "
+                                           f"its sha256 is not the one run.json pins\n")
+    assert not out.exists()
+    # a run without the checkpoints block still reads the edited text
+    edit_manifest(rundir, lambda m: m.pop("checkpoints"))
+    outputs = run_outputs(rundir, model, out)
+    assert outputs["word.vec"] == vec.read_bytes()
 
 
 @pytest.mark.parametrize("model", ["isg", "dsg", "dbe"])

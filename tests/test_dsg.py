@@ -1,8 +1,12 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from driftvec import dsg, shrinkreg
 from driftvec.adam import AdamState, adam_step
 from driftvec.corpus import extract_pairs
 from driftvec.errors import NumericalError
@@ -12,7 +16,7 @@ from driftvec.dsg import (DsgParams, ElboTerms, GaussianEmbeddingMatrix,
                           expected_log_gaussian, sampled_likelihood_grads,
                           train_dsg)
 from driftvec.inits import init_random
-from driftvec.isg import train_slice
+from driftvec.isg import epoch_batches, train_slice
 from driftvec.sgns import TrainConfig, sgns_gradients, sgns_log_likelihood
 
 from conftest import make_batch, toy_corpus
@@ -379,3 +383,173 @@ class TestFlatPriorDegeneracy:
             DsgParams(diffusion_var=100.0, anchor_var=1e6), cfg)
         dsg_lpos = self._lpos(eval_pairs, qU.mean, qV.mean)
         assert abs(dsg_lpos - isg_lpos) / abs(isg_lpos) < 0.05
+
+
+def serial_filter_step(slice_docs, vocab, prev_means, params, config, slice_index=0,
+                       reg=None, ref_mean=None):
+    """The filter step's minibatch loop on one thread: draw the noise,
+    the likelihood, then each side's prior/entropy share (and the word
+    side's drift penalty) and the four Adam steps in the order muU,
+    logvarU, muV, logvarV. Returns ``(means, variances, lpos, reg_beta)``."""
+    L, d = prev_means[0].shape
+    priors = [GaussianPrior(*combine_priors(mean, params.diffusion_var, params.anchor_var))
+              for mean in prev_means]
+    mus = [prior.mean.copy() for prior in priors]
+    logvars = [np.full((L, d), math.log(prior.variance)) for prior in priors]
+    states = {name: AdamState.for_shape((L, d)) for name in ("muU", "logvarU", "muV", "logvarV")}
+    lpos, betas = [], []
+    for epoch in range(config.epochs):
+        total_pos, minibatches = epoch_batches(slice_docs, vocab, config, slice_index, epoch)
+        eps_rng = np.random.default_rng([config.seed, slice_index, epoch, 3])
+        if reg is not None:
+            betas.append(shrinkreg.resolve_beta(reg, shrinkreg.word_drifts(mus[0], ref_mean)))
+        lpos_sum = 0.0
+        for centers, contexts, labels in list(minibatches) or [(np.empty(0, dtype=np.int64),) * 3]:
+            frac = (int(labels.sum()) / total_pos) if total_pos else 1.0
+            eps = [eps_rng.standard_normal((params.samples_per_step, L, d)) for _ in mus]
+            _, batch_lpos, *grads = sampled_likelihood_grads(
+                centers, contexts, labels, mus[0], logvars[0], mus[1], logvars[1], *eps)
+            lpos_sum += batch_lpos
+            for side, mu, logvar, prior, gmu, glv in zip(
+                    "UV", mus, logvars, priors, grads[0::2], grads[1::2]):
+                pmu, plv = _prior_entropy_grads(mu, logvar, prior, params.entropy_mode)
+                gmu += frac * pmu
+                glv += frac * plv
+                if reg is not None and side == "U":
+                    gmu -= frac * shrinkreg.drift_regularizer_grad(mu, ref_mean, reg.alpha,
+                                                                   betas[-1])
+                adam_step(mu, gmu, states[f"mu{side}"], config.learning_rate)
+                adam_step(logvar, glv, states[f"logvar{side}"], config.learning_rate)
+        lpos.append(lpos_sum / total_pos if total_pos else 0.0)
+    return mus, [np.exp(logvar) for logvar in logvars], lpos, betas
+
+
+def two_slice_run():
+    vocab, corpus = toy_corpus([["a b c d e"] * 30 + ["e f g"] * 20,
+                                ["a c e g"] * 30 + ["b d f"] * 20])
+    return vocab, corpus, small_config(epochs=2, batch_size=64)
+
+
+class TestHelperThread:
+    """The filter step's helper thread changes no bit and no error."""
+
+    @pytest.mark.parametrize("samples", [1, 2])
+    @pytest.mark.parametrize("entropy_mode", ["sum_var", "exact"])
+    @pytest.mark.parametrize("penalty", [False, True])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_bits_equal_serial_loop(self, samples, entropy_mode, penalty, empty):
+        vocab, corpus, config = two_slice_run()
+        slice_docs = () if empty else corpus.slices[1]
+        rng = np.random.default_rng(7)
+        prev = tuple(rng.normal(size=(vocab.size, config.dim)) for _ in range(2))
+        reg = shrinkreg.RegConfig(alpha=0.1, beta="mean") if penalty else None
+        ref_mean = rng.normal(size=prev[0].shape) if penalty else None
+        params = DsgParams(samples_per_step=samples, entropy_mode=entropy_mode)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch threads as often as the interpreter can
+        try:
+            qU, qV, trace = dsg_filter_step(slice_docs, vocab, prev, params, config,
+                                            slice_index=1, reg=reg, ref_mean=ref_mean)
+        finally:
+            sys.setswitchinterval(interval)
+        means, variances, lpos, betas = serial_filter_step(
+            slice_docs, vocab, prev, params, config, 1, reg, ref_mean)
+        if not empty:
+            total, minibatches = epoch_batches(slice_docs, vocab, config, 1, 0)
+            assert len(list(minibatches)) >= 3     # both noise buffer sets are reused
+        for q, mean, var in zip((qU, qV), means, variances):
+            np.testing.assert_array_equal(q.mean, mean)
+            np.testing.assert_array_equal(q.variance, var)
+        assert trace["lpos"] == lpos
+        assert trace.get("reg_beta", []) == betas
+
+    @staticmethod
+    def failing_adam(monkeypatch, fail, slow=(), ran=None):
+        """Make ``dsg.adam_step`` raise the finiteness error for the matrix
+        names in ``fail``, after 0.2 s for those in ``slow``; ``ran`` lists
+        the names of the steps that finished or raised."""
+        real = dsg.adam_step
+
+        def step(param, grad, state, learning_rate, name):
+            try:
+                if name in slow:
+                    time.sleep(0.2)
+                if name in fail:
+                    raise NumericalError(f"non-finite gradient for parameter matrix {name!r}")
+                return real(param, grad, state, learning_rate, name)
+            finally:
+                if ran is not None:
+                    ran.append(name)
+
+        monkeypatch.setattr(dsg, "adam_step", step)
+
+    @pytest.mark.parametrize("fail, reported", [
+        ({"logvarU", "muV"}, "logvarU"),
+        ({"muU", "logvarV"}, "muU"),
+        ({"logvarV"}, "logvarV"),
+        ({"muV", "logvarV"}, "muV"),
+    ])
+    def test_error_order_is_the_serial_one(self, monkeypatch, fail, reported):
+        # the U side is slowed down, so the V side fails first in time
+        vocab, corpus, config = two_slice_run()
+        init = init_random(vocab.size, config.dim, 0, "dsg")
+        self.failing_adam(monkeypatch, fail, slow={"muU", "logvarU"})
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match=f"matrix '{reported}'"):
+            train_dsg(corpus, vocab, init, DsgParams(), config)
+        assert threading.active_count() == before
+
+    def test_nonfinite_bound_joins_the_inflight_draw(self, monkeypatch):
+        vocab, corpus, config = two_slice_run()
+        init = init_random(vocab.size, config.dim, 0, "dsg")
+        real_draw, real_grads = dsg._draw_noise, dsg.sampled_likelihood_grads
+        draws, batches = [], []
+
+        def slow_draw(rng, buffers):
+            draws.append("started")
+            time.sleep(0.2)
+            draws.append("done")
+            return real_draw(rng, buffers)
+
+        def nan_on_second_batch(*args):
+            batches.append(None)
+            value, *rest = real_grads(*args)
+            return (math.nan if len(batches) == 2 else value), *rest
+
+        monkeypatch.setattr(dsg, "_draw_noise", slow_draw)
+        monkeypatch.setattr(dsg, "sampled_likelihood_grads", nan_on_second_batch)
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match="non-finite bound at slice 0, epoch 0, batch 1"):
+            train_dsg(corpus, vocab, init, DsgParams(), config)
+        assert threading.active_count() == before
+        # batch 2's draw was in flight when batch 1 failed
+        assert draws == ["started", "done"] * 3
+
+    def test_other_error_joins_the_v_job(self, monkeypatch):
+        vocab, corpus, config = two_slice_run()
+        init = init_random(vocab.size, config.dim, 0, "dsg")
+        ran = []
+        self.failing_adam(monkeypatch, fail=(), slow={"muV", "logvarV"}, ran=ran)
+
+        def broken_penalty(*args):
+            raise RuntimeError("penalty failed")
+
+        monkeypatch.setattr(shrinkreg, "drift_regularizer_grad", broken_penalty)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="penalty failed"):
+            # slice 0 sets the reference; slice 1's first U step fails
+            train_dsg(corpus, vocab, init, DsgParams(), config,
+                      reg=shrinkreg.RegConfig(alpha=0.1, beta=0.0))
+        assert threading.active_count() == before
+        slice0_steps = sum(len(list(epoch_batches(corpus.slices[0], vocab, config, 0, e)[1]))
+                           for e in range(config.epochs))
+        # every V job ran to its end, slice 1's first one too
+        assert ran.count("muV") == ran.count("logvarV") == slice0_steps + 1
+        assert ran.count("muU") == ran.count("logvarU") == slice0_steps
+
+    def test_thread_count_restored_after_training(self):
+        vocab, corpus, config = two_slice_run()
+        init = init_random(vocab.size, config.dim, 0, "dsg")
+        before = threading.active_count()
+        train_dsg(corpus, vocab, init, DsgParams(), config)
+        assert threading.active_count() == before
