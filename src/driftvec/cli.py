@@ -4,7 +4,8 @@ Subcommands: build-vocab, slice, subsample, synth, train, eval, drift,
 export. Run configuration comes from an INI-style file (documented
 key=value sections) with command-line flags taking precedence.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error (and running out of memory), 2 data
+error, 3 numerical failure.
 """
 
 import argparse
@@ -381,8 +382,8 @@ def cmd_export(args) -> int:
     src = runs.checkpoint_path(args.run, manifest["model"], args.role, args.slice)
     if not 0 <= args.slice < manifest["T"]:
         raise ValueError(f"slice {args.slice} out of range: the run has {manifest['T']} slices")
-    words, matrix = runs.load_checkpoint(args.run, manifest, args.role, args.slice)
-    save_embedding_text(args.out, words, matrix)
+    words, mats = runs.load_slice_matrices(args.run, manifest, (args.role,), (args.slice,))
+    save_embedding_text(args.out, words, mats[args.role][0])
     print(f"exported {src} -> {args.out}")
     return EXIT_OK
 
@@ -478,6 +479,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except (ValueError, DriftvecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)

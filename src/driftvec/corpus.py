@@ -172,8 +172,12 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
             fh.write(f"{word}\t{i}\t{int(vocab.total_count[i])}\n")
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def load_vocabulary(path) -> Vocabulary:
-    """Load an exported vocabulary."""
+    """Load an exported vocabulary. Each count is an int64 >= 0, and
+    at least one is > 0, since the counts weight the noise distribution."""
     id_of = {}
     totals = []
     with open_text(path) as fh:
@@ -191,6 +195,9 @@ def load_vocabulary(path) -> Vocabulary:
                                 f"count must be integers, got {line.rstrip()!r}") from exc
             if idx != len(id_of):
                 raise DataError(f"{path}:{lineno}: ids must be dense and ordered")
+            if not 0 <= total <= _INT64_MAX:
+                raise DataError(f"{path}:{lineno}: count {total} does not lie in "
+                                f"0..{_INT64_MAX}")
             # a word is one whitespace-free field of the embedding text format
             if word.split() != [word]:
                 raise DataError(f"{path}:{lineno}: word {word!r} is empty or holds whitespace")
@@ -200,6 +207,8 @@ def load_vocabulary(path) -> Vocabulary:
             totals.append(total)
     if not id_of:
         raise EmptyCorpusError(f"empty vocabulary file: {path}")
+    if not any(totals):
+        raise DataError(f"{path}: every count is 0, so no word can be drawn as a negative")
     return Vocabulary(words=tuple(id_of), id_of=id_of,
                       total_count=np.array(totals, dtype=np.int64))
 

@@ -8,9 +8,9 @@ with precision ``base_precision``. The data terms use the same positive
 and negative pair log-likelihoods as the skip-gram objective, scored
 against the shared context matrix.
 
-The held-out pairs and the per-epoch trace are the ones isg and dsg use
-(``isg.holdout_pairs``, ``sgns.record_epoch``), and the drift penalty's
-threshold is recorded by ``shrinkreg.record_beta``, as in dsg.
+The held-out pairs, the per-epoch trace and the minibatch step are isg's
+(``isg.holdout_pairs``, ``sgns.record_epoch``, ``isg.row_step``), and the
+drift penalty's threshold is recorded by ``shrinkreg.record_beta``, as in dsg.
 """
 
 import math
@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adam import AdamState, adam_step, adam_step_rows
-from .errors import NumericalError
-from .isg import epoch_batches, holdout_pairs
+from .adam import AdamState, adam_step
+from .isg import epoch_batches, holdout_pairs, row_step
 from .isg import epoch_positives  # noqa: F401 -- bench/layers.py patches this name
-from .sgns import TrainConfig, TrainResult, batch_grad_rows, record_epoch, sgns_log_likelihood
+from .sgns import TrainConfig, TrainResult, record_epoch, sgns_log_likelihood
+from .sgns import batch_grad_rows  # noqa: F401 -- bench/layers.py patches this name
 from . import shrinkreg
 
 
@@ -167,20 +167,13 @@ def train_dbe(corpus, vocab, init, params: DbeParams, config: TrainConfig,
             penalty = (reg, ref, betas)
 
         lpos_sums = [0.0] * T
-        for sweep in _round_robin(per_slice):
+        for k, sweep in enumerate(_round_robin(per_slice)):
             sweep_pos = 0
-            for t, (centers, contexts, labels) in sweep:
-                u_rows, gU_rows, v_rows, gV_rows, loglik, lp = batch_grad_rows(
-                    centers, contexts, labels, U_all[t], V)
-                if not math.isfinite(loglik):
-                    raise NumericalError(
-                        f"non-finite loss at slice {t}, epoch {epoch}")
-                lpos_sums[t] += lp
-                sweep_pos += int(labels.sum())
-                adam_step_rows(U_all[t], u_rows, gU_rows, statesU[t],
-                               config.learning_rate, f"U[{t}]")
-                adam_step_rows(V, v_rows, gV_rows, stateV,
-                               config.learning_rate, "V")
+            for t, minibatch in sweep:
+                where = f"slice {t}, epoch {epoch}, batch {k}"
+                lpos_sums[t] += row_step(minibatch, U_all[t], V, statesU[t], stateV,
+                                         config.learning_rate, where, (f"U[{t}]", "V"))
+                sweep_pos += int(minibatch[2].sum())
 
             gradU, gradV = sweep_prior_grads(U_all, V, params,
                                              sweep_pos / total_pos, penalty)

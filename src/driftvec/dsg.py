@@ -20,12 +20,11 @@ ones isg uses (``isg.chain_slices``, ``isg.holdout_pairs``,
 ``shrinkreg.record_beta``, as in dbe.
 
 A filter step runs on two threads with no setting to choose: a helper
-draws the next minibatch's noise, into one of two preallocated buffer
-sets, and steps the context side while the word side steps on the
-calling thread. numpy's generator fills and large ufuncs release the
-GIL, so the two overlap. Each noise stream and each matrix stays on one
-thread and sees the serial order's operations, so the results are the
-same bits on any number of cores.
+draws the next minibatch's noise and steps the context side while the
+word side steps on the calling thread. numpy's generator fills and large
+ufuncs release the GIL, so the two overlap. Each noise stream and each
+matrix stays on one thread and sees the serial order's operations, so
+the results are the same bits on any number of cores.
 """
 
 import math
@@ -208,12 +207,10 @@ def _prior_entropy_grads(mu, logvar, prior: GaussianPrior, mode: str):
     return gmu, glv
 
 
-def _draw_noise(rng, buffers):
-    """Fill ``buffers`` in turn from ``rng``: the bits that
-    ``rng.standard_normal(buf.shape)`` would return, drawn in the same order."""
-    for buf in buffers:
-        rng.standard_normal(out=buf)
-    return buffers
+def _draw_noise(rng, shape):
+    """The word and then the context noise of one minibatch: two fresh
+    ``rng.standard_normal(shape)`` arrays."""
+    return rng.standard_normal(shape), rng.standard_normal(shape)
 
 
 def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
@@ -265,14 +262,12 @@ def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
         for name, param, grad in ((f"mu{side}", mu, gmu), (f"logvar{side}", logvar, glv)):
             adam_step(param, grad, states[name], config.learning_rate, name)
 
-    # minibatch b's noise goes to set b % 2, so b + 1's draw never overwrites what b reads
-    eps_sets = [[np.empty((params.samples_per_step, L, d)) for _ in mus] for _ in range(2)]
     with ThreadPoolExecutor(max_workers=1) as helper:
         for epoch in range(config.epochs):
             total_pos, minibatches = epoch_batches(slice_docs, vocab, config,
                                                    slice_index, epoch)
             eps_rng = np.random.default_rng([config.seed, slice_index, epoch, 3])
-            draw = helper.submit(_draw_noise, eps_rng, eps_sets[0])
+            draw = helper.submit(_draw_noise, eps_rng, (params.samples_per_step, L, d))
 
             beta = shrinkreg.record_beta(trace, reg, mus[0], ref_mean) if reg_active else 0.0
 
@@ -283,7 +278,7 @@ def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
                 frac = (int(labels.sum()) / total_pos) if total_pos else 1.0
                 eps = draw.result()
                 if b_idx + 1 < len(minibatches):
-                    draw = helper.submit(_draw_noise, eps_rng, eps_sets[(b_idx + 1) % 2])
+                    draw = helper.submit(_draw_noise, eps_rng, (params.samples_per_step, L, d))
                 like, batch_lpos, *grads = sampled_likelihood_grads(
                     centers, contexts, labels, mus[0], logvars[0], mus[1], logvars[1], *eps)
                 if not math.isfinite(like):

@@ -9,8 +9,9 @@ them entirely).
 
 The trainers' shared bookkeeping lives here and in ``sgns``: each
 epoch's pair stream (:func:`epoch_batches`), each slice's held-out pairs
-(:func:`holdout_pairs`), the slice chain of isg and dsg
-(:func:`chain_slices`) and the per-epoch trace (``sgns.record_epoch``).
+(:func:`holdout_pairs`), the row step of isg and dbe (:func:`row_step`),
+the slice chain of isg and dsg (:func:`chain_slices`) and the per-epoch
+trace (``sgns.record_epoch``).
 """
 
 import math
@@ -77,6 +78,17 @@ def holdout_pairs(eval_corpus, window: int, T: int) -> list:
     return [corpus_mod.extract_pairs(docs, window) for docs in eval_corpus.slices]
 
 
+def row_step(minibatch, U, V, stateU, stateV, learning_rate, where: str, names) -> float:
+    """Adam steps on the rows of ``U`` and ``V`` that ``minibatch`` touches; returns
+    its lpos. Errors name the step by ``where`` and the matrices by ``names``."""
+    u_rows, gU, v_rows, gV, loglik, lpos = batch_grad_rows(*minibatch, U, V)
+    if not math.isfinite(loglik):
+        raise NumericalError(f"non-finite loss at {where}")
+    adam_step_rows(U, u_rows, gU, stateU, learning_rate, names[0])
+    adam_step_rows(V, v_rows, gV, stateV, learning_rate, names[1])
+    return lpos
+
+
 def train_slice(slice_docs, vocab, initU: np.ndarray, initV: np.ndarray,
                 config: TrainConfig, slice_index: int = 0, eval_pairs=None):
     """Run ``config.epochs`` Adam-ascent passes over one slice.
@@ -98,15 +110,9 @@ def train_slice(slice_docs, vocab, initU: np.ndarray, initV: np.ndarray,
     for epoch in range(config.epochs):
         n_pos, minibatches = epoch_batches(slice_docs, vocab, config, slice_index, epoch)
         lpos_sum = 0.0
-        for b_idx, (centers, contexts, labels) in enumerate(minibatches):
-            u_rows, gU, v_rows, gV, loglik, lpos = batch_grad_rows(
-                centers, contexts, labels, U, V)
-            if not math.isfinite(loglik):
-                raise NumericalError(
-                    f"non-finite loss at slice {slice_index}, epoch {epoch}, batch {b_idx}")
-            adam_step_rows(U, u_rows, gU, stateU, config.learning_rate, "U")
-            adam_step_rows(V, v_rows, gV, stateV, config.learning_rate, "V")
-            lpos_sum += lpos
+        for b_idx, minibatch in enumerate(minibatches):
+            lpos_sum += row_step(minibatch, U, V, stateU, stateV, config.learning_rate,
+                                 f"slice {slice_index}, epoch {epoch}, batch {b_idx}", ("U", "V"))
         record_epoch(trace, lpos_sum, n_pos, eval_pairs, U, V)
     return U, V, trace
 

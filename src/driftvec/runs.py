@@ -18,8 +18,9 @@ is the ``.vec`` header's. A ``.vec`` without a pin, or next to a
 missing or damaged twin, is parsed as text; a pinned ``.vec`` that no
 longer hashes to its pin (edited after training) is a data error.
 
-``eval`` and ``drift`` read a run through :func:`load_slice_matrices`:
-a matrix per slice for each role they ask for, each file read once.
+``eval``, ``drift`` and ``export`` read a run through
+:func:`load_slice_matrices`, each file once, and all three read slice 0's
+word checkpoint, whose words every checkpoint they read must share.
 
 ``train`` removes ``run.json`` before it writes the first checkpoint and
 writes it again last, so a run killed in between has no manifest.
@@ -291,13 +292,6 @@ def _load(path, pins=None):
     return pinned if pinned is not None else load_embedding_text(path)
 
 
-def load_checkpoint(rundir, manifest: dict, role: str, t: int):
-    """``(words, matrix)`` of one checkpoint of the run ``manifest``
-    describes, read through its twin when both are pinned and intact."""
-    return _load(checkpoint_path(rundir, manifest["model"], role, t),
-                 manifest.get("checkpoints"))
-
-
 def _load_like(path, pins, first_path, first_words, width):
     """The matrix at ``path``, which must hold the words of ``first_path``,
     slice 0's word checkpoint, in their order, and ``width`` columns."""
@@ -313,16 +307,18 @@ def _load_like(path, pins, first_path, first_words, width):
     return matrix
 
 
-def load_slice_matrices(rundir, manifest: dict, roles=("word", "context")):
+def load_slice_matrices(rundir, manifest: dict, roles=("word", "context"), slices=None):
     """``(words, {role: [matrix per slice]})`` for the run ``manifest``
     describes, ready for scoring: posterior means for the Bayesian model.
+    ``slices`` picks the slices, in order; by default every slice.
 
     The word list is read with slice 0's word checkpoint, whose words and
     width every other checkpoint must share. Each distinct file is read
     once, so dbe's shared ``context.vec`` serves every slice.
     """
-    kind, T, pins = manifest["model"], manifest["T"], manifest.get("checkpoints")
-    paths = {role: [checkpoint_path(rundir, kind, role, t) for t in range(T)] for role in roles}
+    kind, pins = manifest["model"], manifest.get("checkpoints")
+    slices = range(manifest["T"]) if slices is None else slices
+    paths = {role: [checkpoint_path(rundir, kind, role, t) for t in slices] for role in roles}
     first_path = checkpoint_path(rundir, kind, "word", 0)
     words, first = _load(first_path, pins)
     loaded = {first_path: first}

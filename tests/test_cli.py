@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftvec import runs
+from driftvec import analysis, runs
 from driftvec.cli import TRAIN_SETTINGS, main, parse_boundaries
 from driftvec.corpus import load_corpus, load_vocabulary
 from driftvec.dbe import DbeParams, train_dbe
@@ -245,6 +245,18 @@ class TestTrainEvalDrift:
         assert "not available for model 'isg'" in capsys.readouterr().err
         assert not dest.exists()
 
+    def test_export_checks_the_slice_against_slice_0(self, trained_runs, tmp_path, capsys):
+        # export reads slice 0's word checkpoint too, and fails as drift does
+        rundir = unpinned_copy(trained_runs["isg"], tmp_path / "run")
+        swap_rows(rundir / "isg" / "t1.vec", 4, 7)
+        assert run(["drift", "--run", rundir, "--out", tmp_path / "drift"]) == 2
+        drift_err = capsys.readouterr().err
+        assert f"{rundir / 'isg' / 't1.vec'}: row 5 holds 'w" in drift_err
+        dest = tmp_path / "t1.vec"
+        assert run(["export", "--run", rundir, "--slice", "1", "--out", dest]) == 2
+        assert capsys.readouterr().err == drift_err
+        assert not dest.exists()
+
     @pytest.mark.parametrize("model, role, t", [("isg", "word", 9), ("isg", "word", -1),
                                                 ("dsg", "var", 3), ("dbe", "context", 9)])
     def test_export_of_slice_outside_run_is_usage_error(self, trained_runs, tmp_path, capsys,
@@ -402,6 +414,20 @@ class TestInputContract:
         vocab.write_text("w0\t0\t5\nw1\t1\tmany\n")
         assert run(args) == 2
         assert "v.tsv:2: malformed vocabulary line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("w0\t0\t5\nw1\t1\t-7\n", "v.tsv:2: count -7 does not lie in 0.."),
+        ("w0\t0\t0\nw1\t1\t0\n", "v.tsv: every count is 0"),
+    ])
+    def test_bad_vocabulary_count(self, pipeline, tmp_path, capsys, text, message):
+        # these counts made every noise probability NaN, and train exited 0
+        vocab = tmp_path / "v.tsv"
+        vocab.write_text(text)
+        args = train_args(pipeline, tmp_path / "run")
+        args[args.index("--vocab") + 1] = vocab
+        assert run(args) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("text, message", [
         ("a\t0\t5\nb\t1\t4\na\t2\t3\n", "v.tsv:3: word 'a' given twice"),
@@ -827,6 +853,21 @@ def test_bad_drift_argument_writes_nothing(trained_runs, tmp_path, monkeypatch, 
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
     assert loads == []
+
+
+def test_memory_error_is_one_line(trained_runs, tmp_path, monkeypatch, capsys):
+    # numpy raises a MemoryError subclass for an array too large to allocate
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+    def too_large(series, bins):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(analysis, "drift_histogram", too_large)
+    out = tmp_path / "out"
+    assert run(["drift", "--run", trained_runs["isg"], "--bins", "1000000000000",
+                "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: not enough memory: {message}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from datetime import datetime
 
 import numpy as np
@@ -61,6 +62,26 @@ class TestBuildVocabulary:
         loaded = load_vocabulary(path)
         assert loaded.words == vocab.words
         np.testing.assert_array_equal(loaded.total_count, vocab.total_count)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a\t0\t5\nb\t1\t-7\n", "v.tsv:2: count -7 does not lie in 0..9223372036854775807"),
+        ("a\t0\t" + "9" * 30 + "\n", f"v.tsv:1: count {'9' * 30} does not lie in"),
+        ("a\t0\t0\nb\t1\t0\n", "v.tsv: every count is 0, so no word can be drawn"),
+    ])
+    def test_counts_are_int64_and_not_all_zero(self, tmp_path, text, message):
+        # a negative or all-zero count made every noise probability NaN
+        path = tmp_path / "v.tsv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_vocabulary(path)
+
+    def test_count_bounds_are_those_of_int64(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        path.write_text("a\t0\t9223372036854775807\nb\t1\t0\n")
+        assert load_vocabulary(path).total_count.tolist() == [2**63 - 1, 0]
+        path.write_text("a\t0\t9223372036854775808\nb\t1\t0\n")
+        with pytest.raises(DataError, match="v.tsv:1: count 9223372036854775808 does not lie"):
+            load_vocabulary(path)
 
 
 class TestSliceCorpus:

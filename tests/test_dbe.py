@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from driftvec import dbe as dbe_mod
+from driftvec import isg as isg_mod
 from driftvec.corpus import TimeSlicedCorpus
 from driftvec.dbe import (DbeParams, _round_robin, dbe_loss, dbe_prior,
                           dbe_prior_grads, sweep_prior_grads, train_dbe)
+from driftvec.errors import NumericalError
 from driftvec.inits import init_random
 from driftvec.sgns import TrainConfig, batch_grad_rows, sgns_gradients
 from driftvec.shrinkreg import RegConfig, drift_regularizer
@@ -157,6 +159,24 @@ class TestTraining:
         for t in range(2):
             np.testing.assert_array_equal(m1["word"][t], m2["word"][t])
         np.testing.assert_array_equal(m1["context"][0], m2["context"][0])
+
+    def test_non_finite_loss_names_slice_epoch_and_sweep(self, monkeypatch):
+        # dbe takes isg's row step, so the error places the minibatch as isg's does
+        vocab, corpus = toy_corpus([["a b c"] * 25, ["c b a"] * 25])
+        real, calls = isg_mod.batch_grad_rows, []
+
+        def nan_on_fourth_call(*args):
+            calls.append(None)
+            *rows, loglik, lpos = real(*args)
+            return (*rows, math.nan if len(calls) == 4 else loglik, lpos)
+
+        monkeypatch.setattr(isg_mod, "batch_grad_rows", nan_on_fourth_call)
+        cfg = small_config(epochs=1, batch_size=16)
+        # sweeps 0 and 1 each take a minibatch of slice 0, then of slice 1
+        with pytest.raises(NumericalError,
+                           match=r"^non-finite loss at slice 1, epoch 0, batch 1$"):
+            train_dbe(corpus, vocab, init_random(vocab.size, cfg.dim, 0, "dbe"),
+                      DbeParams(), cfg)
 
 
 class TestSweepSchedule:

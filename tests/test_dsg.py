@@ -456,7 +456,7 @@ class TestHelperThread:
             slice_docs, vocab, prev, params, config, 1, reg, ref_mean)
         if not empty:
             total, minibatches = epoch_batches(slice_docs, vocab, config, 1, 0)
-            assert len(list(minibatches)) >= 3     # both noise buffer sets are reused
+            assert len(list(minibatches)) >= 3     # draws overlap more than one minibatch
         for q, mean, var in zip((qU, qV), means, variances):
             np.testing.assert_array_equal(q.mean, mean)
             np.testing.assert_array_equal(q.variance, var)
@@ -505,11 +505,11 @@ class TestHelperThread:
         real_draw, real_grads = dsg._draw_noise, dsg.sampled_likelihood_grads
         draws, batches = [], []
 
-        def slow_draw(rng, buffers):
+        def slow_draw(rng, shape):
             draws.append("started")
             time.sleep(0.2)
             draws.append("done")
-            return real_draw(rng, buffers)
+            return real_draw(rng, shape)
 
         def nan_on_second_batch(*args):
             batches.append(None)
