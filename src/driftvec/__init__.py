@@ -11,8 +11,8 @@ a HardShrink drift penalty.
 """
 
 from .adam import AdamState, adam_step, adam_step_rows
-from .analysis import (DriftSeries, compute_drift, directedness, drift_histogram,
-                       drift_series, evaluate_lpos, stability_fraction)
+from .analysis import (DriftSeries, directedness, drift_histogram, drift_series,
+                       evaluate_lpos, stability_fraction)
 from .corpus import (SkipGramBatch, TimeSlicedCorpus, Vocabulary, build_vocabulary,
                      extract_pairs, sample_negatives, slice_corpus, split_holdout,
                      subsample_corpus)
@@ -22,7 +22,7 @@ from .dsg import (DsgParams, GaussianEmbeddingMatrix, combine_priors, dsg_elbo,
 from .inits import InitScheme, apply_scheme, init_internal, init_random, load_pretrained
 from .isg import train_incremental, train_slice
 from .sgns import TrainConfig, TrainResult, mean_lpos, sgns_gradients, sgns_log_likelihood, sigmoid
-from .shrinkreg import RegConfig, drift_regularizer, hardshrink
+from .shrinkreg import RegConfig, drift_regularizer, hardshrink, word_drifts
 from .synth import PlantedChange, SynthSpec, TopicProfile, generate
 
 __version__ = "0.1.0"

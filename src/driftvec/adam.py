@@ -16,19 +16,20 @@ import numpy as np
 
 from .errors import NumericalError
 
+BETA1 = 0.9      # decay of the first-moment estimate
+BETA2 = 0.999    # decay of the second-moment estimate
+EPSILON = 1e-8   # added to the root of the second moment
+
 
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def for_shape(cls, shape, **kwargs) -> "AdamState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape), **kwargs)
+    def for_shape(cls, shape) -> "AdamState":
+        return cls(m=np.zeros(shape), v=np.zeros(shape))
 
 
 def _check_finite(grad, name):
@@ -36,28 +37,35 @@ def _check_finite(grad, name):
         raise NumericalError(f"non-finite gradient for parameter matrix {name!r}")
 
 
-def _update(params, grad, m, v, state: AdamState, learning_rate: float) -> None:
+def _update(params, grad, m, v, state: AdamState, learning_rate: float, name: str) -> None:
     """Advance the step counter and apply one bias-corrected ascent step
-    to ``params`` with moments ``m`` and ``v``, all in place."""
+    to ``params`` with moments ``m`` and ``v``, all in place. An overflow
+    raises :class:`NumericalError` naming the matrix; numpy's error state
+    is per thread and costs no extra pass over the matrix.
+    """
     state.step_count += 1
     t = state.step_count
     # In place, with two scratch buffers; every element sees the same
     # floating-point operations in the same order as the textbook form
     # m/(1-b1^t) * lr / (sqrt(v/(1-b2^t)) + eps).
-    scratch = grad * (1 - state.beta1)
-    m *= state.beta1
-    m += scratch
-    np.multiply(grad, 1 - state.beta2, out=scratch)
-    scratch *= grad
-    v *= state.beta2
-    v += scratch
-    step = m / (1 - state.beta1 ** t)
-    step *= learning_rate
-    np.divide(v, 1 - state.beta2 ** t, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += state.epsilon
-    step /= scratch
-    params += step
+    try:
+        with np.errstate(over="raise"):
+            scratch = grad * (1 - BETA1)
+            m *= BETA1
+            m += scratch
+            np.multiply(grad, 1 - BETA2, out=scratch)
+            scratch *= grad
+            v *= BETA2
+            v += scratch
+            step = m / (1 - BETA1 ** t)
+            step *= learning_rate
+            np.divide(v, 1 - BETA2 ** t, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += EPSILON
+            step /= scratch
+            params += step
+    except FloatingPointError as exc:
+        raise NumericalError(f"overflow in the Adam step of parameter matrix {name!r}") from exc
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
@@ -71,7 +79,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState,
     if learning_rate <= 0:
         raise ValueError("learning_rate must be > 0")
     _check_finite(grad, name)
-    _update(params, grad, state.m, state.v, state, learning_rate)
+    _update(params, grad, state.m, state.v, state, learning_rate, name)
     return params
 
 
@@ -88,7 +96,7 @@ def adam_step_rows(params: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray,
         raise ValueError("learning_rate must be > 0")
     _check_finite(grad_rows, name)
     m, v, p = state.m[rows], state.v[rows], params[rows]
-    _update(p, grad_rows, m, v, state, learning_rate)
+    _update(p, grad_rows, m, v, state, learning_rate, name)
     state.m[rows], state.v[rows], params[rows] = m, v, p
     return params
 
@@ -98,22 +106,8 @@ def save_adam_state(state: AdamState, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         rows, cols = state.m.shape
         fh.write(f"{rows} {cols} {state.step_count} "
-                 f"{state.beta1:.17g} {state.beta2:.17g} {state.epsilon:.17g}\n")
+                 f"{BETA1:.17g} {BETA2:.17g} {EPSILON:.17g}\n")
         line = " ".join(["%.17g"] * cols) + "\n"
         for mat in (state.m, state.v):
             for row in mat:
                 fh.write(line % tuple(row.tolist()))
-
-
-def load_adam_state(path) -> AdamState:
-    with open(path, encoding="utf-8") as fh:
-        head = fh.readline().split()
-        rows, cols, step = int(head[0]), int(head[1]), int(head[2])
-        beta1, beta2, eps = float(head[3]), float(head[4]), float(head[5])
-        m = np.empty((rows, cols))
-        v = np.empty((rows, cols))
-        for mat in (m, v):
-            for i in range(rows):
-                mat[i] = [float(x) for x in fh.readline().split()]
-    return AdamState(m=m, v=v, step_count=step, beta1=beta1, beta2=beta2,
-                     epsilon=eps)

@@ -10,7 +10,7 @@ import numpy as np
 from .corpus import TimeSlicedCorpus, extract_pairs
 from .errors import DataError
 from .sgns import mean_lpos
-from .shrinkreg import word_drifts as compute_drift
+from .shrinkreg import word_drifts
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def drift_series(matrices, reference_slice: int) -> DriftSeries:
     values = np.zeros((ref.shape[0], T))
     for t in range(T):
         if t != reference_slice:
-            values[:, t] = compute_drift(matrices[t], ref)
+            values[:, t] = word_drifts(matrices[t], ref)
     return DriftSeries(reference_slice=reference_slice, values=values)
 
 

@@ -86,9 +86,9 @@ def _beta(text):
     return text if text == "mean" else float(text)
 
 
-# One row per train setting: its INI section and key, its flag (None: INI
-# only), the parser of its text, and the RunConfig part (None: RunConfig
-# itself) and field it fills. Defaults live on the dataclasses alone.
+# One row per train setting: its INI section and key, its flag, the parser
+# of its text, and the RunConfig part (None: RunConfig itself) and field it
+# fills. Defaults live on the dataclasses alone.
 Setting = namedtuple("Setting", "section key flag parse part field choices help",
                      defaults=(None, None))
 TRAIN_SETTINGS = (
@@ -173,7 +173,7 @@ def resolve_run_config(args) -> RunConfig:
     ini = _read_ini(args.config) if args.config else configparser.ConfigParser()
     given, from_file = {}, {}
     for s in TRAIN_SETTINGS:
-        value = getattr(args, s.flag[2:].replace("-", "_")) if s.flag else None
+        value = getattr(args, s.flag[2:].replace("-", "_"))
         if value is None and ini.has_option(s.section, s.key):
             raw = from_file[s] = ini.get(s.section, s.key)
             try:
@@ -233,16 +233,12 @@ def cmd_slice(args) -> int:
           f"{report.dropped} dropped, {report.oov_tokens} OOV tokens removed")
     if report.empty_slices:
         print(f"warning: empty slices {list(report.empty_slices)}")
-    if args.holdout > 0:
-        train, valid, test = corpus_mod.split_holdout(corpus, args.holdout, args.seed)
-        for part in (train, valid, test):
-            path = f"{args.out_prefix}.{part.split_tag}.json"
-            save_corpus(part, path)
-            print(f"wrote {path} ({sum(part.doc_counts())} docs)")
-    else:
-        path = f"{args.out_prefix}.full.json"
-        save_corpus(corpus, path)
-        print(f"wrote {path} ({sum(corpus.doc_counts())} docs)")
+    parts = (corpus_mod.split_holdout(corpus, args.holdout, args.seed) if args.holdout > 0
+             else (corpus,))
+    for part in parts:
+        path = f"{args.out_prefix}.{part.split_tag}.json"
+        save_corpus(part, path)
+        print(f"wrote {path} ({sum(part.doc_counts())} docs)")
     return EXIT_OK
 
 
@@ -437,8 +433,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a diachronic model")
     p.add_argument("--config", default=None, help="INI run configuration")
     for s in TRAIN_SETTINGS:
-        if s.flag:
-            p.add_argument(s.flag, type=s.parse, choices=s.choices, help=s.help)
+        p.add_argument(s.flag, type=s.parse, choices=s.choices, help=s.help)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="held-out positive log-likelihood of a run")

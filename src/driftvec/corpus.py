@@ -13,7 +13,7 @@ import json
 import string
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain
 from pathlib import Path
@@ -101,17 +101,19 @@ class Vocabulary:
 
     Words are ordered by descending total count, ties broken
     lexicographically, so ids are stable across runs on the same corpus.
+    ``id_of`` maps each word to its position in ``words``.
     """
 
     words: tuple
-    id_of: dict
     total_count: np.ndarray       # shape (L,), int64
+    id_of: dict = field(init=False, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.words)
 
     def __post_init__(self):
+        object.__setattr__(self, "id_of", {w: i for i, w in enumerate(self.words)})
         self.total_count.setflags(write=False)
 
 
@@ -160,9 +162,8 @@ def build_vocabulary(sliced_docs, stopwords, max_size: int) -> Vocabulary:
 
     ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))[:max_size]
     words = tuple(w for w, _ in ranked)
-    id_of = {w: i for i, w in enumerate(words)}
     total_count = np.array([n for _, n in ranked], dtype=np.int64)
-    return Vocabulary(words=words, id_of=id_of, total_count=total_count)
+    return Vocabulary(words=words, total_count=total_count)
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
@@ -209,8 +210,7 @@ def load_vocabulary(path) -> Vocabulary:
         raise EmptyCorpusError(f"empty vocabulary file: {path}")
     if not any(totals):
         raise DataError(f"{path}: every count is 0, so no word can be drawn as a negative")
-    return Vocabulary(words=tuple(id_of), id_of=id_of,
-                      total_count=np.array(totals, dtype=np.int64))
+    return Vocabulary(words=tuple(id_of), total_count=np.array(totals, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +252,7 @@ class TimeSlicedCorpus:
         return [int(sum(len(d) for d in docs)) for docs in self.slices]
 
 
-def slice_corpus(documents, boundaries, vocab: Vocabulary,
-                 split_tag: str = "full"):
+def slice_corpus(documents, boundaries, vocab: Vocabulary):
     """Assign timestamped token documents to slices and encode them.
 
     Tokens outside the vocabulary are dropped. Returns
@@ -261,7 +260,7 @@ def slice_corpus(documents, boundaries, vocab: Vocabulary,
     :class:`EmptyCorpusError` when every document is dropped.
     """
     sliced, dropped = assign_slices(documents, boundaries)
-    corpus = encode_sliced_docs(sliced, vocab, split_tag)
+    corpus = encode_sliced_docs(sliced, vocab)
     doc_counts = corpus.doc_counts()
     n_tokens = sum(len(tokens) for docs in sliced for tokens in docs)
     report = SliceReport(kept=sum(doc_counts), dropped=dropped,
@@ -270,8 +269,7 @@ def slice_corpus(documents, boundaries, vocab: Vocabulary,
     return corpus, report
 
 
-def encode_sliced_docs(sliced_docs, vocab: Vocabulary,
-                       split_tag: str = "full") -> TimeSlicedCorpus:
+def encode_sliced_docs(sliced_docs, vocab: Vocabulary) -> TimeSlicedCorpus:
     """Encode already-sliced token documents, dropping tokens outside
     the vocabulary."""
     id_of = vocab.id_of
@@ -280,7 +278,7 @@ def encode_sliced_docs(sliced_docs, vocab: Vocabulary,
               for tokens in docs)
         for docs in sliced_docs
     )
-    return TimeSlicedCorpus(slices=out, split_tag=split_tag)
+    return TimeSlicedCorpus(slices=out)
 
 
 def split_holdout(corpus: TimeSlicedCorpus, fraction: float, seed: int):
@@ -383,17 +381,13 @@ def extract_pairs(docs, window: int):
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    docs = [np.asarray(d, dtype=np.int64) for d in docs if len(d)]
-    if not docs:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    flat = np.concatenate(docs)
-    doc_id = np.concatenate([np.full(len(d), i, dtype=np.int64)
-                             for i, d in enumerate(docs)])
-    centers, contexts = [], []
-    for k in range(1, window + 1):
-        if k >= len(flat):
-            break
+    docs = [np.asarray(d, dtype=np.int64) for d in docs]
+    empty = np.empty(0, dtype=np.int64)
+    flat = np.concatenate([empty, *docs])
+    doc_id = np.concatenate([empty, *(np.full(len(d), i, dtype=np.int64)
+                                      for i, d in enumerate(docs))])
+    centers, contexts = [empty], [empty]
+    for k in range(1, min(window, len(flat)) + 1):
         same_doc = doc_id[:-k] == doc_id[k:]
         left = flat[:-k][same_doc]
         right = flat[k:][same_doc]
@@ -401,9 +395,6 @@ def extract_pairs(docs, window: int):
         contexts.append(right)
         centers.append(right)
         contexts.append(left)
-    if not centers:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
     return np.concatenate(centers), np.concatenate(contexts)
 
 

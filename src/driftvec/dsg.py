@@ -71,6 +71,13 @@ class DsgParams:
     def __post_init__(self):
         if not all(math.isfinite(v) and v > 0 for v in (self.diffusion_var, self.anchor_var)):
             raise ValueError("diffusion_var and anchor_var must be > 0 and finite")
+        for name in ("diffusion_var", "anchor_var"):
+            if not math.isfinite(1.0 / getattr(self, name)):
+                raise ValueError(f"{name} must be large enough that its reciprocal, "
+                                 f"a prior precision, is finite")
+        if not math.isfinite(1.0 / self.diffusion_var + 1.0 / self.anchor_var):
+            raise ValueError("the prior precisions 1/diffusion_var + 1/anchor_var "
+                             "must have a finite sum")
         if self.samples_per_step < 1:
             raise ValueError("samples_per_step must be >= 1")
         if self.entropy_mode not in (ENTROPY_SUM_VAR, ENTROPY_EXACT):

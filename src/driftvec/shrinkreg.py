@@ -48,8 +48,8 @@ def hardshrink(x, beta: float):
 def word_drifts(current: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Per-word L2 distance between two embedding matrices of one shape.
 
-    ``analysis.compute_drift`` is the same function; for the Bayesian
-    model it is applied to posterior means.
+    ``analysis.drift_series`` applies it to every target slice; for the
+    Bayesian model it is applied to posterior means.
     """
     if current.shape != reference.shape:
         raise ValueError("matrices must share a shape")

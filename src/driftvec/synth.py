@@ -23,10 +23,13 @@ from .corpus import TimeSlicedCorpus, Vocabulary, build_vocabulary, encode_slice
 ABRUPT = "abrupt"
 GRADUAL = "gradual"
 
+POOL_FRACTION = 0.3        # share of tokens drawn from the shared pool
+POOL_VOCAB_FRACTION = 0.3  # share of the vocabulary reserved for the pool
+PLANTED_PERIOD = 3         # a planted word occupies every k-th position of its documents
+
 
 @dataclass(frozen=True)
 class TopicProfile:
-    name: str
     skew: float = 1.0     # token probability ~ 1 / rank^skew within the topic
 
     def __post_init__(self):
@@ -53,14 +56,11 @@ class SynthSpec:
     T: int = 5
     tokens_per_slice: int = 100_000
     seed: int = 0
-    topics: list = field(default_factory=lambda: [TopicProfile("a"), TopicProfile("b")])
+    topics: list = field(default_factory=lambda: [TopicProfile(), TopicProfile()])
     planted_changes: list = field(default_factory=list)
     doc_length: int = 12
-    pool_fraction: float = 0.3          # share of tokens drawn from the shared pool
-    pool_vocab_fraction: float = 0.3    # share of the vocabulary reserved for the pool
     pool_skew: float = 1.0              # rank-power exponent of the pool distribution
     planted_doc_fraction: float = 0.04  # share of documents dedicated to each planted word
-    planted_period: int = 3             # planted word occupies every k-th position
 
     def validate(self):
         if self.vocab_size < 4:
@@ -130,7 +130,7 @@ def generate(spec: SynthSpec) -> SynthResult:
         if c.word not in names:
             raise ValueError(f"planted word {c.word!r} is not a generated vocabulary word")
 
-    pool_size = max(2, round(spec.vocab_size * spec.pool_vocab_fraction))
+    pool_size = max(2, round(spec.vocab_size * POOL_VOCAB_FRACTION))
     pool = [w for w in names[:pool_size] if w not in planted]
     rest = [w for w in names[pool_size:] if w not in planted]
     K = len(spec.topics)
@@ -165,7 +165,7 @@ def generate(spec: SynthSpec) -> SynthResult:
         raw_slices.append([docs[i] for i in order])
 
     vocab = build_vocabulary(raw_slices, set(), spec.vocab_size)
-    corpus = encode_sliced_docs(raw_slices, vocab, split_tag="full")
+    corpus = encode_sliced_docs(raw_slices, vocab)
     return SynthResult(corpus=corpus, vocab=vocab,
                        changes=tuple(spec.planted_changes), raw_slices=raw_slices)
 
@@ -176,7 +176,7 @@ def _normal_docs(rng, n_docs, spec, pool_arr, pool_cdf, topic_arrs, topic_cdfs):
     total = n_docs * dl
     doc_topic = rng.integers(0, K, size=n_docs)
     token_topic = np.repeat(doc_topic, dl)
-    from_pool = rng.random(total) < spec.pool_fraction
+    from_pool = rng.random(total) < POOL_FRACTION
     out = np.empty(total, dtype=object)
     out[from_pool] = pool_arr[_draw(rng, pool_cdf, int(from_pool.sum()))]
     for k in range(K):
@@ -189,9 +189,9 @@ def _planted_doc(rng, change, new_weight, spec, pool_arr, pool_cdf,
                  topic_arrs, topic_cdfs):
     dl = spec.doc_length
     tokens = np.empty(dl, dtype=object)
-    slots = np.arange(dl) % spec.planted_period == 0
+    slots = np.arange(dl) % PLANTED_PERIOD == 0
     n_ctx = int((~slots).sum())
-    from_pool = rng.random(n_ctx) < spec.pool_fraction
+    from_pool = rng.random(n_ctx) < POOL_FRACTION
     use_new = rng.random(n_ctx) < new_weight
     ctx = np.empty(n_ctx, dtype=object)
     n_pool = int(from_pool.sum())
@@ -230,10 +230,3 @@ def write_synth_corpus(result: SynthResult, outdir) -> None:
         fh.write("word,change_slice\n")
         for c in result.changes:
             fh.write(f"{c.word},{c.change_slice}\n")
-
-
-def synth_boundaries(T: int):
-    """Slice boundaries matching :func:`write_synth_corpus` timestamps."""
-    from datetime import datetime
-
-    return [datetime(2000 + t, 1, 1) for t in range(T + 1)]

@@ -72,7 +72,7 @@ def scarce_abrupt_spec(seed=0):
     """Criterion 4/6 corpus: heavy-tailed frequencies (most words nearly
     absent per slice, the scarce regime under study) and one abrupt change."""
     return SynthSpec(vocab_size=500, T=5, tokens_per_slice=6000, seed=seed,
-                     topics=[TopicProfile("a", skew=2.4), TopicProfile("b", skew=2.4)],
+                     topics=[TopicProfile(skew=2.4), TopicProfile(skew=2.4)],
                      pool_skew=2.0, planted_doc_fraction=0.12,
                      planted_changes=[PlantedChange("w0499", 2, 0, 1, "abrupt")])
 

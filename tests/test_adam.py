@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from driftvec.adam import (AdamState, adam_step, adam_step_rows,
-                           load_adam_state, save_adam_state)
+from driftvec.adam import BETA1, BETA2, EPSILON, AdamState, adam_step, adam_step_rows
 from driftvec.errors import NumericalError
 
 
@@ -54,6 +53,18 @@ def test_nan_gradient_names_matrix():
         adam_step(params, bad, state, 0.1, name="word_matrix")
 
 
+@pytest.mark.parametrize("rows", [None, [1]], ids=["dense", "rows"])
+def test_overflow_names_matrix(rows):
+    # a finite gradient whose square overflows the second moment
+    params, grad = np.zeros((2, 2)), np.full((2, 2), 1e200)
+    state = AdamState.for_shape((2, 2))
+    with pytest.raises(NumericalError, match="overflow in the Adam step of parameter matrix 'U'"):
+        if rows is None:
+            adam_step(params, grad, state, 0.1, name="U")
+        else:
+            adam_step_rows(params, np.array(rows), grad[rows], state, 0.1, name="U")
+
+
 def test_dense_step_matches_textbook_form():
     # the in-place step must give the same bits as the plain expression
     rng = np.random.default_rng(8)
@@ -61,7 +72,7 @@ def test_dense_step_matches_textbook_form():
     reference = params.copy()
     state = AdamState.for_shape((7, 3))
     m, v = np.zeros((7, 3)), np.zeros((7, 3))
-    lr, b1, b2, eps = 0.05, state.beta1, state.beta2, state.epsilon
+    lr, b1, b2, eps = 0.05, BETA1, BETA2, EPSILON
     for t in range(1, 6):
         grad = rng.normal(size=(7, 3)) * 10.0 ** rng.integers(-8, 8, size=(7, 3))
         adam_step(params, grad, state, lr)
@@ -125,17 +136,3 @@ class TestRowUpdates:
         np.testing.assert_array_equal(params[[1, 3, 4]], before[[1, 3, 4]])
         assert not np.array_equal(params[[0, 2]], before[[0, 2]])
         assert state.step_count == 7
-
-
-def test_state_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    state = AdamState(m=rng.normal(size=(3, 2)), v=rng.random((3, 2)),
-                      step_count=17)
-    path = tmp_path / "adam.txt"
-    save_adam_state(state, path)
-    loaded = load_adam_state(path)
-    np.testing.assert_array_equal(loaded.m, state.m)
-    np.testing.assert_array_equal(loaded.v, state.v)
-    assert loaded.step_count == 17
-    assert loaded.beta1 == state.beta1
-    assert loaded.epsilon == state.epsilon

@@ -581,6 +581,15 @@ def test_readme_library_example_runs(capsys):
      "bad.ini: [train] learning_rate = 'nan': learning_rate must be > 0 and finite"),
     ("[dsg]\ndiffusion = inf\n",
      "bad.ini: [dsg] diffusion = 'inf': diffusion_var and anchor_var must be > 0 and finite"),
+    ("[dsg]\ndiffusion = 1e-320\n",
+     "bad.ini: [dsg] diffusion = '1e-320': diffusion_var must be large enough that its "
+     "reciprocal, a prior precision, is finite"),
+    ("[dsg]\nanchor = 1e-320\n",
+     "bad.ini: [dsg] anchor = '1e-320': anchor_var must be large enough that its "
+     "reciprocal, a prior precision, is finite"),
+    ("[dsg]\ndiffusion = 1e-308\nanchor = 1e-308\n",
+     "bad.ini: [dsg] diffusion = '1e-308': the prior precisions 1/diffusion_var + "
+     "1/anchor_var must have a finite sum"),
     ("[dbe]\nbase_precision = inf\n",
      "bad.ini: [dbe] base_precision = 'inf': precisions must be > 0 and finite"),
     ("[reg]\nalpha = nan\n", "bad.ini: [reg] alpha = 'nan': alpha must be >= 0 and finite"),
@@ -620,6 +629,28 @@ def test_non_finite_float_flag_is_usage_error(pipeline, tmp_path, capsys, flag, 
     assert run(train_args(pipeline, outdir, model=FLOAT_FLAGS[flag], extra=[flag, value])) == 1
     assert " and finite\n" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("flag, setting", [("--diffusion", "diffusion_var"),
+                                           ("--anchor", "anchor_var")])
+def test_dsg_variance_without_a_finite_precision_is_usage_error(pipeline, tmp_path, capsys,
+                                                                flag, setting):
+    outdir = tmp_path / "run"
+    assert run(train_args(pipeline, outdir, model="dsg", extra=[flag, "1e-320"])) == 1
+    assert capsys.readouterr().err == (f"error: {setting} must be large enough that its "
+                                       f"reciprocal, a prior precision, is finite\n")
+    assert not outdir.exists()
+
+
+def test_adam_overflow_exits_3_without_a_manifest(pipeline, tmp_path, capsys):
+    # the dbe prior gradient is finite, but its square overflows Adam's
+    # second moment
+    outdir = tmp_path / "run"
+    assert run(train_args(pipeline, outdir, model="dbe",
+                          extra=["--drift-precision", "1e308"])) == 3
+    assert capsys.readouterr().err == ("numerical failure: overflow in the Adam step of "
+                                       "parameter matrix 'U[0]'\n")
+    assert not (outdir / "run.json").exists()
 
 
 def test_readme_config_block_names_every_setting():

@@ -5,7 +5,7 @@ from datetime import datetime
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftvec.corpus import (assign_slices, build_vocabulary, extract_pairs,
@@ -256,6 +256,24 @@ class TestExtractPairs:
         forward = Counter(zip(centers.tolist(), contexts.tolist()))
         backward = Counter(zip(contexts.tolist(), centers.tolist()))
         assert forward == backward
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 9), max_size=8), max_size=5),
+           st.integers(1, 12))
+    @example([], 3)
+    @example([[], []], 2)
+    @example([[4, 5, 6], [], [7]], 12)
+    def test_matches_offset_major_enumeration(self, docs, window):
+        centers, contexts = extract_pairs([np.array(d, dtype=np.int64) for d in docs], window)
+        # for each offset, the left-to-right pairs in document and position
+        # order, then the same pairs reversed
+        expected = []
+        for k in range(1, window + 1):
+            forward = [(d[i], d[i + k]) for d in docs for i in range(len(d) - k)]
+            expected += forward + [(b, a) for a, b in forward]
+        assert list(zip(centers.tolist(), contexts.tolist())) == expected
+        assert centers.dtype == contexts.dtype == np.int64
+        assert not np.shares_memory(centers, contexts)
 
 
 class TestSampleNegatives:

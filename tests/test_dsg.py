@@ -293,6 +293,24 @@ class TestFilterStep:
             dsg_filter_step(corpus.slices[0], vocab, init, DsgParams(),
                             small_config(dim=2, epochs=30, learning_rate=200))
 
+    def test_adam_overflow_on_the_helper_thread_is_numerical_error(self, monkeypatch):
+        # only the context side, which steps on the helper thread, gets a
+        # finite gradient whose square overflows
+        vocab, corpus = toy_corpus([["a b c d e"] * 40])
+        init = init_random(vocab.size, 2, 0, "dsg")
+        prior_entropy_grads = dsg._prior_entropy_grads
+
+        def huge_off_the_main_thread(*args):
+            gmu, glv = prior_entropy_grads(*args)
+            if threading.current_thread() is not threading.main_thread():
+                gmu = gmu + 1e200
+            return gmu, glv
+
+        monkeypatch.setattr(dsg, "_prior_entropy_grads", huge_off_the_main_thread)
+        with pytest.raises(NumericalError, match="Adam step of parameter matrix 'muV'"):
+            dsg_filter_step(corpus.slices[0], vocab, init, DsgParams(),
+                            small_config(dim=2, epochs=1))
+
 
 class TestTrainDsg:
     def test_single_slice_equals_one_filter_step(self):

@@ -3,8 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from driftvec.synth import (PlantedChange, SynthSpec, generate,
-                            synth_boundaries, word_names, write_synth_corpus)
+from driftvec.synth import PlantedChange, SynthSpec, generate, word_names, write_synth_corpus
 
 
 def small_spec(**kwargs):
@@ -136,11 +135,6 @@ class TestFileOutput:
         truth = (tmp_path / "truth.csv").read_text().splitlines()
         assert truth[0] == "word,change_slice"
         assert truth[1] == "w0059,1"
-
-    def test_boundaries_cover_all_slices(self):
-        bounds = synth_boundaries(3)
-        assert len(bounds) == 4
-        assert bounds[0].year == 2000 and bounds[-1].year == 2003
 
 
 def test_word_names_are_padded_and_unique():
