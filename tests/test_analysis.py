@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import driftvec
 from driftvec.analysis import (DriftSeries, directedness, drift_histogram, drift_series,
                                evaluate_lpos, format_lpos_report, stability_fraction,
                                write_drift_csv, write_histogram_csv)
@@ -43,10 +44,12 @@ class TestComputeDrift:
         np.testing.assert_allclose(word_drifts(Ut @ Q, U0 @ Q),
                                    word_drifts(Ut, U0), atol=1e-9)
 
-    def test_shape_mismatch_raises(self):
-        # (1, 3) would broadcast against (4, 3); it must raise instead
+    @pytest.mark.parametrize("norm", [driftvec.word_drifts, word_drifts])
+    def test_shape_mismatch_raises_through_both_names(self, norm):
+        # the package export and the module function; (1, 3) would broadcast
+        # against (4, 3), so it must raise instead
         with pytest.raises(ValueError, match="share a shape"):
-            word_drifts(np.ones((4, 3)), np.zeros((1, 3)))
+            norm(np.ones((4, 3)), np.zeros((1, 3)))
 
 
 class TestDriftSeries:
