@@ -13,12 +13,10 @@ a HardShrink drift penalty.
 from .adam import AdamState, adam_step, adam_step_rows
 from .analysis import (DriftSeries, directedness, drift_histogram, drift_series,
                        evaluate_lpos, stability_fraction)
-from .corpus import (SkipGramBatch, TimeSlicedCorpus, Vocabulary, build_vocabulary,
-                     extract_pairs, sample_negatives, slice_corpus, split_holdout,
-                     subsample_corpus)
+from .corpus import (TimeSlicedCorpus, Vocabulary, build_vocabulary, extract_pairs,
+                     sample_negatives, slice_corpus, split_holdout, subsample_corpus)
 from .dbe import DbeParams, dbe_loss, dbe_prior, train_dbe
-from .dsg import (DsgParams, GaussianEmbeddingMatrix, combine_priors, dsg_elbo,
-                  dsg_filter_step, train_dsg)
+from .dsg import DsgParams, combine_priors, dsg_elbo, dsg_filter_step, train_dsg
 from .inits import InitScheme, apply_scheme, init_internal, init_random, load_pretrained
 from .isg import train_incremental, train_slice
 from .sgns import TrainConfig, TrainResult, mean_lpos, sgns_gradients, sgns_log_likelihood, sigmoid

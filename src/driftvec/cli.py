@@ -222,6 +222,7 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_slice(args) -> int:
+    corpus_mod.check_seed(args.seed)
     if not (args.holdout == 0 or 0 < args.holdout < 1):
         raise ValueError(f"holdout fraction must be 0 (no split) or lie in (0, 1), "
                          f"not {args.holdout}")

@@ -1,8 +1,11 @@
 """Corpus ingestion: tokenization, vocabulary, time slicing, holdout
 splits, subsampling, skip-gram pair extraction and negative sampling.
 
-All values produced here are frozen after construction and safe to share
-between threads. Every seeded operation derives its generator from
+A labelled pair batch is the ``(centers, contexts, labels)`` triple of
+int64 arrays that :func:`sample_negatives` returns; the trainers and the
+reference objectives take it in that form. All values produced here are
+frozen after construction and safe to share between threads. Every
+seeded operation derives its generator from
 ``numpy.random.default_rng([seed, ...])`` so results are reproducible
 byte for byte.
 """
@@ -25,6 +28,13 @@ from .errors import DataError, EmptyCorpusError, open_text
 NOISE_POWER = 0.75  # exponent of the unigram noise distribution
 
 _PUNC_TABLE = str.maketrans("", "", string.punctuation)
+
+
+def check_seed(seed: int) -> None:
+    """Raise a ValueError naming ``seed`` unless it is >= 0: the numpy
+    generators seeded from it accept only non-negative integers."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, not {seed}")
 
 
 def tokenize(text: str) -> list[str]:
@@ -289,6 +299,7 @@ def split_holdout(corpus: TimeSlicedCorpus, fraction: float, seed: int):
     The three returned corpora partition the input exactly and the split
     is deterministic given ``seed``.
     """
+    check_seed(seed)
     if not 0 < fraction < 1:
         raise ValueError("holdout fraction must lie in (0, 1)")
     train, valid, test = [], [], []
@@ -326,6 +337,7 @@ def subsample_corpus(corpus: TimeSlicedCorpus, fraction: float,
     empty triggers a warning, not an error: extreme scarcity is a valid
     operating point.
     """
+    check_seed(seed)
     if not 0 < fraction <= 1:
         raise ValueError("subsample fraction must lie in (0, 1]")
     if fraction == 1:
@@ -345,30 +357,6 @@ def subsample_corpus(corpus: TimeSlicedCorpus, fraction: float,
 # ---------------------------------------------------------------------------
 # Training pairs and negatives
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SkipGramBatch:
-    """Parallel center/context/label arrays for one time slice.
-
-    Positives appear in extraction order, each immediately followed by
-    its negative draws (label 1 = observed pair, 0 = noise pair).
-    """
-
-    center_ids: np.ndarray
-    context_ids: np.ndarray
-    labels: np.ndarray
-    slice_index: int
-
-    def __post_init__(self):
-        if not (len(self.center_ids) == len(self.context_ids) == len(self.labels)):
-            raise ValueError("batch arrays must have equal length")
-        self.center_ids.setflags(write=False)
-        self.context_ids.setflags(write=False)
-        self.labels.setflags(write=False)
-
-    def __len__(self):
-        return len(self.center_ids)
-
 
 def extract_pairs(docs, window: int):
     """Emit every (center, context) pair within ``window`` positions.
@@ -404,13 +392,16 @@ def noise_distribution(vocab: Vocabulary) -> np.ndarray:
     return weights / weights.sum()
 
 
-def sample_negatives(vocab: Vocabulary, positives, ratio: int, seed,
-                     slice_index: int = 0) -> SkipGramBatch:
+def sample_negatives(vocab: Vocabulary, positives, ratio: int, seed):
     """Interleave each positive pair with ``ratio`` noise pairs.
 
     Noise pairs keep the positive's center and draw the context from the
     power-0.75 unigram distribution. ``seed`` may be an int or a sequence
     of ints (used to derive per-slice/per-epoch streams).
+
+    Returns the labelled pair batch ``(centers, contexts, labels)``: three
+    read-only int64 arrays in which each positive (label 1) is
+    immediately followed by its noise pairs (label 0).
     """
     if ratio < 1:
         raise ValueError("negative ratio must be >= 1")
@@ -418,10 +409,6 @@ def sample_negatives(vocab: Vocabulary, positives, ratio: int, seed,
     centers = np.asarray(centers, dtype=np.int64)
     contexts = np.asarray(contexts, dtype=np.int64)
     n = len(centers)
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return SkipGramBatch(empty, empty.copy(),
-                             np.empty(0, dtype=np.int64), slice_index)
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(noise_distribution(vocab))
     cdf[-1] = 1.0
@@ -429,14 +416,15 @@ def sample_negatives(vocab: Vocabulary, positives, ratio: int, seed,
     draws = np.minimum(draws, vocab.size - 1).reshape(n, ratio)
 
     group = 1 + ratio
-    out_centers = np.repeat(centers, group)
     out_contexts = np.empty((n, group), dtype=np.int64)
     out_contexts[:, 0] = contexts
     out_contexts[:, 1:] = draws
     labels = np.zeros((n, group), dtype=np.int64)
     labels[:, 0] = 1
-    return SkipGramBatch(out_centers, out_contexts.reshape(-1),
-                         labels.reshape(-1), slice_index)
+    batch = np.repeat(centers, group), out_contexts.reshape(-1), labels.reshape(-1)
+    for array in batch:
+        array.setflags(write=False)
+    return batch
 
 
 # ---------------------------------------------------------------------------

@@ -69,15 +69,16 @@ def dbe_prior_grads(U_all, V: np.ndarray, params: DbeParams):
 
 
 def dbe_loss(batches, U_all, V: np.ndarray, params: DbeParams):
-    """Joint objective over per-slice batches.
+    """Joint objective over ``(t, batch)`` pairs, the form of a :func:`_round_robin`
+    sweep; each batch is scored against slice t's word matrix.
 
     Returns ``(total, likelihood, lpos, prior)`` where ``total`` is the
     maximized quantity (likelihood plus prior).
     """
     likelihood = 0.0
     lpos = 0.0
-    for batch in batches:
-        ll, lp = sgns_log_likelihood(batch, U_all[batch.slice_index], V)
+    for t, batch in batches:
+        ll, lp = sgns_log_likelihood(batch, U_all[t], V)
         likelihood += ll
         lpos += lp
     prior = dbe_prior(U_all, V, params)

@@ -6,7 +6,10 @@ diffusion step combined with a zero-mean anchor, the prior of slice t;
 the variational parameters are then fitted by Adam ascent on the
 evidence lower bound. Only means pass from slice to slice, so a run
 starts from a plain ``(U, V)`` pair of initial means, like the
-point-estimate models.
+point-estimate models. A filter step returns ``({role: matrix}, trace)``
+like ``isg.train_slice``, with the variances under ``var`` and
+``context_var``; :func:`dsg_elbo` takes each posterior as a
+``(mean, variance)`` pair.
 
 The bound has three parts: the data term of the skip-gram likelihood
 estimated with reparameterized draws, the expected log-prior in closed
@@ -45,20 +48,6 @@ ENTROPY_SUM_VAR = "sum_var"
 ENTROPY_EXACT = "exact"
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-@dataclass
-class GaussianEmbeddingMatrix:
-    """Diagonal-Gaussian embedding matrix: per-entry mean and variance."""
-
-    mean: np.ndarray
-    variance: np.ndarray
-
-    def __post_init__(self):
-        if self.mean.shape != self.variance.shape:
-            raise ValueError("mean and variance shapes differ")
-        if np.any(self.variance <= 0):
-            raise ValueError("variance entries must be positive")
 
 
 @dataclass
@@ -175,30 +164,31 @@ def sampled_likelihood_grads(centers, contexts, labels, muU, logvarU,
     return value * inv, lpos * inv, gmuU, glvU, gmuV, glvV
 
 
-def dsg_elbo(batch, qU: GaussianEmbeddingMatrix, qV: GaussianEmbeddingMatrix,
-             priors, params: DsgParams, seed) -> ElboTerms:
-    """Evaluate the bound on one batch with seeded draws.
+def dsg_elbo(batch, qU, qV, priors, params: DsgParams, seed) -> ElboTerms:
+    """Evaluate the bound on one ``(centers, contexts, labels)`` batch with seeded draws.
 
-    ``priors`` is a ``(GaussianPrior, GaussianPrior)`` pair for the word
-    and context matrices. The likelihood term is a ``samples_per_step``
-    Monte-Carlo average; prior and entropy terms are exact.
+    ``qU`` and ``qV`` are the word and context posteriors as ``(mean, variance)``
+    pairs, and ``priors`` is a ``(GaussianPrior, GaussianPrior)`` pair for them. The
+    likelihood term is a ``samples_per_step`` Monte-Carlo average; prior and
+    entropy terms are exact.
     """
     qs = (qU, qV)
-    for q in qs:
-        if np.any(q.variance <= 0):
+    for mean, variance in qs:
+        if mean.shape != variance.shape:
+            raise ValueError("mean and variance shapes differ")
+        if np.any(variance <= 0):
             raise ValueError("posterior variances must be positive")
     rng = np.random.default_rng(seed)
     like = 0.0
-    if len(batch):
-        sigmas = [np.sqrt(q.variance) for q in qs]
-        for _ in range(params.samples_per_step):
-            samples = [q.mean + sigma * rng.standard_normal(q.mean.shape)
-                       for q, sigma in zip(qs, sigmas)]
-            like += sgns_log_likelihood(batch, *samples)[0]
-        like /= params.samples_per_step
-    log_prior = sum(expected_log_gaussian(q.mean, q.variance, prior)
-                    for q, prior in zip(qs, priors))
-    entropy = entropy_value([q.variance for q in qs], params.entropy_mode)
+    sigmas = [np.sqrt(variance) for _, variance in qs]
+    for _ in range(params.samples_per_step):
+        samples = [mean + sigma * rng.standard_normal(mean.shape)
+                   for (mean, _), sigma in zip(qs, sigmas)]
+        like += sgns_log_likelihood(batch, *samples)[0]
+    like /= params.samples_per_step
+    log_prior = sum(expected_log_gaussian(mean, variance, prior)
+                    for (mean, variance), prior in zip(qs, priors))
+    entropy = entropy_value([variance for _, variance in qs], params.entropy_mode)
     return ElboTerms(likelihood=like, log_prior=log_prior, entropy=entropy)
 
 
@@ -248,7 +238,8 @@ def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
     here. Errors surface in the serial order (bound, then ``muU``,
     ``logvarU``, ``muV``, ``logvarV``).
 
-    Returns ``(qU, qV, trace)``.
+    Returns ``({role: matrix}, trace)``: the posterior means under ``word``
+    and ``context``, their variances under ``var`` and ``context_var``.
     """
     L, d = prev_means[0].shape
     # index 0 is the word matrix U, index 1 the context matrix V
@@ -311,7 +302,8 @@ def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
             trace["elbo"].append(like_sum + log_prior + entropy)
             record_epoch(trace, lpos_sum, total_pos, eval_pairs, *mus)
 
-    return (*map(GaussianEmbeddingMatrix, mus, variances), trace)
+    return {"word": mus[0], "var": variances[0],
+            "context": mus[1], "context_var": variances[1]}, trace
 
 
 def train_dsg(corpus, vocab, init, params: DsgParams, config: TrainConfig,
@@ -332,13 +324,12 @@ def train_dsg(corpus, vocab, init, params: DsgParams, config: TrainConfig,
 
     def step(t, prev, pairs):
         nonlocal ref_mean
-        qU, qV, trace = dsg_filter_step(
-            corpus.slices[t], vocab, prev, params, config, slice_index=t,
-            reg=reg, ref_mean=ref_mean, eval_pairs=pairs)
+        out, trace = dsg_filter_step(corpus.slices[t], vocab, prev, params, config,
+                                     slice_index=t, reg=reg, ref_mean=ref_mean,
+                                     eval_pairs=pairs)
         if ref_mean is None:
-            ref_mean = qU.mean
-        return {"word": qU.mean, "var": qU.variance,
-                "context": qV.mean, "context_var": qV.variance}, trace
+            ref_mean = out["word"]
+        return out, trace
 
     return chain_slices(corpus, init, direction,
                         holdout_pairs(eval_corpus, config.window, corpus.T), step)

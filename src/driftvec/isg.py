@@ -11,7 +11,9 @@ The trainers' shared bookkeeping lives here and in ``sgns``: each
 epoch's pair stream (:func:`epoch_batches`), each slice's held-out pairs
 (:func:`holdout_pairs`), the row step of isg and dbe (:func:`row_step`),
 the slice chain of isg and dsg (:func:`chain_slices`) and the per-epoch
-trace (``sgns.record_epoch``).
+trace (``sgns.record_epoch``). A slice trainer (:func:`train_slice`,
+``dsg.dsg_filter_step``) starts from a ``(U, V)`` pair and returns
+``({role: matrix}, trace)``, the step form of :func:`chain_slices`.
 """
 
 import math
@@ -36,16 +38,15 @@ def epoch_positives(slice_docs, window: int, seed_key) -> tuple:
 
 
 def iter_minibatches(batch, positives_per_batch: int, ratio: int):
-    """Chunk an interleaved epoch batch into mini-batches.
+    """Chunk an interleaved ``(centers, contexts, labels)`` epoch batch into
+    mini-batches of the same form.
 
     Positives stay adjacent to their negatives because chunk boundaries
     land on group multiples.
     """
-    group = 1 + ratio
-    step = positives_per_batch * group
-    for start in range(0, len(batch), step):
-        sl = slice(start, start + step)
-        yield batch.center_ids[sl], batch.context_ids[sl], batch.labels[sl]
+    step = positives_per_batch * (1 + ratio)
+    for start in range(0, len(batch[0]), step):
+        yield tuple(array[start:start + step] for array in batch)
 
 
 def epoch_batches(slice_docs, vocab, config: TrainConfig, slice_index: int,
@@ -59,9 +60,8 @@ def epoch_batches(slice_docs, vocab, config: TrainConfig, slice_index: int,
     """
     positives = epoch_positives(slice_docs, config.window,
                                 [config.seed, slice_index, epoch, 1])
-    batch = corpus_mod.sample_negatives(
-        vocab, positives, config.negative_ratio,
-        [config.seed, slice_index, epoch, 2], slice_index)
+    batch = corpus_mod.sample_negatives(vocab, positives, config.negative_ratio,
+                                        [config.seed, slice_index, epoch, 2])
     return len(positives[0]), iter_minibatches(batch, config.batch_size,
                                                config.negative_ratio)
 
@@ -89,22 +89,21 @@ def row_step(minibatch, U, V, stateU, stateV, learning_rate, where: str, names) 
     return lpos
 
 
-def train_slice(slice_docs, vocab, initU: np.ndarray, initV: np.ndarray,
-                config: TrainConfig, slice_index: int = 0, eval_pairs=None):
-    """Run ``config.epochs`` Adam-ascent passes over one slice.
+def train_slice(slice_docs, vocab, prev, config: TrainConfig, slice_index: int = 0,
+                eval_pairs=None):
+    """Run ``config.epochs`` Adam-ascent passes over one slice, starting
+    from ``prev``, a ``(U, V)`` pair that is not modified.
 
     ``slice_docs`` is the slice's document list (id arrays); negatives
-    are redrawn each epoch. Returns ``(U, V, trace)`` where ``trace`` is
-    a dict with per-epoch mean-per-pair training ``lpos`` (and
-    ``holdout_lpos`` when ``eval_pairs`` is given).
+    are redrawn each epoch. Returns ``({"word": U, "context": V}, trace)``
+    where ``trace`` is a dict with per-epoch mean-per-pair training
+    ``lpos`` (and ``holdout_lpos`` when ``eval_pairs`` is given).
     """
-    L, d = initU.shape
-    if initV.shape != (L, d):
+    U, V = (matrix.copy() for matrix in prev)
+    if V.shape != U.shape:
         raise ValueError("init matrices must share (L, d)")
-    U = initU.copy()
-    V = initV.copy()
-    stateU = AdamState.for_shape((L, d))
-    stateV = AdamState.for_shape((L, d))
+    stateU = AdamState.for_shape(U.shape)
+    stateV = AdamState.for_shape(V.shape)
     trace = {}
 
     for epoch in range(config.epochs):
@@ -114,7 +113,7 @@ def train_slice(slice_docs, vocab, initU: np.ndarray, initV: np.ndarray,
             lpos_sum += row_step(minibatch, U, V, stateU, stateV, config.learning_rate,
                                  f"slice {slice_index}, epoch {epoch}, batch {b_idx}", ("U", "V"))
         record_epoch(trace, lpos_sum, n_pos, eval_pairs, U, V)
-    return U, V, trace
+    return {"word": U, "context": V}, trace
 
 
 def chain_slices(corpus, init, direction: str, eval_pairs, step) -> TrainResult:
@@ -146,9 +145,8 @@ def train_incremental(corpus, vocab, init, config: TrainConfig,
     ``word`` and ``context`` matrices of every calendar slice.
     """
     def step(t, prev, pairs):
-        U, V, trace = train_slice(corpus.slices[t], vocab, *prev, config,
-                                  slice_index=t, eval_pairs=pairs)
-        return {"word": U, "context": V}, trace
+        return train_slice(corpus.slices[t], vocab, prev, config, slice_index=t,
+                           eval_pairs=pairs)
 
     return chain_slices(corpus, init, direction,
                         holdout_pairs(eval_corpus, config.window, corpus.T), step)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import check_seed
 from .errors import DataError, open_text
 
 
@@ -38,6 +39,7 @@ class TrainConfig:
             raise ValueError("negative_ratio must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -89,22 +91,22 @@ def log_sigmoid(x):
 
 
 def _pair_scores(batch, U, V):
-    return np.einsum("ij,ij->i", U[batch.center_ids], V[batch.context_ids])
+    centers, contexts, _ = batch
+    return np.einsum("ij,ij->i", U[centers], V[contexts])
 
 
 def sgns_log_likelihood(batch, U: np.ndarray, V: np.ndarray):
-    """Log-likelihood of a batch of labelled pairs.
+    """Log-likelihood of a ``(centers, contexts, labels)`` batch of labelled pairs.
 
     Positives contribute log sigma(u.v), negatives log sigma(-u.v).
     Returns ``(total, positive_part)``.
     """
-    if len(batch) == 0:
-        return 0.0, 0.0
+    labels = batch[2]
     scores = _pair_scores(batch, U, V)
-    signs = np.where(batch.labels == 1, 1.0, -1.0)
+    signs = np.where(labels == 1, 1.0, -1.0)
     terms = log_sigmoid(signs * scores)
     total = float(terms.sum())
-    lpos = float(terms[batch.labels == 1].sum())
+    lpos = float(terms[labels == 1].sum())
     return total, lpos
 
 
@@ -136,14 +138,13 @@ def sgns_gradients(batch, U: np.ndarray, V: np.ndarray):
     d/du_i = sum_j (label - sigma(u_i.v_j)) v_j, and symmetrically for v.
     Rows absent from the batch have zero gradient.
     """
+    centers, contexts, labels = batch
     gradU = np.zeros_like(U)
     gradV = np.zeros_like(V)
-    if len(batch) == 0:
-        return gradU, gradV
     scores = _pair_scores(batch, U, V)
-    coef = batch.labels.astype(np.float64) - sigmoid(scores)
-    np.add.at(gradU, batch.center_ids, coef[:, None] * V[batch.context_ids])
-    np.add.at(gradV, batch.context_ids, coef[:, None] * U[batch.center_ids])
+    coef = labels.astype(np.float64) - sigmoid(scores)
+    np.add.at(gradU, centers, coef[:, None] * V[contexts])
+    np.add.at(gradV, contexts, coef[:, None] * U[centers])
     return gradU, gradV
 
 
@@ -232,7 +233,7 @@ def load_embedding_text(path):
     The rows are parsed by numpy's C text reader, which rounds each
     decimal as ``float()`` does. A file it rejects is read again line
     by line to name the first bad row. Non-finite entries are a data
-    error too.
+    error too, and so is a row past the header's count.
     """
     with open_text(path) as fh:
         header = fh.readline().split()
@@ -252,8 +253,11 @@ def load_embedding_text(path):
                     dtype=[("word", object), ("vector", np.float64, (dim,))])
         except ValueError as exc:
             _raise_row_error(path, count, dim, exc)
-    if len(rows) != count:
-        _raise_row_error(path, count, dim, None)
+        if len(rows) != count:
+            _raise_row_error(path, count, dim, None)
+        for lineno, line in enumerate(fh, start=count + 2):
+            if line.strip():
+                raise DataError(f"{path}:{lineno}: more rows than the header's count of {count}")
     words = rows["word"].tolist()
     matrix = np.ascontiguousarray(rows["vector"])
     check_finite_rows(path, words, matrix)

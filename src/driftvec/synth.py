@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import TimeSlicedCorpus, Vocabulary, build_vocabulary, encode_sliced_docs
+from .corpus import (TimeSlicedCorpus, Vocabulary, build_vocabulary, check_seed,
+                     encode_sliced_docs)
 
 ABRUPT = "abrupt"
 GRADUAL = "gradual"
@@ -67,6 +68,7 @@ class SynthSpec:
             raise ValueError("vocab_size too small")
         if self.T < 1:
             raise ValueError("T must be >= 1")
+        check_seed(self.seed)
         if self.doc_length < 1:
             raise ValueError("doc_length must be >= 1")
         if self.tokens_per_slice < self.doc_length:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from driftvec.corpus import (SkipGramBatch, build_vocabulary,
-                             encode_sliced_docs, tokenize)
+from driftvec.corpus import build_vocabulary, encode_sliced_docs, tokenize
 
 
 def sliced_from_strings(slices):
@@ -18,13 +17,9 @@ def toy_corpus(slices, stopwords=(), max_size=10_000):
     return vocab, corpus
 
 
-def make_batch(centers, contexts, labels, slice_index=0):
-    return SkipGramBatch(
-        np.asarray(centers, dtype=np.int64),
-        np.asarray(contexts, dtype=np.int64),
-        np.asarray(labels, dtype=np.int64),
-        slice_index,
-    )
+def make_batch(centers, contexts, labels):
+    """A ``(centers, contexts, labels)`` batch of int64 arrays."""
+    return tuple(np.asarray(a, dtype=np.int64) for a in (centers, contexts, labels))
 
 
 @pytest.fixture

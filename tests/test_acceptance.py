@@ -174,11 +174,11 @@ def test_criterion_1_gradient_suite():
             params = DbeParams(drift_precision=float(rng.uniform(0.2, 3.0)),
                                base_precision=float(rng.uniform(0.01, 0.5)))
             batches = [make_batch(rng.integers(0, L, 5), rng.integers(0, L, 5),
-                                  rng.integers(0, 2, 5), slice_index=t)
+                                  rng.integers(0, 2, 5))
                        for t in range(T)]
 
             def total():
-                return dbe_loss(batches, U_all, V, params)[0]
+                return dbe_loss(enumerate(batches), U_all, V, params)[0]
 
             gradU_prior, gradV_prior = dbe_prior_grads(U_all, V, params)
             for t in range(T):

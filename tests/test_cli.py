@@ -152,6 +152,25 @@ def test_slice_holdout_outside_unit_interval_is_usage_error(pipeline, tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, seed", [("synth", "-1"), ("slice", "-3"),
+                                           ("subsample", "-2"), ("train", "-2")])
+def test_negative_seed_is_usage_error(pipeline, tmp_path, capsys, command, seed):
+    argv = {
+        "synth": ["synth", "--out", tmp_path / "corpus"],
+        "slice": ["slice", "--manifest", pipeline / "corpus" / "manifest.tsv",
+                  "--vocab", pipeline / "vocab.tsv", "--boundaries", "2000:2003",
+                  "--out-prefix", tmp_path / "data"],
+        "subsample": ["subsample", "--corpus", pipeline / "data.train.json",
+                      "--fraction", "0.5", "--out", tmp_path / "sub.json"],
+        "train": train_args(pipeline, tmp_path / "run"),
+    }[command]
+    assert run([*argv, "--seed", seed]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: seed must be >= 0, not {seed}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_vocab_warns_when_max_size_exceeds_distinct(pipeline, tmp_path):
     with pytest.warns(UserWarning, match="exceeds"):
         code = run(["build-vocab",
@@ -454,6 +473,20 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert "pre.vec:3:" in err and "w0001" in err
 
+    def test_pretrained_file_with_more_rows_than_its_header(self, pipeline, tmp_path,
+                                                            capsys):
+        vocab = load_vocabulary(pipeline / "vocab.tsv")
+        pre = tmp_path / "pre.vec"
+        save_embedding_text(pre, list(vocab.words), np.ones((vocab.size, 4)))
+        text = pre.read_text()
+        pre.write_text(text.replace(f"{vocab.size} 4", "5 4", 1))
+        outdir = tmp_path / "run"
+        assert run(train_args(pipeline, outdir, extra=["--init", "backward-external",
+                                                       "--pretrained", pre])) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {pre}:7: more rows than the header's count of 5\n"
+        assert not outdir.exists()
+
     def test_non_finite_vector_entry(self, pipeline, tmp_path, capsys):
         pre = tmp_path / "pre.vec"
         pre.write_text("2 4\nw0000 0.1 0.2 0.3 0.4\nw0001 nan 0.2 inf 0.4\n")
@@ -570,6 +603,7 @@ def test_readme_library_example_runs(capsys):
     ("[DEFAULT]\nseed = 1\n[train]\ndim = 4\n", "bad.ini: unknown section [DEFAULT]"),
     ("[train]\ndim = abc\n", "bad.ini: [train] dim = 'abc': invalid literal for int()"),
     ("[train]\ndim = 0\n", "bad.ini: [train] dim = '0': dim must be >= 1"),
+    ("[train]\nseed = -2\n", "bad.ini: [train] seed = '-2': seed must be >= 0, not -2"),
     ("[run]\nmodel = foo\n", "bad.ini: [run] model = 'foo': unknown model 'foo'"),
     ("[init]\nscheme = bogus\n", "bad.ini: [init] scheme = 'bogus': unknown init scheme"),
     ("[init]\nscheme = backward_external\n",

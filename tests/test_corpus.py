@@ -14,6 +14,7 @@ from driftvec.corpus import (assign_slices, build_vocabulary, extract_pairs,
                              slice_corpus, split_holdout, subsample_corpus,
                              tokenize)
 from driftvec.errors import DataError, EmptyCorpusError
+from driftvec.isg import iter_minibatches
 
 from conftest import sliced_from_strings, toy_corpus
 
@@ -190,6 +191,10 @@ class TestSplitHoldout:
         with pytest.raises(DataError, match="slice 0"):
             split_holdout(self._corpus(5), 0.1, seed=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, not -1"):
+            split_holdout(self._corpus(50), 0.2, seed=-1)
+
 
 class TestSubsample:
     def test_identity_at_full_fraction(self):
@@ -218,6 +223,12 @@ class TestSubsample:
         corpus = TimeSlicedCorpus(slices=((np.array([0], dtype=np.int64),),))
         with pytest.warns(UserWarning, match="empty"):
             subsample_corpus(corpus, 0.01, seed=0)
+
+    @pytest.mark.parametrize("fraction", [0.5, 1.0])
+    def test_negative_seed(self, fraction):
+        _, corpus = toy_corpus([["a b", "b c", "c a"]])
+        with pytest.raises(ValueError, match="seed must be >= 0, not -2"):
+            subsample_corpus(corpus, fraction, seed=-2)
 
 
 class TestExtractPairs:
@@ -287,18 +298,18 @@ class TestSampleNegatives:
     def test_ratio_counts(self):
         vocab, corpus = toy_corpus([["a b c a b c a b"]])
         centers, contexts = extract_pairs(corpus.slices[0], window=2)
-        batch = sample_negatives(vocab, (centers, contexts), ratio=1, seed=0)
-        assert len(batch) == 2 * len(centers)
-        assert int(batch.labels.sum()) == len(centers)
+        _, _, labels = sample_negatives(vocab, (centers, contexts), ratio=1, seed=0)
+        assert len(labels) == 2 * len(centers)
+        assert int(labels.sum()) == len(centers)
         # exactly one negative per positive
-        assert int((batch.labels == 0).sum()) == len(centers)
+        assert int((labels == 0).sum()) == len(centers)
 
     def test_hundred_positives_hundred_negatives(self):
         vocab, _ = toy_corpus([["a b"]])
         centers = np.zeros(100, dtype=np.int64)
         contexts = np.ones(100, dtype=np.int64)
-        batch = sample_negatives(vocab, (centers, contexts), ratio=1, seed=0)
-        assert int((batch.labels == 0).sum()) == 100
+        _, _, labels = sample_negatives(vocab, (centers, contexts), ratio=1, seed=0)
+        assert int((labels == 0).sum()) == 100
 
     def test_uniform_counts_give_uniform_noise(self):
         vocab, _ = toy_corpus([["a b c d"]])
@@ -309,10 +320,11 @@ class TestSampleNegatives:
         vocab, _ = toy_corpus([["a b c"]])
         centers = np.array([0, 1], dtype=np.int64)
         contexts = np.array([1, 2], dtype=np.int64)
-        batch = sample_negatives(vocab, (centers, contexts), ratio=2, seed=0)
-        assert batch.labels.tolist() == [1, 0, 0, 1, 0, 0]
-        assert batch.center_ids.tolist() == [0, 0, 0, 1, 1, 1]
-        assert batch.context_ids[0] == 1 and batch.context_ids[3] == 2
+        out_centers, out_contexts, labels = sample_negatives(
+            vocab, (centers, contexts), ratio=2, seed=0)
+        assert labels.tolist() == [1, 0, 0, 1, 0, 0]
+        assert out_centers.tolist() == [0, 0, 0, 1, 1, 1]
+        assert out_contexts[0] == 1 and out_contexts[3] == 2
 
     def test_empirical_convergence_to_power_law(self):
         # seeded, so this is a deterministic regression of the sampler
@@ -322,8 +334,9 @@ class TestSampleNegatives:
         n = 1_000_000
         centers = np.zeros(n // 2, dtype=np.int64)
         contexts = np.zeros(n // 2, dtype=np.int64)
-        batch = sample_negatives(vocab, (centers, contexts), ratio=2, seed=99)
-        drawn = batch.context_ids[batch.labels == 0]
+        _, out_contexts, labels = sample_negatives(vocab, (centers, contexts), ratio=2,
+                                                   seed=99)
+        drawn = out_contexts[labels == 0]
         counts = np.bincount(drawn, minlength=vocab.size)
         freqs = counts / counts.sum()
         rel_err = np.abs(freqs - expected) / expected
@@ -332,9 +345,42 @@ class TestSampleNegatives:
     def test_deterministic_given_seed(self):
         vocab, corpus = toy_corpus([["a b c d e f g h"]])
         positives = extract_pairs(corpus.slices[0], window=3)
-        b1 = sample_negatives(vocab, positives, ratio=3, seed=[5, 1])
-        b2 = sample_negatives(vocab, positives, ratio=3, seed=[5, 1])
-        np.testing.assert_array_equal(b1.context_ids, b2.context_ids)
+        _, contexts1, _ = sample_negatives(vocab, positives, ratio=3, seed=[5, 1])
+        _, contexts2, _ = sample_negatives(vocab, positives, ratio=3, seed=[5, 1])
+        np.testing.assert_array_equal(contexts1, contexts2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=30),
+           st.integers(1, 4), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @example([], 1, 1, 0)
+    @example([(0, 1)] * 6, 2, 3, 0)
+    def test_pair_stream_triple(self, pairs, ratio, batch_size, seed):
+        # the labelled batch and the minibatches cut from it are
+        # (centers, contexts, labels) triples of read-only int64 arrays
+        vocab, _ = toy_corpus([["a b c d e"]])
+        centers = np.array([c for c, _ in pairs], dtype=np.int64)
+        contexts = np.array([x for _, x in pairs], dtype=np.int64)
+        n, group = len(pairs), 1 + ratio
+        batch = sample_negatives(vocab, (centers, contexts), ratio, seed)
+        assert len(batch) == 3
+        for array in batch:
+            assert array.dtype == np.int64 and array.shape == (n * group,)
+            assert not array.flags.writeable
+        out_centers, out_contexts, labels = (array.reshape(n, group) for array in batch)
+        # every positive starts its group, followed by its noise pairs
+        np.testing.assert_array_equal(labels, np.repeat([[1] + [0] * ratio], n, axis=0))
+        np.testing.assert_array_equal(out_centers, np.repeat(centers[:, None], group, axis=1))
+        np.testing.assert_array_equal(out_contexts[:, 0], contexts)
+        assert ((0 <= out_contexts) & (out_contexts < vocab.size)).all()
+
+        chunks = list(iter_minibatches(batch, batch_size, ratio))
+        assert len(chunks) == -(-n // batch_size)
+        for chunk in chunks[:-1]:
+            assert [len(array) for array in chunk] == [batch_size * group] * 3
+        for k in range(3):
+            np.testing.assert_array_equal(
+                np.concatenate([np.empty(0, dtype=np.int64)] + [c[k] for c in chunks]),
+                batch[k])
 
 
 def test_corpus_file_round_trip(tmp_path):

@@ -63,8 +63,8 @@ class TestLoss:
     def test_single_positive_logit_zero(self):
         U_all = [np.zeros((2, 2)), np.ones((2, 2))]
         V = np.full((2, 2), 0.5)
-        batch = make_batch([0], [1], [1], slice_index=0)
-        total, like, lpos, prior = dbe_loss([batch], U_all, V, DbeParams())
+        batch = make_batch([0], [1], [1])
+        total, like, lpos, prior = dbe_loss([(0, batch)], U_all, V, DbeParams())
         assert like == pytest.approx(-math.log(2), abs=1e-12)
         assert total == pytest.approx(-math.log(2) + prior, abs=1e-12)
 
@@ -77,10 +77,10 @@ class TestLoss:
         for t in range(T):
             n = 6
             batches.append(make_batch(rng.integers(0, L, n), rng.integers(0, L, n),
-                                      rng.integers(0, 2, n), slice_index=t))
+                                      rng.integers(0, 2, n)))
 
         def total():
-            return dbe_loss(batches, U_all, V, params)[0]
+            return dbe_loss(enumerate(batches), U_all, V, params)[0]
 
         gradU_prior, gradV_prior = dbe_prior_grads(U_all, V, params)
         for t in range(T):
@@ -237,10 +237,8 @@ class TestSweepSchedule:
         gradU = [g + p for g, p in zip(gradU, priorU)]
         gradV += priorV
 
-        sweep_batches = [make_batch(*batch, slice_index=t) for t, batch in sweep]
-
         def objective():
-            _, likelihood, _, prior = dbe_loss(sweep_batches, U_all, V, params)
+            _, likelihood, _, prior = dbe_loss(sweep, U_all, V, params)
             penalty = sum(drift_regularizer(U_all[s], ref, reg.alpha, betas[s])
                           for s in range(1, T))
             return likelihood + weight * (prior - penalty)

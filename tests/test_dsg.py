@@ -10,7 +10,7 @@ from driftvec import dsg, shrinkreg
 from driftvec.adam import AdamState, adam_step
 from driftvec.corpus import extract_pairs
 from driftvec.errors import NumericalError
-from driftvec.dsg import (DsgParams, ElboTerms, GaussianEmbeddingMatrix,
+from driftvec.dsg import (DsgParams, ElboTerms,
                           GaussianPrior, _prior_entropy_grads, combine_priors,
                           dsg_elbo, dsg_filter_step, entropy_value,
                           expected_log_gaussian, sampled_likelihood_grads,
@@ -61,8 +61,7 @@ class TestElbo:
         batch = make_batch([0, 1, 2], [1, 2, 3], [1, 0, 1])
         eps = np.zeros((1, L, d))
         value, lpos, *_ = sampled_likelihood_grads(
-            batch.center_ids, batch.context_ids, batch.labels,
-            muU, np.zeros((L, d)), muV, np.zeros((L, d)), eps, eps)
+            *batch, muU, np.zeros((L, d)), muV, np.zeros((L, d)), eps, eps)
         expected, expected_pos = sgns_log_likelihood(batch, muU, muV)
         assert value == pytest.approx(expected, abs=1e-12)
         assert lpos == pytest.approx(expected_pos, abs=1e-12)
@@ -72,19 +71,19 @@ class TestElbo:
         # likelihood term collapses onto the likelihood at the means
         L, d = 4, 3
         tiny = np.full((L, d), 1e-30)
-        qU = GaussianEmbeddingMatrix(rng.normal(size=(L, d)), tiny.copy())
-        qV = GaussianEmbeddingMatrix(rng.normal(size=(L, d)), tiny.copy())
+        qU = (rng.normal(size=(L, d)), tiny.copy())
+        qV = (rng.normal(size=(L, d)), tiny.copy())
         prior = GaussianPrior(np.zeros((L, d)), 1.0)
         batch = make_batch([0, 1, 2], [1, 2, 3], [1, 0, 1])
         terms = dsg_elbo(batch, qU, qV, (prior, prior),
                          DsgParams(samples_per_step=1), seed=0)
-        expected, _ = sgns_log_likelihood(batch, qU.mean, qV.mean)
+        expected, _ = sgns_log_likelihood(batch, qU[0], qV[0])
         assert terms.likelihood == pytest.approx(expected, abs=1e-9)
 
     def test_entropy_is_sum_of_variances(self):
         L, d = 3, 2
-        qU = GaussianEmbeddingMatrix(np.zeros((L, d)), np.ones((L, d)))
-        qV = GaussianEmbeddingMatrix(np.zeros((L, d)), np.ones((L, d)))
+        qU = (np.zeros((L, d)), np.ones((L, d)))
+        qV = (np.zeros((L, d)), np.ones((L, d)))
         prior = GaussianPrior(np.zeros((L, d)), 1.0)
         terms = dsg_elbo(make_batch([], [], []), qU, qV, (prior, prior),
                          DsgParams(), seed=0)
@@ -105,8 +104,19 @@ class TestElbo:
 
     def test_rejects_nonpositive_variance(self):
         L, d = 2, 2
-        with pytest.raises(ValueError):
-            GaussianEmbeddingMatrix(np.zeros((L, d)), np.zeros((L, d)))
+        prior = GaussianPrior(np.zeros((L, d)), 1.0)
+        q = (np.zeros((L, d)), np.ones((L, d)))
+        with pytest.raises(ValueError, match="posterior variances must be positive"):
+            dsg_elbo(make_batch([], [], []), q, (np.zeros((L, d)), np.zeros((L, d))),
+                     (prior, prior), DsgParams(), seed=0)
+
+    def test_rejects_mean_and_variance_of_different_shapes(self):
+        L, d = 2, 2
+        prior = GaussianPrior(np.zeros((L, d)), 1.0)
+        q = (np.zeros((L, d)), np.ones((L, d)))
+        with pytest.raises(ValueError, match="mean and variance shapes differ"):
+            dsg_elbo(make_batch([], [], []), (np.zeros((L, d)), np.ones((L, d + 1))), q,
+                     (prior, prior), DsgParams(), seed=0)
 
     def test_terms_sum(self):
         terms = ElboTerms(likelihood=-1.0, log_prior=-2.0, entropy=0.5)
@@ -124,9 +134,8 @@ class TestElbo:
         prev_mean = np.zeros((vocab.size, 3))
         prev = (prev_mean, prev_mean)
         params = DsgParams(entropy_mode="exact")
-        qU, _, _ = dsg_filter_step((), vocab, prev, params,
-                                   small_config(dim=3, epochs=200))
-        np.testing.assert_allclose(qU.variance, 1.0 / 11.0, rtol=1e-4)
+        out, _ = dsg_filter_step((), vocab, prev, params, small_config(dim=3, epochs=200))
+        np.testing.assert_allclose(out["var"], 1.0 / 11.0, rtol=1e-4)
 
 
 class TestSampledGradients:
@@ -200,9 +209,7 @@ class TestSampledGradients:
                 expected[1] += gU * (0.5 * sigU * epsU[s])
                 expected[2] += gV
                 expected[3] += gV * (0.5 * sigV * epsV[s])
-            got = sampled_likelihood_grads(batch.center_ids, batch.context_ids,
-                                           batch.labels, muU, lvU, muV, lvV,
-                                           epsU, epsV)
+            got = sampled_likelihood_grads(*batch, muU, lvU, muV, lvV, epsU, epsV)
             inv = 1.0 / S
             assert got[:2] == (value * inv, lpos * inv)
             for g, e in zip(got[2:], expected):
@@ -218,15 +225,14 @@ class TestFilterStep:
         rng = np.random.default_rng(1)
         prev_mean = rng.normal(size=(vocab.size, 4))
         prev = (prev_mean, prev_mean)
-        qU, qV, _ = dsg_filter_step((), vocab, prev, DsgParams(),
-                                    small_config(dim=4, epochs=5))
+        out, _ = dsg_filter_step((), vocab, prev, DsgParams(), small_config(dim=4, epochs=5))
         # no data: the mean gradient vanishes at the prior mean, so the
         # posterior mean equals it exactly (prev mean shrunk by 1/11)
-        np.testing.assert_array_equal(qU.mean, prev_mean / 11.0)
-        np.testing.assert_array_equal(qV.mean, prev_mean / 11.0)
-        assert np.abs(qU.mean).max() < np.abs(prev_mean).max()
+        np.testing.assert_array_equal(out["word"], prev_mean / 11.0)
+        np.testing.assert_array_equal(out["context"], prev_mean / 11.0)
+        assert np.abs(out["word"]).max() < np.abs(prev_mean).max()
         # sum-of-variances entropy at prior variance 1/11 shrinks variance
-        assert qU.variance.max() < 1.0 / 11.0
+        assert out["var"].max() < 1.0 / 11.0
 
     @pytest.mark.parametrize("entropy_mode", ["sum_var", "exact"])
     def test_empty_slice_bits_equal_prior_entropy_steps(self, entropy_mode):
@@ -237,14 +243,14 @@ class TestFilterStep:
         prev = tuple(rng.normal(size=(vocab.size, 3)) for _ in range(2))
         params = DsgParams(entropy_mode=entropy_mode)
         config = small_config(dim=3, epochs=3)
-        qU, qV, trace = dsg_filter_step((), vocab, prev, params, config)
+        out, trace = dsg_filter_step((), vocab, prev, params, config)
 
         blocks = []
         for prev_mean in prev:
             mean, var = combine_priors(prev_mean, params.diffusion_var, params.anchor_var)
             blocks.append((mean.copy(), np.full(mean.shape, math.log(var)),
                            GaussianPrior(mean, var)))
-        states = [AdamState.for_shape(qU.mean.shape) for _ in range(4)]
+        states = [AdamState.for_shape(out["word"].shape) for _ in range(4)]
         for _ in range(config.epochs):
             for (mu, logvar, prior), state_mu, state_lv in zip(blocks, states[::2], states[1::2]):
                 var = np.exp(logvar)
@@ -255,9 +261,10 @@ class TestFilterStep:
                               + (var if entropy_mode == "sum_var" else 0.5))
                 adam_step(mu, gmu, state_mu, config.learning_rate)
                 adam_step(logvar, glv, state_lv, config.learning_rate)
-        for q, (mu, logvar, _) in zip((qU, qV), blocks):
-            np.testing.assert_array_equal(q.mean, mu)
-            np.testing.assert_array_equal(q.variance, np.exp(logvar))
+        for mean, var, (mu, logvar, _) in zip((out["word"], out["context"]),
+                                              (out["var"], out["context_var"]), blocks):
+            np.testing.assert_array_equal(mean, mu)
+            np.testing.assert_array_equal(var, np.exp(logvar))
         assert trace["lpos"] == [0.0] * config.epochs
 
     def test_changed_context_drifts_more_than_constant(self):
@@ -278,11 +285,10 @@ class TestFilterStep:
         prev_mean = rng.normal(size=(vocab.size, 4)) * 0.5
         prev = (prev_mean, prev_mean)
         params = DsgParams(diffusion_var=1e-6, anchor_var=1e6)
-        qU, _, _ = dsg_filter_step(corpus.slices[0], vocab, prev, params,
-                                   small_config(dim=4, epochs=5,
-                                                learning_rate=0.01))
-        sd = np.sqrt(qU.variance)
-        within = np.abs(qU.mean - prev_mean) <= 3 * sd
+        out, _ = dsg_filter_step(corpus.slices[0], vocab, prev, params,
+                                 small_config(dim=4, epochs=5, learning_rate=0.01))
+        sd = np.sqrt(out["var"])
+        within = np.abs(out["word"] - prev_mean) <= 3 * sd
         assert within.mean() >= 0.99
 
 
@@ -318,11 +324,11 @@ class TestTrainDsg:
         cfg = small_config(epochs=3)
         init = init_random(vocab.size, cfg.dim, 0, "dsg")
         result = train_dsg(corpus, vocab, init, DsgParams(), cfg)
-        qU, qV, _ = dsg_filter_step(corpus.slices[0], vocab, init, DsgParams(),
-                                    cfg, slice_index=0)
+        out, _ = dsg_filter_step(corpus.slices[0], vocab, init, DsgParams(),
+                                 cfg, slice_index=0)
         assert result.order == [0]
-        np.testing.assert_array_equal(result.matrices["word"][0], qU.mean)
-        np.testing.assert_array_equal(result.matrices["context_var"][0], qV.variance)
+        np.testing.assert_array_equal(result.matrices["word"][0], out["word"])
+        np.testing.assert_array_equal(result.matrices["context_var"][0], out["context_var"])
 
     def test_holdout_lpos_finite_and_nonpositive(self):
         vocab, corpus = toy_corpus([["a b c d"] * 40, ["b a d c"] * 40])
@@ -375,12 +381,12 @@ class TestFlatPriorDegeneracy:
 
     def test_flat_prior_fits_data_like_independent_training(self):
         vocab, corpus, eval_pairs, U0, V0, cfg = self._setup()
-        Ui, Vi, _ = train_slice(corpus.slices[0], vocab, U0, V0, cfg)
-        isg_lpos = self._lpos(eval_pairs, Ui, Vi)
-        qU, qV, _ = dsg_filter_step(
+        isg_out, _ = train_slice(corpus.slices[0], vocab, (U0, V0), cfg)
+        isg_lpos = self._lpos(eval_pairs, isg_out["word"], isg_out["context"])
+        dsg_out, _ = dsg_filter_step(
             corpus.slices[0], vocab, (U0, V0),
             DsgParams(diffusion_var=100.0, anchor_var=1e6), cfg)
-        dsg_lpos = self._lpos(eval_pairs, qU.mean, qV.mean)
+        dsg_lpos = self._lpos(eval_pairs, dsg_out["word"], dsg_out["context"])
         # the means must fit the slice data at least as well as a plain
         # skip-gram pass does, up to optimization noise
         assert dsg_lpos <= 0
@@ -394,12 +400,12 @@ class TestFlatPriorDegeneracy:
         # This configuration and seed satisfy the bound; treat the pinned
         # seed as part of the expectation.
         vocab, corpus, eval_pairs, U0, V0, cfg = self._setup()
-        Ui, Vi, _ = train_slice(corpus.slices[0], vocab, U0, V0, cfg)
-        isg_lpos = self._lpos(eval_pairs, Ui, Vi)
-        qU, qV, _ = dsg_filter_step(
+        isg_out, _ = train_slice(corpus.slices[0], vocab, (U0, V0), cfg)
+        isg_lpos = self._lpos(eval_pairs, isg_out["word"], isg_out["context"])
+        dsg_out, _ = dsg_filter_step(
             corpus.slices[0], vocab, (U0, V0),
             DsgParams(diffusion_var=100.0, anchor_var=1e6), cfg)
-        dsg_lpos = self._lpos(eval_pairs, qU.mean, qV.mean)
+        dsg_lpos = self._lpos(eval_pairs, dsg_out["word"], dsg_out["context"])
         assert abs(dsg_lpos - isg_lpos) / abs(isg_lpos) < 0.05
 
 
@@ -466,8 +472,8 @@ class TestHelperThread:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)     # switch threads as often as the interpreter can
         try:
-            qU, qV, trace = dsg_filter_step(slice_docs, vocab, prev, params, config,
-                                            slice_index=1, reg=reg, ref_mean=ref_mean)
+            out, trace = dsg_filter_step(slice_docs, vocab, prev, params, config,
+                                         slice_index=1, reg=reg, ref_mean=ref_mean)
         finally:
             sys.setswitchinterval(interval)
         means, variances, lpos, betas = serial_filter_step(
@@ -475,9 +481,10 @@ class TestHelperThread:
         if not empty:
             total, minibatches = epoch_batches(slice_docs, vocab, config, 1, 0)
             assert len(list(minibatches)) >= 3     # draws overlap more than one minibatch
-        for q, mean, var in zip((qU, qV), means, variances):
-            np.testing.assert_array_equal(q.mean, mean)
-            np.testing.assert_array_equal(q.variance, var)
+        np.testing.assert_array_equal(out["word"], means[0])
+        np.testing.assert_array_equal(out["var"], variances[0])
+        np.testing.assert_array_equal(out["context"], means[1])
+        np.testing.assert_array_equal(out["context_var"], variances[1])
         assert trace["lpos"] == lpos
         assert trace.get("reg_beta", []) == betas
 

@@ -50,12 +50,12 @@ def direct_static_training(corpus, vocab, config, kind, params):
     pooled = pool_slices(corpus)
     U0, V0 = init_random(vocab.size, config.dim, config.seed, kind)
     if kind == "isg":
-        U, V, _ = train_slice(pooled.slices[0], vocab, U0, V0, config, slice_index=0)
-        return U, V
+        out, _ = train_slice(pooled.slices[0], vocab, (U0, V0), config, slice_index=0)
+        return out["word"], out["context"]
     if kind == "dsg":
-        qU, qV, _ = dsg_filter_step(pooled.slices[0], vocab, (U0, V0), params or DsgParams(),
-                                    config, slice_index=0)
-        return qU.mean, qV.mean
+        out, _ = dsg_filter_step(pooled.slices[0], vocab, (U0, V0), params or DsgParams(),
+                                 config, slice_index=0)
+        return out["word"], out["context"]
     matrices = train_dbe(pooled, vocab, (U0, V0), params or DbeParams(), config).matrices
     return matrices["word"][0], matrices["context"][0]
 

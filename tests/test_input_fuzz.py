@@ -79,6 +79,7 @@ def test_vocabulary_text(tmp_path, text):
 
 @FUZZ
 @given(count=st.integers(-1, 4), dim=st.integers(-1, 4), body=lines(NUMBERS | WORDS))
+@example(count=1, dim=2, body="w0 1 2\nw1 3 4")
 def test_embedding_text(tmp_path, count, dim, body):
     path = tmp_path / "e.vec"
     path.write_text(f"{count} {dim}\n{body}\n", encoding="utf-8")

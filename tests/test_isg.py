@@ -18,9 +18,9 @@ def small_config(**kwargs):
 def test_empty_slice_returns_init_unchanged():
     vocab, _ = toy_corpus([["a b"]])
     U0, V0 = init_random(vocab.size, 4, 0, "isg")
-    U, V, trace = train_slice((), vocab, U0, V0, small_config(dim=4, epochs=1))
-    np.testing.assert_array_equal(U, U0)
-    np.testing.assert_array_equal(V, V0)
+    out, trace = train_slice((), vocab, (U0, V0), small_config(dim=4, epochs=1))
+    np.testing.assert_array_equal(out["word"], U0)
+    np.testing.assert_array_equal(out["context"], V0)
     assert trace["lpos"] == [0.0]
 
 
@@ -34,10 +34,9 @@ TOY_DOCS = (["a b"] * 500 + ["c d"] * 500 + ["e f"] * 500 + ["g h"] * 500
 def test_repeated_pair_becomes_probable():
     vocab, corpus = toy_corpus([TOY_DOCS])
     U0, V0 = init_random(vocab.size, 8, 1, "isg")
-    U, V, _ = train_slice(corpus.slices[0], vocab, U0, V0,
-                          small_config(epochs=50))
+    out, _ = train_slice(corpus.slices[0], vocab, (U0, V0), small_config(epochs=50))
     a, b = vocab.id_of["a"], vocab.id_of["b"]
-    assert sigmoid(float(U[a] @ V[b])) > 0.9
+    assert sigmoid(float(out["word"][a] @ out["context"][b])) > 0.9
 
 
 def test_holdout_lpos_trend_is_nondecreasing_early():
@@ -46,10 +45,9 @@ def test_holdout_lpos_trend_is_nondecreasing_early():
     vocab, corpus = toy_corpus([TOY_DOCS])
     eval_pairs = extract_pairs(corpus.slices[0][::10], window=1)
     U0, V0 = init_random(vocab.size, 8, 2, "isg")
-    _, _, trace = train_slice(corpus.slices[0], vocab, U0, V0,
-                              small_config(epochs=10, learning_rate=0.02,
-                                           batch_size=2048),
-                              eval_pairs=eval_pairs)
+    _, trace = train_slice(corpus.slices[0], vocab, (U0, V0),
+                           small_config(epochs=10, learning_rate=0.02, batch_size=2048),
+                           eval_pairs=eval_pairs)
     held = trace["holdout_lpos"]
     assert len(held) == 10
     for earlier, later in zip(held, held[1:]):
@@ -61,10 +59,10 @@ def test_single_slice_equals_train_slice():
     cfg = small_config(epochs=3)
     U0, V0 = init_random(vocab.size, cfg.dim, 5, "isg")
     model = train_incremental(corpus, vocab, (U0, V0), cfg)
-    U, V, _ = train_slice(corpus.slices[0], vocab, U0, V0, cfg, slice_index=0)
+    out, _ = train_slice(corpus.slices[0], vocab, (U0, V0), cfg, slice_index=0)
     assert model.order == [0]
-    np.testing.assert_array_equal(model.matrices["word"][0], U)
-    np.testing.assert_array_equal(model.matrices["context"][0], V)
+    np.testing.assert_array_equal(model.matrices["word"][0], out["word"])
+    np.testing.assert_array_equal(model.matrices["context"][0], out["context"])
 
 
 def test_incremental_drift_below_reinitialization_drift():
@@ -77,8 +75,8 @@ def test_incremental_drift_below_reinitialization_drift():
                                  axis=1).mean()
     # baseline: slice 1 retrained from an independent random start
     U0b, V0b = init_random(vocab.size, cfg.dim, 99, "isg")
-    Ub, _, _ = train_slice(corpus.slices[1], vocab, U0b, V0b, cfg, slice_index=1)
-    reinit = np.linalg.norm(Ub - model.matrices["word"][0], axis=1).mean()
+    out, _ = train_slice(corpus.slices[1], vocab, (U0b, V0b), cfg, slice_index=1)
+    reinit = np.linalg.norm(out["word"] - model.matrices["word"][0], axis=1).mean()
     assert incremental < reinit
 
 

@@ -87,7 +87,7 @@ class TestLogLikelihood:
         # independent scalar re-implementation
         expected = 0.0
         expected_pos = 0.0
-        for c, x, y in zip(batch.center_ids, batch.context_ids, batch.labels):
+        for c, x, y in zip(*batch):
             dot = sum(U[c][k] * V[x][k] for k in range(d))
             term = math.log(1 / (1 + math.exp(-dot))) if y == 1 else \
                 math.log(1 / (1 + math.exp(dot)))
@@ -174,8 +174,7 @@ class TestGradients:
         V = rng.normal(size=(L, d)) * scale
         batch = make_batch(centers, contexts, labels)
         gU, gV = sgns_gradients(batch, U, V)
-        u_rows, gU_rows, v_rows, gV_rows, total, lpos = batch_grad_rows(
-            batch.center_ids, batch.context_ids, batch.labels, U, V)
+        u_rows, gU_rows, v_rows, gV_rows, total, lpos = batch_grad_rows(*batch, U, V)
         assert (total, lpos) == sgns_log_likelihood(batch, U, V)
         np.testing.assert_array_equal(u_rows, np.unique(centers))
         np.testing.assert_array_equal(v_rows, np.unique(contexts))
@@ -251,7 +250,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"dim": 0}, {"epochs": 0}, {"learning_rate": 0.0}, {"window": 0},
-        {"negative_ratio": 0}, {"batch_size": 0},
+        {"negative_ratio": 0}, {"batch_size": 0}, {"seed": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -335,9 +334,18 @@ class TestTextFormat:
         ("2 1\na 1\nb nan\n", ":3: non-finite value in the row of 'b'"),
         ("2 2\na -inf 1\nb 1 1\n", ":2: non-finite value in the row of 'a'"),
         ("1 1\na 1e999\n", ":2: non-finite"),
+        ("1 2\na 1 2\nb 3 4\n", ":3: more rows than the header's count of 1"),
+        ("0 2\n\n\na 1 2\n", ":4: more rows than the header's count of 0"),
     ])
     def test_malformed_text_is_a_data_error(self, tmp_path, content, where):
         path = tmp_path / "bad.vec"
         path.write_text(content)
         with pytest.raises(DataError, match=where):
             load_embedding_text(path)
+
+    def test_blank_lines_after_the_rows_are_ignored(self, tmp_path):
+        path = tmp_path / "vecs.vec"
+        path.write_text("1 2\na 1 2\n\n  \n")
+        words, matrix = load_embedding_text(path)
+        assert words == ["a"]
+        np.testing.assert_array_equal(matrix, [[1.0, 2.0]])
