@@ -9,9 +9,11 @@ Runs the README's command-line round trip with the driftvec under
 ``export`` of every role of every slice. dsg and dbe train with the
 drift penalty under ``internal`` (threshold ``mean``) and
 ``backward-external`` (a fixed threshold), so the digest covers both
-kinds of threshold and the penalty of a backward dsg chain. A last dsg
-run, with ``random`` init, takes two noise samples per step and the
-exact entropy (``--samples 2 --entropy exact``). Four usage
+kinds of threshold and the penalty of a backward dsg chain. Two last
+dsg runs, with ``random`` init, take two noise samples per step and the
+exact entropy (``--samples 2 --entropy exact``), and minibatches of
+16384 positive pairs (``--batch-size 16384``), more pairs than
+``sgns.LPOS_BLOCK``, so the kernel sums its rows in column groups. Four usage
 errors close it: ``slice --holdout nan``, ``export`` of a slice past
 the run's last, and ``drift`` with a reference slice past the last or
 with ``--bins 0``. Every command runs in a fresh interpreter with
@@ -61,6 +63,7 @@ def trained_runs():
         for init, flags in INITS.items():
             yield model, init, flags(model)
     yield "dsg", "samples2-exact", ["--samples", "2", "--entropy", "exact"]
+    yield "dsg", "batch16384", ["--batch-size", "16384"]
 
 
 def commands():

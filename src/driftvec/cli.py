@@ -230,12 +230,13 @@ def cmd_slice(args) -> int:
     vocab = load_vocabulary(args.vocab)
     boundaries = parse_boundaries(args.boundaries)
     corpus, report = corpus_mod.slice_corpus(docs, boundaries, vocab)
+    # split first: a slice too small to hold out from prints no summary
+    parts = (corpus_mod.split_holdout(corpus, args.holdout, args.seed) if args.holdout > 0
+             else (corpus,))
     print(f"{corpus.T} slices, {report.kept} documents kept, "
           f"{report.dropped} dropped, {report.oov_tokens} OOV tokens removed")
     if report.empty_slices:
         print(f"warning: empty slices {list(report.empty_slices)}")
-    parts = (corpus_mod.split_holdout(corpus, args.holdout, args.seed) if args.holdout > 0
-             else (corpus,))
     for part in parts:
         path = f"{args.out_prefix}.{part.split_tag}.json"
         save_corpus(part, path)

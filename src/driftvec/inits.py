@@ -124,7 +124,11 @@ def load_pretrained(path, vocab: Vocabulary, oov_seed: int,
     if expected_dim is not None and dim != expected_dim:
         raise DataError(
             f"pretrained dimension {dim} does not match configured dimension {expected_dim}")
-    lookup = {w: i for i, w in enumerate(words)}
+    lookup = {}
+    for i, word in enumerate(words):
+        first = lookup.setdefault(word, i)
+        if first != i:
+            raise DataError(f"{path}:{i + 2}: word {word!r} repeats the row on line {first + 2}")
     out = np.empty((vocab.size, dim))
     rng = np.random.default_rng([oov_seed, 0x00f])
     missing = []

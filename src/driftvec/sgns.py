@@ -110,6 +110,8 @@ def sgns_log_likelihood(batch, U: np.ndarray, V: np.ndarray):
     return total, lpos
 
 
+# Pairs gathered at a time by mean_lpos and batch_grad_rows, so that their
+# scratch is at most two LPOS_BLOCK x d blocks, not two (pairs x d) blocks.
 LPOS_BLOCK = 4096
 
 
@@ -154,37 +156,74 @@ def batch_grad_rows(centers, contexts, labels, U, V):
     Same mathematics as :func:`sgns_gradients` but returns only the rows
     that occur in the batch:
     ``(u_rows, gradU_rows, v_rows, gradV_rows, loglik, lpos)``.
+
+    Apart from its outputs and a few length-n vectors, the scratch is two
+    buffers of :data:`LPOS_BLOCK` x d values (n values if that is more),
+    whatever the batch size n. The scores are gathered into them a block
+    of pairs at a time. Each side's row sums then take
+    ``LPOS_BLOCK * d // n`` columns (at least one) at a time: one buffer
+    holds the scaled columns, the other the scatter's flat index. einsum
+    scores each pair on its own, and every (row, column) sum adds its
+    pairs in pair order from 0.0, so the bits are those of one gather and
+    one scatter over the whole batch. A batch of at most
+    :data:`LPOS_BLOCK` pairs takes exactly those steps.
     """
-    block = V[contexts]
-    scratch = U[centers]
-    scores = np.einsum("ij,ij->i", scratch, block)
+    # touched_rows bounds-checks the ids, so the gathers below may clip
+    u_rows, u_inv = touched_rows(centers, len(U))
+    v_rows, v_inv = touched_rows(contexts, len(V))
+    n, d = len(centers), U.shape[1]
+    cols = max(1, min(d, LPOS_BLOCK * d // max(n, 1)))
+    size = max(min(n, LPOS_BLOCK) * d, n * cols)
+    block, scratch = np.empty(size), np.empty(size)
+    scores = np.empty(n)
+    for start in range(0, n, LPOS_BLOCK):
+        m = min(LPOS_BLOCK, n - start)
+        u_block, v_block = scratch[:m * d].reshape(m, d), block[:m * d].reshape(m, d)
+        np.take(U, centers[start:start + m], axis=0, out=u_block, mode="clip")
+        np.take(V, contexts[start:start + m], axis=0, out=v_block, mode="clip")
+        np.einsum("ij,ij->i", u_block, v_block, out=scores[start:start + m])
     signs = np.where(labels == 1, 1.0, -1.0)
     terms = log_sigmoid(signs * scores)
     coef = (labels.astype(np.float64) - sigmoid(scores))[:, None]
-
-    # the two gathered n x d blocks are the only large buffers: each
-    # side's rows are scaled in place in ``block`` and scattered with
-    # the flat index written over ``scratch``
-    flat_index = scratch.view(np.intp)
-    block *= coef
-    u_rows, u_inv = touched_rows(centers, len(U))
-    gradU_rows = scatter_rows(u_inv, block, len(u_rows), flat_index)
-    # the first gather and touched_rows have bounds-checked ``centers``
-    np.take(U, centers, axis=0, out=block, mode="clip")
-    block *= coef
-    v_rows, v_inv = touched_rows(contexts, len(V))
-    gradV_rows = scatter_rows(v_inv, block, len(v_rows), flat_index)
+    # a batch of one block still holds V[contexts] in ``block``
+    gradU_rows = _scaled_row_sums(u_inv, len(u_rows), V, contexts, coef, cols,
+                                  block, scratch, gathered=n <= LPOS_BLOCK)
+    gradV_rows = _scaled_row_sums(v_inv, len(v_rows), U, centers, coef, cols,
+                                  block, scratch)
     lpos = float(terms[labels == 1].sum())
     return u_rows, gradU_rows, v_rows, gradV_rows, float(terms.sum()), lpos
+
+
+def _scaled_row_sums(index, n_rows, M, ids, coef, cols, block, scratch, gathered=False):
+    """Sum ``coef[i] * M[ids[i]]`` into the ``n_rows`` rows ``index`` gives,
+    ``cols`` columns at a time, through the lent flat buffers ``block``
+    (the scaled columns; it already holds ``M[ids]`` when ``gathered``)
+    and ``scratch`` (the flat index)."""
+    n, d = len(ids), M.shape[1]
+    sums = np.empty((n_rows, d)) if cols < d else None
+    for c0 in range(0, d, cols):
+        k = min(cols, d - c0)
+        part = block[:n * k].reshape(n, k)
+        if not gathered:
+            np.take(M[:, c0:c0 + k], ids, axis=0, out=part, mode="clip")
+        part *= coef
+        group = scatter_rows(index, part, n_rows, scratch[:n * k].view(np.intp).reshape(n, k))
+        if sums is None:
+            return group
+        sums[:, c0:c0 + k] = group
+    return sums
 
 
 def touched_rows(ids, n_rows):
     """Sorted distinct ``ids`` in ``[0, n_rows)`` and each id's position among them.
 
     The same pair as ``np.unique(ids, return_inverse=True)``, found
-    from a presence count over the rows instead of a sort.
+    from a presence count over the rows instead of a sort. An id past the
+    last row is an IndexError, and a negative one bincount's ValueError.
     """
     present = np.bincount(ids, minlength=n_rows) > 0
+    if len(present) > n_rows:
+        raise IndexError(f"row id {len(present) - 1} is out of bounds for {n_rows} rows")
     rows = np.flatnonzero(present)
     position = np.cumsum(present) - 1
     return rows, position[ids]
@@ -278,7 +317,12 @@ def _raise_row_error(path, count, dim, reason):
     with open_text(path) as fh:
         fh.readline()
         for i in range(count):
-            parts = fh.readline().split()
+            line = fh.readline()
+            if not line:
+                raise DataError(f"{path}: ends after {i} of the header's {count} rows")
+            parts = line.split()
+            if not parts:
+                raise DataError(f"{path}:{i + 2}: blank line where row {i + 1} of {count} belongs")
             if len(parts) != dim + 1:
                 raise DataError(f"{path}: row {i} has {len(parts) - 1} values, expected {dim}")
             try:

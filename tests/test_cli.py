@@ -152,6 +152,17 @@ def test_slice_holdout_outside_unit_interval_is_usage_error(pipeline, tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_slice_that_cannot_hold_out_prints_and_writes_nothing(pipeline, tmp_path, capsys):
+    # the corpus spans three years, so the fourth slice is empty
+    assert run(["slice", "--manifest", pipeline / "corpus" / "manifest.tsv",
+                "--vocab", pipeline / "vocab.tsv", "--boundaries", "2000:2004",
+                "--holdout", "0.2", "--out-prefix", tmp_path / "data"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("data error: slice 3 has only 0 documents")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, seed", [("synth", "-1"), ("slice", "-3"),
                                            ("subsample", "-2"), ("train", "-2")])
 def test_negative_seed_is_usage_error(pipeline, tmp_path, capsys, command, seed):
@@ -485,6 +496,16 @@ class TestInputContract:
                                                        "--pretrained", pre])) == 2
         err = capsys.readouterr().err
         assert err == f"data error: {pre}:7: more rows than the header's count of 5\n"
+        assert not outdir.exists()
+
+    def test_pretrained_word_listed_twice(self, pipeline, tmp_path, capsys):
+        pre = tmp_path / "pre.vec"
+        pre.write_text("3 4\nw0000 1 1 1 1\nw0001 2 2 2 2\nw0000 9 9 9 9\n")
+        outdir = tmp_path / "run"
+        assert run(train_args(pipeline, outdir, extra=["--init", "backward-external",
+                                                       "--pretrained", pre])) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {pre}:4: word 'w0000' repeats the row on line 2\n"
         assert not outdir.exists()
 
     def test_non_finite_vector_entry(self, pipeline, tmp_path, capsys):

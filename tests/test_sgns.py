@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from driftvec.adam import AdamState, save_adam_state
+from driftvec import sgns
 from driftvec.errors import DataError
 from driftvec.sgns import (LPOS_BLOCK, TrainConfig, load_embedding_text, save_embedding_text,
                            batch_grad_rows, mean_lpos, sgns_gradients, sgns_log_likelihood,
@@ -157,6 +158,19 @@ class TestGradients:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_row_compact_path_matches_dense(self, data):
+        self.check_row_compact_path(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_row_compact_path_matches_dense_in_small_blocks(self, data):
+        # blocks of 3 pairs: most batches are scored in several blocks
+        # and summed a few columns at a time, one column once 3 * d < n
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sgns, "LPOS_BLOCK", 3)
+            self.check_row_compact_path(data)
+
+    @staticmethod
+    def check_row_compact_path(data):
         # the compact rows are the bits of the np.add.at path: both sum
         # each row's contributions in pair order, starting from 0.0
         L = data.draw(st.integers(1, 12), label="L")
@@ -182,6 +196,30 @@ class TestGradients:
         np.testing.assert_array_equal(gV_rows, gV[v_rows])
         untouched = np.setdiff1d(np.arange(L), u_rows)
         assert not gU[untouched].any()
+
+    @pytest.mark.parametrize("d", [1, 7, 64])
+    def test_blocked_bits_equal_one_block(self, rng, monkeypatch, d):
+        # d = 1 sums one column at a time even at the full block size
+        L, n = 500, 3 * LPOS_BLOCK + 17
+        U = rng.normal(size=(L, d))
+        V = rng.normal(size=(L, d))
+        batch = make_batch(rng.integers(0, L, n), rng.integers(0, L, n), rng.integers(0, 2, n))
+        blocked = batch_grad_rows(*batch, U, V)
+        monkeypatch.setattr(sgns, "LPOS_BLOCK", n)
+        whole = batch_grad_rows(*batch, U, V)
+        for got, want in zip(blocked, whole):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad, error", [([0, 5], IndexError), ([-1, 0], ValueError)])
+    def test_out_of_range_ids_are_an_error(self, bad, error):
+        # the gathers clip, so these checks are all that stops a wrong row
+        U = np.ones((5, 2))
+        ok = [0, 1]
+        for centers, contexts in ((bad, ok), (ok, bad)):
+            with pytest.raises(error):
+                batch_grad_rows(*make_batch(centers, contexts, [1, 0]), U, U)
 
     def test_touched_rows_equal_unique(self, rng):
         for n_rows, n in ((1, 1), (7, 3), (50, 200), (1000, 64)):
@@ -210,6 +248,23 @@ class TestGradients:
             tracemalloc.stop()
         del result
         assert peak <= 2.5 * n * d * 8
+
+    def test_scratch_of_a_large_batch_is_bounded_by_the_block(self, rng):
+        # the two gather buffers hold LPOS_BLOCK x d values each, however
+        # many pairs there are; two n x d blocks would take 32 MiB here
+        L, n, d = 4000, 32768, 64
+        U = rng.normal(size=(L, d))
+        V = rng.normal(size=(L, d))
+        batch = make_batch(rng.integers(0, L, n), rng.integers(0, L, n), rng.integers(0, 2, n))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = batch_grad_rows(*batch, U, V)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        outputs = sum(a.nbytes for a in result[:4])
+        assert peak <= outputs + 12 * n * 8 + 2 * LPOS_BLOCK * d * 8
 
 
 class TestMeanLpos:
@@ -329,8 +384,8 @@ class TestTextFormat:
         ("2 2\na 1 2\nb 3 4 5\n", "row 1 has 3 values, expected 2"),
         ("2 2\na 1 2 9\nb 3 4 5\n", "row 0 has 3 values, expected 2"),
         ("2 2\na 1\nb 3 4\n", "row 0 has 1 values, expected 2"),
-        ("3 2\na 1 2\nb 3 4\n", "row 2 has -1 values, expected 2"),
-        ("2 2\na 1 2\n\nb 3 4\n", "row 1 has -1 values, expected 2"),
+        ("3 2\na 1 2\nb 3 4\n", "bad.vec: ends after 2 of the header's 3 rows"),
+        ("2 2\na 1 2\n\nb 3 4\n", ":3: blank line where row 2 of 2 belongs"),
         ("2 1\na 1\nb nan\n", ":3: non-finite value in the row of 'b'"),
         ("2 2\na -inf 1\nb 1 1\n", ":2: non-finite value in the row of 'a'"),
         ("1 1\na 1e999\n", ":2: non-finite"),
