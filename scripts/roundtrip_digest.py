@@ -13,7 +13,11 @@ kinds of threshold and the penalty of a backward dsg chain. Two last
 dsg runs, with ``random`` init, take two noise samples per step and the
 exact entropy (``--samples 2 --entropy exact``), and minibatches of
 16384 positive pairs (``--batch-size 16384``), more pairs than
-``sgns.LPOS_BLOCK``, so the kernel sums its rows in column groups. Four usage
+``sgns.LPOS_BLOCK``, so the kernel sums its rows in column groups. After
+each model's ``random`` run, a copy of its run directory without the
+``.npy`` twins (``<run>-text``) gets ``eval``, ``drift`` and one
+``export``, so the run loader parses every checkpoint it reads as text;
+their files hash the same as the original run's. Four usage
 errors close it: ``slice --holdout nan``, ``export`` of a slice past
 the run's last, and ``drift`` with a reference slice past the last or
 with ``--bins 0``. Every command runs in a fresh interpreter with
@@ -21,18 +25,21 @@ with ``--bins 0``. Every command runs in a fresh interpreter with
 outputs depends on where ``DIR`` is.
 
 Prints one line per command (exit code, sha256 of stdout and of stderr,
-the arguments) and one per file written under ``DIR`` (relative path,
-sha256). Two checkouts whose behaviour is byte-identical print the same
-digest, so comparing a parent and a change is one ``diff``. Uses the
-standard library only; the commands import driftvec from ``--src``.
+the arguments), one per copy, and one per file written under ``DIR``
+(relative path, sha256). Two checkouts whose behaviour is byte-identical
+print the same digest, so comparing a parent and a change is one
+``diff``. Uses the standard library only; the commands import driftvec
+from ``--src``.
 """
 
 import argparse
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 MODELS = ("isg", "dsg", "dbe")
 ROLES = {"isg": ("word", "context"),
@@ -53,6 +60,12 @@ INITS = {
 ENTRY = "import sys; from driftvec.cli import main; sys.exit(main())"
 
 
+class TextCopy(NamedTuple):
+    """Copy run directory ``run`` to ``copy`` without its ``.npy`` twins."""
+    run: str
+    copy: str
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -67,7 +80,8 @@ def trained_runs():
 
 
 def commands():
-    """The round trip's ``driftvec`` argument lists, in order."""
+    """The round trip's ``driftvec`` argument lists and :class:`TextCopy`
+    steps, in order."""
     yield ["synth", "--out", "demo", "--vocab-size", "200", "--slices", str(SLICES),
            "--tokens-per-slice", "20000", "--seed", "1", "--change", "w0199:2:0:1:gradual"]
     yield ["build-vocab", "--manifest", "demo/manifest.tsv", "--boundaries", "2000:2004",
@@ -86,6 +100,15 @@ def commands():
             for t in range(SLICES):
                 yield ["export", "--run", run, "--slice", str(t), "--role", role,
                        "--out", f"exports/{model}-{name}.{role}.t{t}.vec"]
+        if name == "random":
+            copy = f"{run}-text"
+            yield TextCopy(run, copy)
+            yield ["eval", "--run", copy, "--split", "valid"]
+            yield ["drift", "--run", copy, "--t0", "0", "--bins", "60",
+                   "--out", f"analysis/{model}-{name}-text"]
+            role = ROLES[model][-1]
+            yield ["export", "--run", copy, "--slice", str(SLICES - 1), "--role", role,
+                   "--out", f"exports/{model}-{name}-text.{role}.t{SLICES - 1}.vec"]
         if (model, name) == ("isg", "random"):
             yield ["export", "--run", run, "--slice", str(SLICES - 1),
                    "--out", "pretrained.vec"]
@@ -111,6 +134,11 @@ def main(argv=None) -> int:
     (out / "exports").mkdir()
     env = {**os.environ, "PYTHONPATH": str(src)}
     for argv_ in commands():
+        if isinstance(argv_, TextCopy):
+            shutil.copytree(out / argv_.run, out / argv_.copy,
+                            ignore=shutil.ignore_patterns("*.npy"))
+            print(f"copy {argv_.run} -> {argv_.copy} without .npy twins", flush=True)
+            continue
         proc = subprocess.run([sys.executable, "-c", ENTRY, *argv_], cwd=out, env=env,
                               capture_output=True, check=False)
         print(f"cmd exit={proc.returncode} stdout={sha256(proc.stdout)} "

@@ -15,12 +15,12 @@ from .analysis import (DriftSeries, directedness, drift_histogram, drift_series,
                        evaluate_lpos, stability_fraction)
 from .corpus import (TimeSlicedCorpus, Vocabulary, build_vocabulary, extract_pairs,
                      sample_negatives, slice_corpus, split_holdout, subsample_corpus)
-from .dbe import DbeParams, dbe_loss, dbe_prior, train_dbe
-from .dsg import DsgParams, combine_priors, dsg_elbo, dsg_filter_step, train_dsg
+from .dbe import DbeParams, dbe_prior, train_dbe
+from .dsg import DsgParams, combine_priors, dsg_filter_step, train_dsg
 from .inits import InitScheme, apply_scheme, init_internal, init_random, load_pretrained
 from .isg import train_incremental, train_slice
-from .sgns import TrainConfig, TrainResult, mean_lpos, sgns_gradients, sgns_log_likelihood, sigmoid
-from .shrinkreg import RegConfig, drift_regularizer, hardshrink, word_drifts
+from .sgns import TrainConfig, TrainResult, mean_lpos, sigmoid
+from .shrinkreg import RegConfig, word_drifts
 from .synth import PlantedChange, SynthSpec, TopicProfile, generate
 
 __version__ = "0.1.0"

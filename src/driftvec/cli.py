@@ -10,6 +10,7 @@ error, 3 numerical failure.
 
 import argparse
 import configparser
+import re
 import sys
 import warnings
 from collections import defaultdict, namedtuple
@@ -46,8 +47,8 @@ class _Parser(argparse.ArgumentParser):
 def parse_boundaries(text: str):
     """Either 'YYYY:YYYY' (inclusive yearly boundaries) or a comma list
     of ISO-8601 timestamps / bare years."""
-    if ":" in text:
-        first, last = text.split(":", 1)
+    if re.fullmatch(r"\d{4}:\d{4}", text.strip()):
+        first, last = text.split(":")
         return [datetime(y, 1, 1) for y in range(int(first), int(last) + 1)]
     return [parse_timestamp(part) for part in text.split(",")]
 
@@ -236,7 +237,7 @@ def cmd_slice(args) -> int:
     print(f"{corpus.T} slices, {report.kept} documents kept, "
           f"{report.dropped} dropped, {report.oov_tokens} OOV tokens removed")
     if report.empty_slices:
-        print(f"warning: empty slices {list(report.empty_slices)}")
+        warnings.warn(f"empty slices {list(report.empty_slices)}")
     for part in parts:
         path = f"{args.out_prefix}.{part.split_tag}.json"
         save_corpus(part, path)
@@ -466,6 +467,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a warning prints as one line, "warning: <message>", on stderr
+    saved_format = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_, **__: f"warning: {message}\n"
     try:
         return args.func(args)
     except NumericalError as exc:
@@ -483,6 +487,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        warnings.formatwarning = saved_format
 
 
 if __name__ == "__main__":

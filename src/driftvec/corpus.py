@@ -2,12 +2,11 @@
 splits, subsampling, skip-gram pair extraction and negative sampling.
 
 A labelled pair batch is the ``(centers, contexts, labels)`` triple of
-int64 arrays that :func:`sample_negatives` returns; the trainers and the
-reference objectives take it in that form. All values produced here are
-frozen after construction and safe to share between threads. Every
-seeded operation derives its generator from
-``numpy.random.default_rng([seed, ...])`` so results are reproducible
-byte for byte.
+int64 arrays that :func:`sample_negatives` returns; the trainers take
+it in that form. All values produced here are frozen after construction
+and safe to share between threads. Every seeded operation derives its
+generator from ``numpy.random.default_rng([seed, ...])`` so results are
+reproducible byte for byte.
 """
 
 import bisect
@@ -17,7 +16,7 @@ import string
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
 
@@ -55,14 +54,21 @@ def read_stopwords(path) -> set[str]:
 
 
 def parse_timestamp(text: str) -> datetime:
-    """ISO-8601 timestamp; a bare year is taken as January 1st."""
+    """ISO-8601 timestamp as a naive UTC datetime: one without an offset is
+    read as UTC. A bare year is taken as January 1st."""
     text = text.strip()
     if text.isdigit() and len(text) == 4:
         return datetime(int(text), 1, 1)
     try:
-        return datetime.fromisoformat(text)
+        ts = datetime.fromisoformat(text)
     except ValueError as exc:
         raise DataError(f"unparseable timestamp {text!r}") from exc
+    if ts.tzinfo is None:
+        return ts
+    try:
+        return ts.astimezone(timezone.utc).replace(tzinfo=None)
+    except OverflowError as exc:
+        raise DataError(f"timestamp {text!r} falls outside the years 1-9999 in UTC") from exc
 
 
 def read_manifest(path) -> list[tuple[datetime, Path]]:

@@ -21,7 +21,7 @@ import numpy as np
 from .adam import AdamState, adam_step
 from .isg import epoch_batches, holdout_pairs, row_step
 from .isg import epoch_positives  # noqa: F401 -- bench/layers.py patches this name
-from .sgns import TrainConfig, TrainResult, record_epoch, sgns_log_likelihood
+from .sgns import TrainConfig, TrainResult, record_epoch
 from .sgns import batch_grad_rows  # noqa: F401 -- bench/layers.py patches this name
 from . import shrinkreg
 
@@ -66,23 +66,6 @@ def dbe_prior_grads(U_all, V: np.ndarray, params: DbeParams):
         gradU[t - 1] += lam * diff
     gradV = -lam0 * V
     return gradU, gradV
-
-
-def dbe_loss(batches, U_all, V: np.ndarray, params: DbeParams):
-    """Joint objective over ``(t, batch)`` pairs, the form of a :func:`_round_robin`
-    sweep; each batch is scored against slice t's word matrix.
-
-    Returns ``(total, likelihood, lpos, prior)`` where ``total`` is the
-    maximized quantity (likelihood plus prior).
-    """
-    likelihood = 0.0
-    lpos = 0.0
-    for t, batch in batches:
-        ll, lp = sgns_log_likelihood(batch, U_all[t], V)
-        likelihood += ll
-        lpos += lp
-    prior = dbe_prior(U_all, V, params)
-    return likelihood + prior, likelihood, lpos, prior
 
 
 def _round_robin(per_slice_batches):

@@ -8,14 +8,15 @@ evidence lower bound. Only means pass from slice to slice, so a run
 starts from a plain ``(U, V)`` pair of initial means, like the
 point-estimate models. A filter step returns ``({role: matrix}, trace)``
 like ``isg.train_slice``, with the variances under ``var`` and
-``context_var``; :func:`dsg_elbo` takes each posterior as a
-``(mean, variance)`` pair.
+``context_var``.
 
 The bound has three parts: the data term of the skip-gram likelihood
 estimated with reparameterized draws, the expected log-prior in closed
 form, and an entropy term that by default is the plain sum of posterior
 variances (the coarse approximation this model family uses). Pass
-``entropy_mode="exact"`` for the true Gaussian entropy instead.
+``entropy_mode="exact"`` for the true Gaussian entropy instead. The
+filter step evaluates the bound once per epoch, into its trace's
+``elbo``.
 
 The slice chain, the held-out pairs and the per-epoch trace are the
 ones isg uses (``isg.chain_slices``, ``isg.holdout_pairs``,
@@ -40,8 +41,7 @@ from .adam import AdamState, adam_step
 from .errors import NumericalError
 from .isg import FORWARD, chain_slices, epoch_batches, holdout_pairs
 from .isg import epoch_positives  # noqa: F401 -- bench/layers.py patches this name
-from .sgns import (TrainConfig, TrainResult, batch_grad_rows, record_epoch, sgns_log_likelihood,
-                   touched_rows)
+from .sgns import TrainConfig, TrainResult, batch_grad_rows, record_epoch, touched_rows
 from . import shrinkreg
 
 ENTROPY_SUM_VAR = "sum_var"
@@ -77,17 +77,6 @@ class DsgParams:
 class GaussianPrior:
     mean: np.ndarray
     variance: float
-
-
-@dataclass(frozen=True)
-class ElboTerms:
-    likelihood: float
-    log_prior: float
-    entropy: float
-
-    @property
-    def total(self):
-        return self.likelihood + self.log_prior + self.entropy
 
 
 def combine_priors(prev_mean: np.ndarray, diffusion_var: float,
@@ -162,34 +151,6 @@ def sampled_likelihood_grads(centers, contexts, labels, muU, logvarU,
     for grad in (gmuU, glvU, gmuV, glvV):
         grad *= inv
     return value * inv, lpos * inv, gmuU, glvU, gmuV, glvV
-
-
-def dsg_elbo(batch, qU, qV, priors, params: DsgParams, seed) -> ElboTerms:
-    """Evaluate the bound on one ``(centers, contexts, labels)`` batch with seeded draws.
-
-    ``qU`` and ``qV`` are the word and context posteriors as ``(mean, variance)``
-    pairs, and ``priors`` is a ``(GaussianPrior, GaussianPrior)`` pair for them. The
-    likelihood term is a ``samples_per_step`` Monte-Carlo average; prior and
-    entropy terms are exact.
-    """
-    qs = (qU, qV)
-    for mean, variance in qs:
-        if mean.shape != variance.shape:
-            raise ValueError("mean and variance shapes differ")
-        if np.any(variance <= 0):
-            raise ValueError("posterior variances must be positive")
-    rng = np.random.default_rng(seed)
-    like = 0.0
-    sigmas = [np.sqrt(variance) for _, variance in qs]
-    for _ in range(params.samples_per_step):
-        samples = [mean + sigma * rng.standard_normal(mean.shape)
-                   for (mean, _), sigma in zip(qs, sigmas)]
-        like += sgns_log_likelihood(batch, *samples)[0]
-    like /= params.samples_per_step
-    log_prior = sum(expected_log_gaussian(mean, variance, prior)
-                    for (mean, variance), prior in zip(qs, priors))
-    entropy = entropy_value([variance for _, variance in qs], params.entropy_mode)
-    return ElboTerms(likelihood=like, log_prior=log_prior, entropy=entropy)
 
 
 def _prior_entropy_grads(mu, logvar, prior: GaussianPrior, mode: str):

@@ -90,26 +90,6 @@ def log_sigmoid(x):
     return -np.logaddexp(0.0, -x)
 
 
-def _pair_scores(batch, U, V):
-    centers, contexts, _ = batch
-    return np.einsum("ij,ij->i", U[centers], V[contexts])
-
-
-def sgns_log_likelihood(batch, U: np.ndarray, V: np.ndarray):
-    """Log-likelihood of a ``(centers, contexts, labels)`` batch of labelled pairs.
-
-    Positives contribute log sigma(u.v), negatives log sigma(-u.v).
-    Returns ``(total, positive_part)``.
-    """
-    labels = batch[2]
-    scores = _pair_scores(batch, U, V)
-    signs = np.where(labels == 1, 1.0, -1.0)
-    terms = log_sigmoid(signs * scores)
-    total = float(terms.sum())
-    lpos = float(terms[labels == 1].sum())
-    return total, lpos
-
-
 # Pairs gathered at a time by mean_lpos and batch_grad_rows, so that their
 # scratch is at most two LPOS_BLOCK x d blocks, not two (pairs x d) blocks.
 LPOS_BLOCK = 4096
@@ -134,27 +114,11 @@ def mean_lpos(pairs, U: np.ndarray, V: np.ndarray) -> float:
     return float(np.mean(log_sigmoid(scores)))
 
 
-def sgns_gradients(batch, U: np.ndarray, V: np.ndarray):
-    """Analytic gradient of :func:`sgns_log_likelihood` w.r.t. U and V.
-
-    d/du_i = sum_j (label - sigma(u_i.v_j)) v_j, and symmetrically for v.
-    Rows absent from the batch have zero gradient.
-    """
-    centers, contexts, labels = batch
-    gradU = np.zeros_like(U)
-    gradV = np.zeros_like(V)
-    scores = _pair_scores(batch, U, V)
-    coef = labels.astype(np.float64) - sigmoid(scores)
-    np.add.at(gradU, centers, coef[:, None] * V[contexts])
-    np.add.at(gradV, contexts, coef[:, None] * U[centers])
-    return gradU, gradV
-
-
 def batch_grad_rows(centers, contexts, labels, U, V):
-    """Compact per-row gradients for a mini-batch (training fast path).
+    """Compact per-row gradients of a mini-batch's skip-gram log-likelihood.
 
-    Same mathematics as :func:`sgns_gradients` but returns only the rows
-    that occur in the batch:
+    d/du_i = sum_j (label - sigma(u_i.v_j)) v_j, and symmetrically for v,
+    for only the rows that occur in the batch:
     ``(u_rows, gradU_rows, v_rows, gradV_rows, loglik, lpos)``.
 
     Apart from its outputs and a few length-n vectors, the scratch is two
@@ -324,7 +288,8 @@ def _raise_row_error(path, count, dim, reason):
             if not parts:
                 raise DataError(f"{path}:{i + 2}: blank line where row {i + 1} of {count} belongs")
             if len(parts) != dim + 1:
-                raise DataError(f"{path}: row {i} has {len(parts) - 1} values, expected {dim}")
+                raise DataError(f"{path}:{i + 2}: {len(parts) - 1} values in the row of "
+                                f"{parts[0]!r}, expected {dim}")
             try:
                 for p in parts[1:]:
                     float(p)

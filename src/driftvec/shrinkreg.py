@@ -1,4 +1,7 @@
-"""HardShrink activation and the drift penalty built on it.
+"""The HardShrink drift penalty, alpha * sum over words of
+hardshrink(drift_i, beta): drift_i is the word's L2 distance from a
+reference matrix (:func:`word_drifts`), counted in full above beta and
+not at all at or below it.
 
 The penalty is added to the minimized loss (equivalently subtracted from
 the maximized log-likelihood) of the Bayesian filtered and Bernoulli
@@ -8,7 +11,6 @@ the current per-word drifts and frozen within the epoch.
 :func:`record_beta` resolves that threshold and records it in the
 slice's trace for both trainers.
 """
-
 import math
 from dataclasses import dataclass
 
@@ -30,21 +32,6 @@ class RegConfig:
             raise ValueError("beta must be >= 0 and finite")
 
 
-def hardshrink(x, beta: float):
-    """x for x > beta, -x for x < -beta, 0 inside the dead zone.
-
-    The dead zone is exact: |x| <= beta maps to 0.0 with no epsilon
-    leakage. Works elementwise on arrays.
-    """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
-    out = np.where(x > beta, x, np.where(x < -beta, -x, 0.0))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def word_drifts(current: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Per-word L2 distance between two embedding matrices of one shape.
 
@@ -54,19 +41,6 @@ def word_drifts(current: np.ndarray, reference: np.ndarray) -> np.ndarray:
     if current.shape != reference.shape:
         raise ValueError("matrices must share a shape")
     return np.linalg.norm(current - reference, axis=1)
-
-
-def drift_regularizer(current: np.ndarray, reference: np.ndarray,
-                      alpha: float, beta: float) -> float:
-    """alpha * sum over words of hardshrink(drift_i, beta).
-
-    Nonnegative because drifts are norms; zero whenever every drift sits
-    inside the dead zone or alpha is 0.
-    """
-    if alpha == 0:
-        return 0.0
-    drifts = word_drifts(current, reference)
-    return float(alpha * hardshrink(drifts, beta).sum())
 
 
 def drift_regularizer_grad(current: np.ndarray, reference: np.ndarray,

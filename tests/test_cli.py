@@ -7,6 +7,7 @@ import shutil
 import signal
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,48 @@ def test_parse_boundaries_year_range():
 def test_parse_boundaries_comma_list():
     bounds = parse_boundaries("2000-01-01,2000-06-01,2001-01-01")
     assert len(bounds) == 3 and bounds[1].month == 6
+
+
+def vocab_and_slices(out, manifest, boundaries):
+    """The vocabulary and corpus bytes that build-vocab and slice write."""
+    out.mkdir()
+    assert run(["build-vocab", "--manifest", manifest, "--boundaries", boundaries,
+                "--max-size", "30", "--out", out / "vocab.tsv"]) == 0
+    assert run(["slice", "--manifest", manifest, "--vocab", out / "vocab.tsv",
+                "--boundaries", boundaries, "--holdout", "0", "--out-prefix", out / "data"]) == 0
+    return [(out / name).read_bytes() for name in ("vocab.tsv", "data.full.json")]
+
+
+def test_manifest_mixing_naive_and_offset_timestamps(pipeline, tmp_path):
+    # every other document's time is written as the same instant at UTC-5
+    corpus_dir = pipeline / "corpus"
+    lines = []
+    for i, line in enumerate((corpus_dir / "manifest.tsv").read_text().splitlines()):
+        stamp, doc = line.split("\t")
+        if i % 2:
+            stamp = (datetime.fromisoformat(stamp).replace(tzinfo=timezone.utc)
+                     .astimezone(timezone(timedelta(hours=-5))).isoformat())
+        lines.append(f"{stamp}\t{corpus_dir / doc}\n")
+    assert lines[1].startswith("1999-12-31T19:00:00-05:00\t")
+    mixed = tmp_path / "mixed.tsv"
+    mixed.write_text("".join(lines))
+    assert (vocab_and_slices(tmp_path / "mixed", mixed, "2000:2003")
+            == vocab_and_slices(tmp_path / "naive", corpus_dir / "manifest.tsv",
+                                "2000:2003"))
+
+
+def test_boundaries_with_a_time_of_day(pipeline, tmp_path):
+    manifest = pipeline / "corpus" / "manifest.tsv"
+    stamps = ",".join(f"{year}-01-01T00:00:00" for year in range(2000, 2004))
+    assert (vocab_and_slices(tmp_path / "stamps", manifest, stamps)
+            == vocab_and_slices(tmp_path / "years", manifest, "2000:2003"))
+
+
+def test_malformed_boundaries_are_one_error_line(pipeline, tmp_path, capsys):
+    assert run(["build-vocab", "--manifest", pipeline / "corpus" / "manifest.tsv",
+                "--boundaries", "2000:abc", "--out", tmp_path / "v.tsv"]) == 2
+    assert capsys.readouterr() == ("", "data error: unparseable timestamp '2000:abc'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pipeline_files_exist(pipeline):
@@ -189,6 +232,18 @@ def test_build_vocab_warns_when_max_size_exceeds_distinct(pipeline, tmp_path):
                     "--boundaries", "2000:2003", "--max-size", "50000",
                     "--out", tmp_path / "v.tsv"])
     assert code == 0
+
+
+def test_warning_prints_as_one_stderr_line(pipeline, tmp_path):
+    src = Path(runs.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "driftvec.cli", "build-vocab",
+         "--manifest", str(pipeline / "corpus" / "manifest.tsv"),
+         "--boundaries", "2000:2003", "--out", str(tmp_path / "v.tsv")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0
+    assert re.fullmatch(r"warning: max_size 10000 exceeds the \d+ distinct words\n",
+                        result.stderr)
 
 
 class TestTrainEvalDrift:

@@ -10,13 +10,19 @@ from hypothesis import strategies as st
 
 from driftvec.corpus import (assign_slices, build_vocabulary, extract_pairs,
                              load_corpus, load_vocabulary, noise_distribution,
-                             sample_negatives, save_corpus, save_vocabulary,
+                             parse_timestamp, sample_negatives, save_corpus, save_vocabulary,
                              slice_corpus, split_holdout, subsample_corpus,
                              tokenize)
 from driftvec.errors import DataError, EmptyCorpusError
 from driftvec.isg import iter_minibatches
 
 from conftest import sliced_from_strings, toy_corpus
+
+
+def test_offset_timestamp_is_naive_utc():
+    assert parse_timestamp("2000-12-31T23:00:00-02:00") == datetime(2001, 1, 1, 1)
+    with pytest.raises(DataError, match="'0001-01-01T00:00:00\\+01:00' falls outside"):
+        parse_timestamp("0001-01-01T00:00:00+01:00")
 
 
 def test_tokenize_lowercases_and_strips_punctuation():

@@ -6,14 +6,15 @@ import pytest
 from driftvec import dbe as dbe_mod
 from driftvec import isg as isg_mod
 from driftvec.corpus import TimeSlicedCorpus
-from driftvec.dbe import (DbeParams, _round_robin, dbe_loss, dbe_prior,
+from driftvec.dbe import (DbeParams, _round_robin, dbe_prior,
                           dbe_prior_grads, sweep_prior_grads, train_dbe)
 from driftvec.errors import NumericalError
 from driftvec.inits import init_random
-from driftvec.sgns import TrainConfig, batch_grad_rows, sgns_gradients
-from driftvec.shrinkreg import RegConfig, drift_regularizer
+from driftvec.sgns import TrainConfig, batch_grad_rows
+from driftvec.shrinkreg import RegConfig
 
 from conftest import make_batch, toy_corpus
+from reference import dbe_loss, drift_regularizer, sgns_gradients
 from test_sgns import finite_difference
 
 

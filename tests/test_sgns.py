@@ -10,10 +10,10 @@ from driftvec.adam import AdamState, save_adam_state
 from driftvec import sgns
 from driftvec.errors import DataError
 from driftvec.sgns import (LPOS_BLOCK, TrainConfig, load_embedding_text, save_embedding_text,
-                           batch_grad_rows, mean_lpos, sgns_gradients, sgns_log_likelihood,
-                           sigmoid, log_sigmoid, touched_rows)
+                           batch_grad_rows, mean_lpos, sigmoid, log_sigmoid, touched_rows)
 
 from conftest import make_batch
+from reference import sgns_gradients, sgns_log_likelihood
 
 
 class TestSigmoid:
@@ -381,9 +381,9 @@ class TestTextFormat:
         ("2 1\na 1.5\nb one\n", ":3:"),
         ("1 2\na 1 nan(x)\n", ":2:"),
         # a column reader must not drop the fields beyond the header's d
-        ("2 2\na 1 2\nb 3 4 5\n", "row 1 has 3 values, expected 2"),
-        ("2 2\na 1 2 9\nb 3 4 5\n", "row 0 has 3 values, expected 2"),
-        ("2 2\na 1\nb 3 4\n", "row 0 has 1 values, expected 2"),
+        ("2 2\na 1 2\nb 3 4 5\n", ":3: 3 values in the row of 'b', expected 2"),
+        ("2 2\na 1 2 9\nb 3 4 5\n", ":2: 3 values in the row of 'a', expected 2"),
+        ("2 2\na 1\nb 3 4\n", ":2: 1 values in the row of 'a', expected 2"),
         ("3 2\na 1 2\nb 3 4\n", "bad.vec: ends after 2 of the header's 3 rows"),
         ("2 2\na 1 2\n\nb 3 4\n", ":3: blank line where row 2 of 2 belongs"),
         ("2 1\na 1\nb nan\n", ":3: non-finite value in the row of 'b'"),
