@@ -17,8 +17,10 @@ exact entropy (``--samples 2 --entropy exact``), and minibatches of
 each model's ``random`` run, a copy of its run directory without the
 ``.npy`` twins (``<run>-text``) gets ``eval``, ``drift`` and one
 ``export``, so the run loader parses every checkpoint it reads as text;
-their files hash the same as the original run's. Four usage
-errors close it: ``slice --holdout nan``, ``export`` of a slice past
+their files hash the same as the original run's. A second corpus,
+sliced from 1999 so that its first slice is empty, gets one ``train``
+per model, each followed by ``eval`` and ``drift``; that covers the
+steps an empty slice takes. Four usage errors close it: ``slice --holdout nan``, ``export`` of a slice past
 the run's last, and ``drift`` with a reference slice past the last or
 with ``--bins 0``. Every command runs in a fresh interpreter with
 ``DIR`` as its working directory and relative paths, so no path in the
@@ -48,6 +50,8 @@ ROLES = {"isg": ("word", "context"),
 SLICES = 4
 DATA = ["--vocab", "demo/vocab.tsv", "--train", "demo/data.train.json",
         "--valid", "demo/data.valid.json", "--test", "demo/data.test.json"]
+EMPTY_FIRST = ["--vocab", "demo/vocab.tsv", "--train", "demo/empty.full.json",
+               "--valid", "demo/empty.full.json"]
 INITS = {
     "random": lambda model: [],
     "internal": lambda model: ["--init", "internal"] + (
@@ -112,6 +116,15 @@ def commands():
         if (model, name) == ("isg", "random"):
             yield ["export", "--run", run, "--slice", str(SLICES - 1),
                    "--out", "pretrained.vec"]
+    yield ["slice", "--manifest", "demo/manifest.tsv", "--vocab", "demo/vocab.tsv",
+           "--boundaries", "1999:2004", "--holdout", "0", "--out-prefix", "demo/empty"]
+    for model in MODELS:
+        run = f"runs/{model}-empty-first"
+        yield ["train", "--model", model, "--out", run, *EMPTY_FIRST,
+               "--dim", "16", "--epochs", "10", "--seed", "0"]
+        yield ["eval", "--run", run, "--split", "valid"]
+        yield ["drift", "--run", run, "--t0", "0", "--bins", "60",
+               "--out", f"analysis/{model}-empty-first"]
     yield ["slice", "--manifest", "demo/manifest.tsv", "--vocab", "demo/vocab.tsv",
            "--boundaries", "2000:2004", "--holdout", "nan", "--out-prefix", "demo/nan"]
     yield ["export", "--run", "runs/isg-random", "--slice", str(SLICES),

@@ -46,11 +46,23 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_boundaries(text: str):
     """Either 'YYYY:YYYY' (inclusive yearly boundaries) or a comma list
-    of ISO-8601 timestamps / bare years."""
-    if re.fullmatch(r"\d{4}:\d{4}", text.strip()):
-        first, last = text.split(":")
-        return [datetime(y, 1, 1) for y in range(int(first), int(last) + 1)]
-    return [parse_timestamp(part) for part in text.split(",")]
+    of ISO-8601 timestamps / bare years. Anything else, or fewer than two
+    increasing boundaries, is a usage error naming the flag."""
+    try:
+        if re.fullmatch(r"\d{4}:\d{4}", text.strip()):
+            first, last = (int(year) for year in text.split(":"))
+            if first >= last:
+                raise ValueError(f"{first} is not before {last}")
+            return [datetime(y, 1, 1) for y in range(first, last + 1)]
+        boundaries = [parse_timestamp(part) for part in text.split(",")]
+        if len(boundaries) < 2:
+            raise ValueError("need at least two slice boundaries")
+        if not all(a < b for a, b in zip(boundaries, boundaries[1:])):
+            raise ValueError("slice boundaries must be strictly increasing")
+        return boundaries
+    except (ValueError, DataError) as exc:
+        raise ValueError(f"--boundaries {text!r}: {exc}; give YYYY:YYYY or a comma "
+                         f"list of two or more increasing timestamps") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +126,7 @@ TRAIN_SETTINGS = (
     Setting("dsg", "anchor", "--anchor", float, "dsg_params", "anchor_var"),
     Setting("dsg", "samples", "--samples", int, "dsg_params", "samples_per_step"),
     Setting("dsg", "entropy", "--entropy", str, "dsg_params", "entropy_mode",
-            choices=("sum_var", "exact")),
+            choices=(dsg_mod.ENTROPY_SUM_VAR, dsg_mod.ENTROPY_EXACT)),
     Setting("dbe", "drift_precision", "--drift-precision", float, "dbe_params", "drift_precision"),
     Setting("dbe", "base_precision", "--base-precision", float, "dbe_params", "base_precision"),
     Setting("reg", "alpha", "--reg-alpha", float, "reg", "alpha"),
@@ -206,9 +218,9 @@ def resolve_run_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_build_vocab(args) -> int:
+    boundaries = parse_boundaries(args.boundaries)
     docs = corpus_mod.load_documents(args.manifest)
     stopwords = corpus_mod.read_stopwords(args.stopwords) if args.stopwords else set()
-    boundaries = parse_boundaries(args.boundaries)
     sliced, dropped = corpus_mod.assign_slices(docs, boundaries)
     distinct = len({tok for docs_t in sliced for d in docs_t for tok in d
                     if tok not in stopwords})
@@ -227,9 +239,9 @@ def cmd_slice(args) -> int:
     if not (args.holdout == 0 or 0 < args.holdout < 1):
         raise ValueError(f"holdout fraction must be 0 (no split) or lie in (0, 1), "
                          f"not {args.holdout}")
+    boundaries = parse_boundaries(args.boundaries)
     docs = corpus_mod.load_documents(args.manifest)
     vocab = load_vocabulary(args.vocab)
-    boundaries = parse_boundaries(args.boundaries)
     corpus, report = corpus_mod.slice_corpus(docs, boundaries, vocab)
     # split first: a slice too small to hold out from prints no summary
     parts = (corpus_mod.split_holdout(corpus, args.holdout, args.seed) if args.holdout > 0

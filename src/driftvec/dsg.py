@@ -16,7 +16,8 @@ form, and an entropy term that by default is the plain sum of posterior
 variances (the coarse approximation this model family uses). Pass
 ``entropy_mode="exact"`` for the true Gaussian entropy instead. The
 filter step evaluates the bound once per epoch, into its trace's
-``elbo``.
+``elbo``. The likelihood gradient stays on the rows a minibatch touches;
+each dense gradient is the prior/entropy gradient plus those rows.
 
 The slice chain, the held-out pairs and the per-epoch trace are the
 ones isg uses (``isg.chain_slices``, ``isg.holdout_pairs``,
@@ -73,12 +74,6 @@ class DsgParams:
             raise ValueError(f"unknown entropy_mode {self.entropy_mode!r}")
 
 
-@dataclass(frozen=True)
-class GaussianPrior:
-    mean: np.ndarray
-    variance: float
-
-
 def combine_priors(prev_mean: np.ndarray, diffusion_var: float,
                    anchor_var: float):
     """Product of N(prev_mean, diffusion_var) and N(0, anchor_var).
@@ -96,12 +91,11 @@ def combine_priors(prev_mean: np.ndarray, diffusion_var: float,
     return mean, variance
 
 
-def expected_log_gaussian(mu: np.ndarray, var: np.ndarray,
-                          prior: GaussianPrior) -> float:
-    """E_q[log N(x; prior)] for diagonal q, summed over entries."""
-    s2 = prior.variance
+def expected_log_gaussian(mu: np.ndarray, var: np.ndarray, prior) -> float:
+    """E_q[log N(x; prior)] for diagonal q, summed over entries; ``prior`` is ``(mean, s2)``."""
+    mean, s2 = prior
     n = mu.size
-    quad = (var.sum() + ((mu - prior.mean) ** 2).sum()) / (2.0 * s2)
+    quad = (var.sum() + ((mu - mean) ** 2).sum()) / (2.0 * s2)
     return float(-0.5 * n * (_LOG_2PI + math.log(s2)) - quad)
 
 
@@ -122,8 +116,9 @@ def sampled_likelihood_grads(centers, contexts, labels, muU, logvarU,
 
     ``epsU``/``epsV`` are (samples, L, d) draw stacks; one draw per row
     per sample, shared by every pair touching the row. Returns the
-    averaged value, its positive part, and dense gradients w.r.t. the
-    four variational parameter matrices.
+    averaged value, its positive part, and per side the touched rows with
+    the mean and log-variance gradients on them (zero on every other row):
+    ``(value, lpos, (u_rows, gmuU, glvU), (v_rows, gmuV, glvV))``.
 
     Only rows the batch touches are sampled: the likelihood kernel runs
     on compact blocks of those rows, with the pair ids renumbered.
@@ -135,7 +130,7 @@ def sampled_likelihood_grads(centers, contexts, labels, muU, logvarU,
     sigV = np.exp(0.5 * logvarV[v_rows])
     value = 0.0
     lpos = 0.0
-    gmuU, glvU, gmuV, glvV = (np.zeros(muU.shape) for _ in range(4))
+    gmuU, glvU, gmuV, glvV = (np.zeros(sig.shape) for sig in (sigU, sigU, sigV, sigV))
     for s in range(S):
         _, gU, _, gV, loglik, batch_lpos = batch_grad_rows(
             centers_c, contexts_c, labels,
@@ -143,21 +138,23 @@ def sampled_likelihood_grads(centers, contexts, labels, muU, logvarU,
             muV[v_rows] + sigV * epsV[s][v_rows])
         value += loglik
         lpos += batch_lpos
-        gmuU[u_rows] += gU
-        glvU[u_rows] += gU * (0.5 * sigU * epsU[s][u_rows])
-        gmuV[v_rows] += gV
-        glvV[v_rows] += gV * (0.5 * sigV * epsV[s][v_rows])
+        gmuU += gU
+        glvU += gU * (0.5 * sigU * epsU[s][u_rows])
+        gmuV += gV
+        glvV += gV * (0.5 * sigV * epsV[s][v_rows])
     inv = 1.0 / S
     for grad in (gmuU, glvU, gmuV, glvV):
         grad *= inv
-    return value * inv, lpos * inv, gmuU, glvU, gmuV, glvV
+    return value * inv, lpos * inv, (u_rows, gmuU, glvU), (v_rows, gmuV, glvV)
 
 
-def _prior_entropy_grads(mu, logvar, prior: GaussianPrior, mode: str):
-    """Gradients of expected log-prior + entropy w.r.t. (mu, logvar)."""
+def _prior_entropy_grads(mu, logvar, prior, mode: str):
+    """Gradients of expected log-prior + entropy w.r.t. (mu, logvar), as two
+    new arrays; ``prior`` is the ``(mean, s2)`` pair of :func:`combine_priors`."""
+    mean, s2 = prior
     var = np.exp(logvar)
-    gmu = -(mu - prior.mean) / prior.variance
-    glv = -var / (2.0 * prior.variance)
+    gmu = -(mu - mean) / s2
+    glv = -var / (2.0 * s2)
     if mode == ENTROPY_SUM_VAR:
         glv = glv + var
     else:
@@ -204,18 +201,19 @@ def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
     """
     L, d = prev_means[0].shape
     # index 0 is the word matrix U, index 1 the context matrix V
-    priors = [GaussianPrior(*combine_priors(mean, params.diffusion_var, params.anchor_var))
+    priors = [combine_priors(mean, params.diffusion_var, params.anchor_var)
               for mean in prev_means]
-    mus = [prior.mean.copy() for prior in priors]
-    logvars = [np.full((L, d), math.log(prior.variance)) for prior in priors]
+    mus = [mean.copy() for mean, _ in priors]
+    logvars = [np.full((L, d), math.log(s2)) for _, s2 in priors]
     states = {name: AdamState.for_shape((L, d)) for name in ("muU", "logvarU", "muV", "logvarV")}
     trace = {"elbo": []}
     reg_active = reg is not None and reg.alpha > 0 and ref_mean is not None
 
-    def step_side(side, frac, beta, mu, logvar, prior, gmu, glv):
-        pmu, plv = _prior_entropy_grads(mu, logvar, prior, params.entropy_mode)
-        gmu += frac * pmu
-        glv += frac * plv
+    def step_side(side, frac, beta, mu, logvar, prior, rows, like_mu, like_lv):
+        gmu, glv = _prior_entropy_grads(mu, logvar, prior, params.entropy_mode)
+        for grad, like_grad in ((gmu, like_mu), (glv, like_lv)):
+            grad *= frac
+            grad[rows] += like_grad
         if reg_active and side == "U":
             gmu -= frac * shrinkreg.drift_regularizer_grad(mu, ref_mean, reg.alpha, beta)
         for name, param, grad in ((f"mu{side}", mu, gmu), (f"logvar{side}", logvar, glv)):
@@ -238,7 +236,7 @@ def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
                 eps = draw.result()
                 if b_idx + 1 < len(minibatches):
                     draw = helper.submit(_draw_noise, eps_rng, (params.samples_per_step, L, d))
-                like, batch_lpos, *grads = sampled_likelihood_grads(
+                like, batch_lpos, like_u, like_v = sampled_likelihood_grads(
                     centers, contexts, labels, mus[0], logvars[0], mus[1], logvars[1], *eps)
                 if not math.isfinite(like):
                     raise NumericalError(
@@ -249,8 +247,8 @@ def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
                 # an error on the U side is raised before the V side's, as in
                 # the serial order; leaving the block joins the V job either way
                 v_step = helper.submit(step_side, "V", frac, beta, mus[1], logvars[1],
-                                       priors[1], *grads[2:])
-                step_side("U", frac, beta, mus[0], logvars[0], priors[0], *grads[:2])
+                                       priors[1], *like_v)
+                step_side("U", frac, beta, mus[0], logvars[0], priors[0], *like_u)
                 v_step.result()
 
             variances = [np.exp(logvar) for logvar in logvars]

@@ -22,6 +22,19 @@ def make_batch(centers, contexts, labels):
     return tuple(np.asarray(a, dtype=np.int64) for a in (centers, contexts, labels))
 
 
+def dense_likelihood_grads(shape, *sides):
+    """``dsg.sampled_likelihood_grads``' row-form sides scattered into zero
+    arrays: ``[gmuU, glvU, gmuV, glvV]`` from ``(u_rows, gmuU, glvU)`` and
+    ``(v_rows, gmuV, glvV)``."""
+    dense = []
+    for rows, *grads in sides:
+        for grad in grads:
+            full = np.zeros(shape)
+            full[rows] += grad
+            dense.append(full)
+    return dense
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -31,7 +31,7 @@ from driftvec.shrinkreg import RegConfig, drift_regularizer_grad, word_drifts
 from driftvec.synth import PlantedChange, SynthSpec, TopicProfile, generate
 from driftvec import dsg as dsg_mod
 
-from conftest import make_batch, toy_corpus
+from conftest import dense_likelihood_grads, make_batch, toy_corpus
 from reference import drift_regularizer, hardshrink, sgns_gradients, sgns_log_likelihood
 from test_sgns import finite_difference
 
@@ -155,8 +155,9 @@ def test_criterion_1_gradient_suite():
                 return dsg_mod.sampled_likelihood_grads(
                     centers, contexts, labels, muU, lvU, muV, lvV, *eps)[0]
 
-            _, _, gmuU, _, gmuV, _ = dsg_mod.sampled_likelihood_grads(
+            _, _, *sides = dsg_mod.sampled_likelihood_grads(
                 centers, contexts, labels, muU, lvU, muV, lvV, *eps)
+            gmuU, _, gmuV, _ = dense_likelihood_grads((L, d), *sides)
             np.testing.assert_allclose(gmuU, finite_difference(value, muU),
                                        rtol=1e-3, atol=1e-6)
             np.testing.assert_allclose(gmuV, finite_difference(value, muV),

@@ -131,8 +131,31 @@ def test_boundaries_with_a_time_of_day(pipeline, tmp_path):
 
 def test_malformed_boundaries_are_one_error_line(pipeline, tmp_path, capsys):
     assert run(["build-vocab", "--manifest", pipeline / "corpus" / "manifest.tsv",
-                "--boundaries", "2000:abc", "--out", tmp_path / "v.tsv"]) == 2
-    assert capsys.readouterr() == ("", "data error: unparseable timestamp '2000:abc'\n")
+                "--boundaries", "2000:abc", "--out", tmp_path / "v.tsv"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: --boundaries '2000:abc': unparseable timestamp '2000:abc'; give "
+            "YYYY:YYYY or a comma list of two or more increasing timestamps\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["build-vocab", "slice"])
+@pytest.mark.parametrize("text, reason", [
+    ("2000:abc", "unparseable timestamp '2000:abc'"),
+    ("2000,abc", "unparseable timestamp 'abc'"),
+    ("2000", "need at least two slice boundaries"),
+    ("2002:2000", "2002 is not before 2000"),
+    ("2000,2000", "slice boundaries must be strictly increasing"),
+])
+def test_malformed_boundaries_are_usage_errors(pipeline, tmp_path, capsys, command, text,
+                                               reason):
+    args = {"build-vocab": ["--out", tmp_path / "v.tsv"],
+            "slice": ["--vocab", pipeline / "vocab.tsv", "--out-prefix", tmp_path / "data"]}
+    assert run([command, "--manifest", pipeline / "corpus" / "manifest.tsv",
+                "--boundaries", text, *args[command]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: --boundaries {text!r}: {reason}; give YYYY:YYYY or a comma "
+                   f"list of two or more increasing timestamps\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -10,8 +10,7 @@ from driftvec import dsg, shrinkreg
 from driftvec.adam import AdamState, adam_step
 from driftvec.corpus import extract_pairs
 from driftvec.errors import NumericalError
-from driftvec.dsg import (DsgParams,
-                          GaussianPrior, _prior_entropy_grads, combine_priors,
+from driftvec.dsg import (DsgParams, _prior_entropy_grads, combine_priors,
                           dsg_filter_step, entropy_value,
                           expected_log_gaussian, sampled_likelihood_grads,
                           train_dsg)
@@ -19,7 +18,7 @@ from driftvec.inits import init_random
 from driftvec.isg import epoch_batches, train_slice
 from driftvec.sgns import TrainConfig
 
-from conftest import make_batch, toy_corpus
+from conftest import dense_likelihood_grads, make_batch, toy_corpus
 from reference import sgns_gradients, sgns_log_likelihood
 from test_sgns import finite_difference
 
@@ -78,7 +77,7 @@ class TestElbo:
         mean = rng.normal(size=(L, d))
         s2 = 0.37
         value = expected_log_gaussian(mean, np.full((L, d), s2),
-                                      GaussianPrior(mean.copy(), s2))
+                                      (mean.copy(), s2))
         # scalar-loop oracle: E_q[log N(x; m, s^2)] with q = the prior
         expected = 0.0
         for i in range(L):
@@ -118,8 +117,9 @@ class TestSampledGradients:
             return sampled_likelihood_grads(centers, contexts, labels,
                                             muU, lvU, muV, lvV, *eps)[0]
 
-        _, _, gmuU, glvU, gmuV, glvV = sampled_likelihood_grads(
+        _, _, *sides = sampled_likelihood_grads(
             centers, contexts, labels, muU, lvU, muV, lvV, *eps)
+        gmuU, glvU, gmuV, glvV = dense_likelihood_grads((L, d), *sides)
         np.testing.assert_allclose(gmuU, finite_difference(value, muU),
                                    rtol=1e-3, atol=1e-7)
         np.testing.assert_allclose(glvU, finite_difference(value, lvU),
@@ -135,7 +135,7 @@ class TestSampledGradients:
         L, d = 5, 3
         mu = rng.normal(size=(L, d))
         logvar = rng.normal(size=(L, d)) * 0.3
-        prior = GaussianPrior(mean=rng.normal(size=(L, d)), variance=0.7)
+        prior = (rng.normal(size=(L, d)), 0.7)
 
         def value():
             var = np.exp(logvar)
@@ -176,11 +176,17 @@ class TestSampledGradients:
             got = sampled_likelihood_grads(*batch, muU, lvU, muV, lvV, epsU, epsV)
             inv = 1.0 / S
             assert got[:2] == (value * inv, lpos * inv)
-            for g, e in zip(got[2:], expected):
-                np.testing.assert_array_equal(g, e * inv)
+            for ids, (rows, *grads), dense in zip(batch[:2], got[2:],
+                                                  (expected[:2], expected[2:])):
+                np.testing.assert_array_equal(rows, np.unique(ids))
+                off_rows = np.setdiff1d(np.arange(L), rows)
+                for g, e in zip(grads, dense):
+                    np.testing.assert_array_equal(g, e[rows] * inv)
+                    assert not e[off_rows].any()
             if n == 0:
                 assert got[:2] == (0.0, 0.0)
-                assert all(not g.any() and not np.signbit(g).any() for g in got[2:])
+                assert all(rows.shape == (0,) and g.shape == (0, d)
+                           for rows, *grads in got[2:] for g in grads)
 
 
 class TestFilterStep:
@@ -212,16 +218,16 @@ class TestFilterStep:
         blocks = []
         for prev_mean in prev:
             mean, var = combine_priors(prev_mean, params.diffusion_var, params.anchor_var)
-            blocks.append((mean.copy(), np.full(mean.shape, math.log(var)),
-                           GaussianPrior(mean, var)))
+            blocks.append((mean.copy(), np.full(mean.shape, math.log(var)), (mean, var)))
         states = [AdamState.for_shape(out["word"].shape) for _ in range(4)]
         for _ in range(config.epochs):
-            for (mu, logvar, prior), state_mu, state_lv in zip(blocks, states[::2], states[1::2]):
+            for (mu, logvar, (mean, s2)), state_mu, state_lv in zip(blocks, states[::2],
+                                                                    states[1::2]):
                 var = np.exp(logvar)
                 gmu = np.zeros(mu.shape)
                 glv = np.zeros(mu.shape)
-                gmu += 1.0 * (-(mu - prior.mean) / prior.variance)
-                glv += 1.0 * (-var / (2.0 * prior.variance)
+                gmu += 1.0 * (-(mu - mean) / s2)
+                glv += 1.0 * (-var / (2.0 * s2)
                               + (var if entropy_mode == "sum_var" else 0.5))
                 adam_step(mu, gmu, state_mu, config.learning_rate)
                 adam_step(logvar, glv, state_lv, config.learning_rate)
@@ -378,12 +384,14 @@ def serial_filter_step(slice_docs, vocab, prev_means, params, config, slice_inde
     """The filter step's minibatch loop on one thread: draw the noise,
     the likelihood, then each side's prior/entropy share (and the word
     side's drift penalty) and the four Adam steps in the order muU,
-    logvarU, muV, logvarV. Returns ``(means, variances, lpos, reg_beta)``."""
+    logvarU, muV, logvarV. Each dense gradient is assembled as the
+    filter step once did: the likelihood rows scattered into zeros, then
+    ``+= frac * p``. Returns ``(means, variances, lpos, reg_beta)``."""
     L, d = prev_means[0].shape
-    priors = [GaussianPrior(*combine_priors(mean, params.diffusion_var, params.anchor_var))
+    priors = [combine_priors(mean, params.diffusion_var, params.anchor_var)
               for mean in prev_means]
-    mus = [prior.mean.copy() for prior in priors]
-    logvars = [np.full((L, d), math.log(prior.variance)) for prior in priors]
+    mus = [mean.copy() for mean, _ in priors]
+    logvars = [np.full((L, d), math.log(s2)) for _, s2 in priors]
     states = {name: AdamState.for_shape((L, d)) for name in ("muU", "logvarU", "muV", "logvarV")}
     lpos, betas = [], []
     for epoch in range(config.epochs):
@@ -395,8 +403,9 @@ def serial_filter_step(slice_docs, vocab, prev_means, params, config, slice_inde
         for centers, contexts, labels in list(minibatches) or [(np.empty(0, dtype=np.int64),) * 3]:
             frac = (int(labels.sum()) / total_pos) if total_pos else 1.0
             eps = [eps_rng.standard_normal((params.samples_per_step, L, d)) for _ in mus]
-            _, batch_lpos, *grads = sampled_likelihood_grads(
+            _, batch_lpos, *sides = sampled_likelihood_grads(
                 centers, contexts, labels, mus[0], logvars[0], mus[1], logvars[1], *eps)
+            grads = dense_likelihood_grads((L, d), *sides)
             lpos_sum += batch_lpos
             for side, mu, logvar, prior, gmu, glv in zip(
                     "UV", mus, logvars, priors, grads[0::2], grads[1::2]):
@@ -451,6 +460,22 @@ class TestHelperThread:
         np.testing.assert_array_equal(out["context_var"], variances[1])
         assert trace["lpos"] == lpos
         assert trace.get("reg_beta", []) == betas
+
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_zero_signs_equal_serial_loop(self, empty):
+        # assert_array_equal takes -0.0 for +0.0. At a zero prior mean the
+        # prior gradient is -0.0, which the filter step passes on where the
+        # reference's 0.0 + frac * p gives +0.0; the outputs match to the byte
+        vocab, corpus, config = two_slice_run()
+        slice_docs = () if empty else corpus.slices[1]
+        prev = tuple(np.zeros((vocab.size, config.dim)) for _ in range(2))
+        out, _ = dsg_filter_step(slice_docs, vocab, prev, DsgParams(), config, slice_index=1)
+        means, variances, _, _ = serial_filter_step(slice_docs, vocab, prev, DsgParams(),
+                                                    config, 1)
+        for role, want in zip(("word", "context", "var", "context_var"), (*means, *variances)):
+            assert out[role].tobytes() == want.tobytes()
+        if empty:
+            assert not out["word"].any() and not np.signbit(out["word"]).any()
 
     @staticmethod
     def failing_adam(monkeypatch, fail, slow=(), ran=None):
