@@ -20,7 +20,13 @@ each model's ``random`` run, a copy of its run directory without the
 their files hash the same as the original run's. A second corpus,
 sliced from 1999 so that its first slice is empty, gets one ``train``
 per model, each followed by ``eval`` and ``drift``; that covers the
-steps an empty slice takes. Four usage errors close it: ``slice --holdout nan``, ``export`` of a slice past
+steps an empty slice takes. One more ``train`` per model on that corpus,
+again followed by ``eval`` and ``drift``, draws three noise pairs per
+positive in minibatches of 1000 positives for two epochs
+(``--negative-ratio 3 --batch-size 1000 --epochs 2``). Its non-empty
+slices hold 126,692 positives each, so the digest covers a ratio above
+1, a short last minibatch, and dbe sweeps over slices with different
+minibatch counts (0 and 127). Four usage errors close it: ``slice --holdout nan``, ``export`` of a slice past
 the run's last, and ``drift`` with a reference slice past the last or
 with ``--bins 0``. Every command runs in a fresh interpreter with
 ``DIR`` as its working directory and relative paths, so no path in the
@@ -125,6 +131,13 @@ def commands():
         yield ["eval", "--run", run, "--split", "valid"]
         yield ["drift", "--run", run, "--t0", "0", "--bins", "60",
                "--out", f"analysis/{model}-empty-first"]
+    for model in MODELS:
+        run = f"runs/{model}-ratio3"
+        yield ["train", "--model", model, "--out", run, *EMPTY_FIRST, "--dim", "16",
+               "--epochs", "2", "--seed", "0", "--negative-ratio", "3", "--batch-size", "1000"]
+        yield ["eval", "--run", run, "--split", "valid"]
+        yield ["drift", "--run", run, "--t0", "0", "--bins", "60",
+               "--out", f"analysis/{model}-ratio3"]
     yield ["slice", "--manifest", "demo/manifest.tsv", "--vocab", "demo/vocab.tsv",
            "--boundaries", "2000:2004", "--holdout", "nan", "--out-prefix", "demo/nan"]
     yield ["export", "--run", "runs/isg-random", "--slice", str(SLICES),

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import TimeSlicedCorpus, extract_pairs
-from .errors import DataError
+from .errors import DataError, EmptyCorpusError
 from .sgns import mean_lpos
 from .shrinkreg import word_drifts
 
@@ -133,17 +133,23 @@ def evaluate_lpos(corpus: TimeSlicedCorpus, word_matrices, context_matrices,
     ``word_matrices``/``context_matrices`` hold one (L, d) array per
     slice (pass the shared context matrix T times for the Bernoulli
     model; pass posterior means for the Bayesian one). Returns
-    ``(per_slice, mean)``; values are never positive.
+    ``(per_slice, mean)``; values are never positive. A slice with no
+    held-out pairs scores 0.0, with a warning, and is left out of the
+    mean; when no slice has any, :class:`EmptyCorpusError` is raised.
     """
     if len(word_matrices) != corpus.T or len(context_matrices) != corpus.T:
         raise ValueError("need one matrix pair per slice")
-    per_slice = []
+    per_slice, empty = [], []
     for t in range(corpus.T):
         pairs = extract_pairs(corpus.slices[t], window)
         if len(pairs[0]) == 0:
-            warnings.warn(f"slice {t} has no held-out pairs", stacklevel=2)
+            empty.append(t)
         per_slice.append(mean_lpos(pairs, word_matrices[t], context_matrices[t]))
-    return per_slice, float(np.mean(per_slice))
+    if len(empty) == corpus.T:
+        raise EmptyCorpusError("no slice has held-out pairs")
+    for t in empty:
+        warnings.warn(f"slice {t} has no held-out pairs", stacklevel=2)
+    return per_slice, float(np.mean(np.delete(per_slice, empty)))
 
 
 def format_lpos_report(per_slice, mean) -> str:

@@ -25,7 +25,7 @@ from . import dbe as dbe_mod
 from . import dsg as dsg_mod
 from .adam import save_adam_state
 from .corpus import load_corpus, load_vocabulary, parse_timestamp, save_corpus, save_vocabulary
-from .errors import DataError, DriftvecError, NumericalError, open_text
+from .errors import DataError, DriftvecError, EmptyCorpusError, NumericalError, open_text
 from .sgns import TrainConfig, save_embedding_text
 from .sgns import load_embedding_text  # noqa: F401 -- bench/layers.py patches this name
 from .shrinkreg import RegConfig
@@ -350,7 +350,10 @@ def cmd_eval(args) -> int:
     if corpus.T != manifest["T"]:
         raise DataError(f"{split_entry['path']}: {corpus.T} slices, but the run "
                         f"has {manifest['T']}")
-    per_slice, mean = analysis.evaluate_lpos(corpus, mats["word"], mats["context"], window)
+    try:
+        per_slice, mean = analysis.evaluate_lpos(corpus, mats["word"], mats["context"], window)
+    except EmptyCorpusError as exc:
+        raise DataError(f"{split_entry['path']}: {exc}") from exc
     report = analysis.format_lpos_report(per_slice, mean)
     sys.stdout.write(report)
     if args.out:

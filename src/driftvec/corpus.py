@@ -1,12 +1,15 @@
 """Corpus ingestion: tokenization, vocabulary, time slicing, holdout
 splits, subsampling, skip-gram pair extraction and negative sampling.
 
-A labelled pair batch is the ``(centers, contexts, labels)`` triple of
-int64 arrays that :func:`sample_negatives` returns; the trainers take
-it in that form. All values produced here are frozen after construction
-and safe to share between threads. Every seeded operation derives its
-generator from ``numpy.random.default_rng([seed, ...])`` so results are
-reproducible byte for byte.
+An epoch's pair stream is its positive pairs, the ``(centers,
+contexts)`` arrays of :func:`extract_pairs`, plus the (n, ratio) noise
+contexts that :func:`sample_negatives` draws for them: each positive is
+stored once. ``isg.iter_minibatches`` builds the labelled
+``(centers, contexts, labels)`` triples the trainers take from those,
+one minibatch at a time. All values produced here are frozen after
+construction and safe to share between threads. Every seeded operation
+derives its generator from ``numpy.random.default_rng([seed, ...])`` so
+results are reproducible byte for byte.
 """
 
 import bisect
@@ -399,38 +402,27 @@ def noise_distribution(vocab: Vocabulary) -> np.ndarray:
 
 
 def sample_negatives(vocab: Vocabulary, positives, ratio: int, seed):
-    """Interleave each positive pair with ``ratio`` noise pairs.
+    """Draw ``ratio`` noise contexts for each positive pair.
 
     Noise pairs keep the positive's center and draw the context from the
     power-0.75 unigram distribution. ``seed`` may be an int or a sequence
     of ints (used to derive per-slice/per-epoch streams).
 
-    Returns the labelled pair batch ``(centers, contexts, labels)``: three
-    read-only int64 arrays in which each positive (label 1) is
-    immediately followed by its noise pairs (label 0).
+    Returns the read-only (n, ratio) int64 array of noise-context ids:
+    row i holds the draws of positive i, in draw order. The labelled
+    pairs are built from it by ``isg.iter_minibatches``.
     """
     if ratio < 1:
         raise ValueError("negative ratio must be >= 1")
-    centers, contexts = positives
-    centers = np.asarray(centers, dtype=np.int64)
-    contexts = np.asarray(contexts, dtype=np.int64)
-    n = len(centers)
+    n = len(positives[0])
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(noise_distribution(vocab))
     cdf[-1] = 1.0
     draws = np.searchsorted(cdf, rng.random(n * ratio), side="right")
-    draws = np.minimum(draws, vocab.size - 1).reshape(n, ratio)
-
-    group = 1 + ratio
-    out_contexts = np.empty((n, group), dtype=np.int64)
-    out_contexts[:, 0] = contexts
-    out_contexts[:, 1:] = draws
-    labels = np.zeros((n, group), dtype=np.int64)
-    labels[:, 0] = 1
-    batch = np.repeat(centers, group), out_contexts.reshape(-1), labels.reshape(-1)
-    for array in batch:
-        array.setflags(write=False)
-    return batch
+    np.minimum(draws, vocab.size - 1, out=draws)
+    draws = draws.astype(np.int64, copy=False).reshape(n, ratio)
+    draws.setflags(write=False)
+    return draws
 
 
 # ---------------------------------------------------------------------------

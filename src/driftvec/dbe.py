@@ -72,12 +72,17 @@ def _round_robin(per_slice_batches):
     """Group mini-batches into round-robin sweeps.
 
     Sweep k holds the k-th mini-batch of every slice that has one, in
-    slice order; each sweep is yielded as a list of ``(t, batch)``.
+    slice order; each sweep is yielded as a list of ``(t, batch)``. A
+    slice's next mini-batch is taken only as its sweep is built, so
+    lazy per-slice iterators are read one mini-batch at a time.
     """
-    pending = [list(b) for b in per_slice_batches]
-    for k in range(max(map(len, pending), default=0)):
-        yield [(t, batches[k]) for t, batches in enumerate(pending)
-               if k < len(batches)]
+    pending = [(t, iter(batches)) for t, batches in enumerate(per_slice_batches)]
+    while True:
+        taken = [(t, batches, next(batches, None)) for t, batches in pending]
+        pending = [(t, batches) for t, batches, batch in taken if batch is not None]
+        if not pending:
+            return
+        yield [(t, batch) for t, _, batch in taken if batch is not None]
 
 
 def sweep_prior_grads(U_all, V: np.ndarray, params: DbeParams, weight: float,

@@ -230,11 +230,13 @@ def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
 
             like_sum = 0.0
             lpos_sum = 0.0
-            minibatches = list(minibatches) or [(np.empty(0, dtype=np.int64),) * 3]
+            n_batches = -(-total_pos // config.batch_size)
+            if not n_batches:
+                n_batches, minibatches = 1, [(np.empty(0, dtype=np.int64),) * 3]
             for b_idx, (centers, contexts, labels) in enumerate(minibatches):
                 frac = (int(labels.sum()) / total_pos) if total_pos else 1.0
                 eps = draw.result()
-                if b_idx + 1 < len(minibatches):
+                if b_idx + 1 < n_batches:
                     draw = helper.submit(_draw_noise, eps_rng, (params.samples_per_step, L, d))
                 like, batch_lpos, like_u, like_v = sampled_likelihood_grads(
                     centers, contexts, labels, mus[0], logvars[0], mus[1], logvars[1], *eps)

@@ -37,16 +37,29 @@ def epoch_positives(slice_docs, window: int, seed_key) -> tuple:
     return corpus_mod.extract_pairs(shuffled, window)
 
 
-def iter_minibatches(batch, positives_per_batch: int, ratio: int):
-    """Chunk an interleaved ``(centers, contexts, labels)`` epoch batch into
-    mini-batches of the same form.
+def iter_minibatches(positives, draws, positives_per_batch: int):
+    """Build an epoch's labelled minibatches, one at a time, from its
+    ``(centers, contexts)`` positives and their (n, ratio) noise draws.
 
-    Positives stay adjacent to their negatives because chunk boundaries
-    land on group multiples.
+    Each minibatch is a ``(centers, contexts, labels)`` triple holding
+    ``positives_per_batch`` positives (the last may hold fewer), each
+    immediately followed by its noise pairs: label 1, then ``ratio``
+    pairs of label 0 with the positive's center and the drawn contexts.
+    Its arrays are new, read-only and int64, so a minibatch kept past
+    the next one holds no part of the epoch's stream.
     """
-    step = positives_per_batch * (1 + ratio)
-    for start in range(0, len(batch[0]), step):
-        yield tuple(array[start:start + step] for array in batch)
+    centers, contexts = positives
+    group = 1 + draws.shape[1]
+    for start in range(0, len(centers), positives_per_batch):
+        block = slice(start, start + positives_per_batch)
+        pair_contexts = np.concatenate([contexts[block, None], draws[block]], axis=1)
+        labels = np.zeros_like(pair_contexts)
+        labels[:, 0] = 1
+        minibatch = (np.repeat(centers[block], group), pair_contexts.reshape(-1),
+                     labels.reshape(-1))
+        for array in minibatch:
+            array.setflags(write=False)
+        yield minibatch
 
 
 def epoch_batches(slice_docs, vocab, config: TrainConfig, slice_index: int,
@@ -56,14 +69,16 @@ def epoch_batches(slice_docs, vocab, config: TrainConfig, slice_index: int,
     Documents are shuffled under the stream key ``[seed, t, epoch, 1]``
     and negatives drawn under ``[seed, t, epoch, 2]``. Returns
     ``(n_positives, minibatches)``; the minibatches are a lazy iterator
-    of ``(centers, contexts, labels)``.
+    of ``(centers, contexts, labels)`` (:func:`iter_minibatches`). Until
+    it is exhausted, the stream holds each positive once plus its noise
+    draws, (2 + ratio) int64 values per positive; once it is, it holds
+    nothing.
     """
     positives = epoch_positives(slice_docs, config.window,
                                 [config.seed, slice_index, epoch, 1])
-    batch = corpus_mod.sample_negatives(vocab, positives, config.negative_ratio,
+    draws = corpus_mod.sample_negatives(vocab, positives, config.negative_ratio,
                                         [config.seed, slice_index, epoch, 2])
-    return len(positives[0]), iter_minibatches(batch, config.batch_size,
-                                               config.negative_ratio)
+    return len(draws), iter_minibatches(positives, draws, config.batch_size)
 
 
 def holdout_pairs(eval_corpus, window: int, T: int) -> list:

@@ -1,10 +1,12 @@
 """Dense reference objectives that the tests check the trainers' row-sparse
 fast paths against. A batch is the ``(centers, contexts, labels)`` triple
-the trainers use.
+the trainers use. Also the interleaved epoch stream that the trainers'
+lazily built minibatches are checked against.
 """
 
 import numpy as np
 
+from driftvec.corpus import noise_distribution
 from driftvec.dbe import DbeParams, dbe_prior
 from driftvec.sgns import log_sigmoid, sigmoid
 from driftvec.shrinkreg import word_drifts
@@ -89,3 +91,40 @@ def drift_regularizer(current: np.ndarray, reference: np.ndarray,
         return 0.0
     drifts = word_drifts(current, reference)
     return float(alpha * hardshrink(drifts, beta).sum())
+
+
+def interleaved_negatives(vocab, positives, ratio: int, seed):
+    """The whole epoch's labelled pair batch, built at once: three
+    read-only int64 arrays of n * (1 + ratio) entries in which each
+    positive (label 1) is immediately followed by its ``ratio`` noise
+    pairs (label 0), drawn as ``corpus.sample_negatives`` draws them."""
+    if ratio < 1:
+        raise ValueError("negative ratio must be >= 1")
+    centers, contexts = positives
+    centers = np.asarray(centers, dtype=np.int64)
+    contexts = np.asarray(contexts, dtype=np.int64)
+    n = len(centers)
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(noise_distribution(vocab))
+    cdf[-1] = 1.0
+    draws = np.searchsorted(cdf, rng.random(n * ratio), side="right")
+    draws = np.minimum(draws, vocab.size - 1).reshape(n, ratio)
+
+    group = 1 + ratio
+    out_contexts = np.empty((n, group), dtype=np.int64)
+    out_contexts[:, 0] = contexts
+    out_contexts[:, 1:] = draws
+    labels = np.zeros((n, group), dtype=np.int64)
+    labels[:, 0] = 1
+    batch = np.repeat(centers, group), out_contexts.reshape(-1), labels.reshape(-1)
+    for array in batch:
+        array.setflags(write=False)
+    return batch
+
+
+def interleaved_minibatches(batch, positives_per_batch: int, ratio: int):
+    """Chunk an :func:`interleaved_negatives` batch into minibatches of
+    the same form; chunk boundaries land on group multiples."""
+    step = positives_per_batch * (1 + ratio)
+    for start in range(0, len(batch[0]), step):
+        yield tuple(array[start:start + step] for array in batch)

@@ -7,7 +7,7 @@ import driftvec
 from driftvec.analysis import (DriftSeries, directedness, drift_histogram, drift_series,
                                evaluate_lpos, format_lpos_report, stability_fraction,
                                write_drift_csv, write_histogram_csv)
-from driftvec.errors import DataError
+from driftvec.errors import DataError, EmptyCorpusError
 from driftvec.shrinkreg import word_drifts
 
 from conftest import toy_corpus
@@ -150,6 +150,24 @@ class TestEvaluateLpos:
         with pytest.warns(UserWarning, match="slice 1 has no held-out pairs"):
             per_slice, _ = evaluate_lpos(corpus, Z, Z, window=1)
         assert per_slice == [pytest.approx(-math.log(2)), 0.0]
+
+    def test_mean_leaves_out_slices_without_pairs(self):
+        # the empty slice's 0.0 would count as a perfect score
+        vocab, corpus = toy_corpus([["c"], ["a b c"], ["b"], ["c a"]])
+        Z = [np.zeros((vocab.size, 2))] * 4
+        with pytest.warns(UserWarning) as caught:
+            per_slice, mean = evaluate_lpos(corpus, Z, Z, window=1)
+        assert [str(w.message) for w in caught] == ["slice 0 has no held-out pairs",
+                                                     "slice 2 has no held-out pairs"]
+        assert per_slice == [0.0, pytest.approx(-math.log(2)), 0.0,
+                             pytest.approx(-math.log(2))]
+        assert mean == pytest.approx(-math.log(2), abs=1e-12)
+
+    def test_no_slice_with_pairs_is_a_data_error(self):
+        vocab, corpus = toy_corpus([["a"], ["b", "c"]])
+        Z = [np.zeros((vocab.size, 2))] * 2
+        with pytest.raises(EmptyCorpusError, match="^no slice has held-out pairs$"):
+            evaluate_lpos(corpus, Z, Z, window=1)
 
     def test_deterministic_bitwise(self, rng):
         vocab, corpus = toy_corpus([["a b c d"] * 5, ["d c b a"] * 5])

@@ -15,7 +15,7 @@ import pytest
 
 from driftvec import analysis, runs
 from driftvec.cli import TRAIN_SETTINGS, main, parse_boundaries
-from driftvec.corpus import load_corpus, load_vocabulary
+from driftvec.corpus import TimeSlicedCorpus, load_corpus, load_vocabulary, save_corpus
 from driftvec.dbe import DbeParams, train_dbe
 from driftvec.dsg import DsgParams, train_dsg
 from driftvec.inits import init_random
@@ -1330,6 +1330,22 @@ def test_write_killed_midway_leaves_no_partial_file(pipeline, tmp_path, target):
     for vec in (rundir / "isg").glob("*.vec"):
         words, matrix = load_embedding_text(vec)
         assert np.array_equal(np.load(vec.with_suffix(".npy")), matrix)
+
+
+def test_eval_of_a_split_without_pairs_exits_2(pipeline, tmp_path, capsys):
+    # every document of the test split is one token long, so no slice has a pair
+    data = tmp_path / "data"
+    shutil.copytree(pipeline, data, ignore=shutil.ignore_patterns("corpus"))
+    test = data / "data.test.json"
+    one_token = tuple((np.array([t], dtype=np.int64),) for t in range(3))
+    save_corpus(TimeSlicedCorpus(slices=one_token, split_tag="test"), test)
+    rundir = tmp_path / "run"
+    assert run(train_args(data, rundir)) == 0
+    capsys.readouterr()
+    assert run(["eval", "--run", rundir, "--split", "test"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {test}: no slice has held-out pairs\n"
 
 
 def test_eval_rejects_a_split_changed_after_training(pipeline, tmp_path, capsys):

@@ -293,6 +293,20 @@ class TestExtractPairs:
         assert not np.shares_memory(centers, contexts)
 
 
+def concatenated(minibatches):
+    """A list of ``(centers, contexts, labels)`` minibatches joined into one triple."""
+    return tuple(np.concatenate([np.empty(0, dtype=np.int64)] + [m[k] for m in minibatches])
+                 for k in range(3))
+
+
+def labelled_stream(vocab, positives, ratio, seed, batch_size=64):
+    """The labelled pairs of ``positives`` as one ``(centers, contexts, labels)``
+    triple: the minibatches :func:`iter_minibatches` builds from the draws
+    of :func:`sample_negatives`, concatenated."""
+    draws = sample_negatives(vocab, positives, ratio, seed)
+    return concatenated(list(iter_minibatches(positives, draws, batch_size)))
+
+
 class TestSampleNegatives:
     def test_power_distribution_exact_values(self):
         vocab, _ = toy_corpus([["a a a a b"]])
@@ -304,7 +318,7 @@ class TestSampleNegatives:
     def test_ratio_counts(self):
         vocab, corpus = toy_corpus([["a b c a b c a b"]])
         centers, contexts = extract_pairs(corpus.slices[0], window=2)
-        _, _, labels = sample_negatives(vocab, (centers, contexts), ratio=1, seed=0)
+        _, _, labels = labelled_stream(vocab, (centers, contexts), ratio=1, seed=0)
         assert len(labels) == 2 * len(centers)
         assert int(labels.sum()) == len(centers)
         # exactly one negative per positive
@@ -314,7 +328,7 @@ class TestSampleNegatives:
         vocab, _ = toy_corpus([["a b"]])
         centers = np.zeros(100, dtype=np.int64)
         contexts = np.ones(100, dtype=np.int64)
-        _, _, labels = sample_negatives(vocab, (centers, contexts), ratio=1, seed=0)
+        _, _, labels = labelled_stream(vocab, (centers, contexts), ratio=1, seed=0)
         assert int((labels == 0).sum()) == 100
 
     def test_uniform_counts_give_uniform_noise(self):
@@ -326,7 +340,7 @@ class TestSampleNegatives:
         vocab, _ = toy_corpus([["a b c"]])
         centers = np.array([0, 1], dtype=np.int64)
         contexts = np.array([1, 2], dtype=np.int64)
-        out_centers, out_contexts, labels = sample_negatives(
+        out_centers, out_contexts, labels = labelled_stream(
             vocab, (centers, contexts), ratio=2, seed=0)
         assert labels.tolist() == [1, 0, 0, 1, 0, 0]
         assert out_centers.tolist() == [0, 0, 0, 1, 1, 1]
@@ -340,9 +354,7 @@ class TestSampleNegatives:
         n = 1_000_000
         centers = np.zeros(n // 2, dtype=np.int64)
         contexts = np.zeros(n // 2, dtype=np.int64)
-        _, out_contexts, labels = sample_negatives(vocab, (centers, contexts), ratio=2,
-                                                   seed=99)
-        drawn = out_contexts[labels == 0]
+        drawn = sample_negatives(vocab, (centers, contexts), ratio=2, seed=99).reshape(-1)
         counts = np.bincount(drawn, minlength=vocab.size)
         freqs = counts / counts.sum()
         rel_err = np.abs(freqs - expected) / expected
@@ -351,8 +363,8 @@ class TestSampleNegatives:
     def test_deterministic_given_seed(self):
         vocab, corpus = toy_corpus([["a b c d e f g h"]])
         positives = extract_pairs(corpus.slices[0], window=3)
-        _, contexts1, _ = sample_negatives(vocab, positives, ratio=3, seed=[5, 1])
-        _, contexts2, _ = sample_negatives(vocab, positives, ratio=3, seed=[5, 1])
+        contexts1 = sample_negatives(vocab, positives, ratio=3, seed=[5, 1])
+        contexts2 = sample_negatives(vocab, positives, ratio=3, seed=[5, 1])
         np.testing.assert_array_equal(contexts1, contexts2)
 
     @settings(max_examples=100, deadline=None)
@@ -361,32 +373,33 @@ class TestSampleNegatives:
     @example([], 1, 1, 0)
     @example([(0, 1)] * 6, 2, 3, 0)
     def test_pair_stream_triple(self, pairs, ratio, batch_size, seed):
-        # the labelled batch and the minibatches cut from it are
-        # (centers, contexts, labels) triples of read-only int64 arrays
+        # the draws are a read-only (n, ratio) int64 array, and the
+        # minibatches built from them are (centers, contexts, labels)
+        # triples of read-only int64 arrays
         vocab, _ = toy_corpus([["a b c d e"]])
         centers = np.array([c for c, _ in pairs], dtype=np.int64)
         contexts = np.array([x for _, x in pairs], dtype=np.int64)
         n, group = len(pairs), 1 + ratio
-        batch = sample_negatives(vocab, (centers, contexts), ratio, seed)
-        assert len(batch) == 3
-        for array in batch:
-            assert array.dtype == np.int64 and array.shape == (n * group,)
-            assert not array.flags.writeable
-        out_centers, out_contexts, labels = (array.reshape(n, group) for array in batch)
+        draws = sample_negatives(vocab, (centers, contexts), ratio, seed)
+        assert draws.dtype == np.int64 and draws.shape == (n, ratio)
+        assert not draws.flags.writeable
+        assert ((0 <= draws) & (draws < vocab.size)).all()
+
+        chunks = list(iter_minibatches((centers, contexts), draws, batch_size))
+        assert len(chunks) == -(-n // batch_size)
+        for chunk in chunks:
+            assert len(chunk) == 3
+            for array in chunk:
+                assert array.dtype == np.int64 and not array.flags.writeable
+        for chunk in chunks[:-1]:
+            assert [len(array) for array in chunk] == [batch_size * group] * 3
+        out_centers, out_contexts, labels = (array.reshape(n, group)
+                                             for array in concatenated(chunks))
         # every positive starts its group, followed by its noise pairs
         np.testing.assert_array_equal(labels, np.repeat([[1] + [0] * ratio], n, axis=0))
         np.testing.assert_array_equal(out_centers, np.repeat(centers[:, None], group, axis=1))
         np.testing.assert_array_equal(out_contexts[:, 0], contexts)
-        assert ((0 <= out_contexts) & (out_contexts < vocab.size)).all()
-
-        chunks = list(iter_minibatches(batch, batch_size, ratio))
-        assert len(chunks) == -(-n // batch_size)
-        for chunk in chunks[:-1]:
-            assert [len(array) for array in chunk] == [batch_size * group] * 3
-        for k in range(3):
-            np.testing.assert_array_equal(
-                np.concatenate([np.empty(0, dtype=np.int64)] + [c[k] for c in chunks]),
-                batch[k])
+        np.testing.assert_array_equal(out_contexts[:, 1:], draws)
 
 
 def test_corpus_file_round_trip(tmp_path):

@@ -185,6 +185,27 @@ class TestSweepSchedule:
         sweeps = list(_round_robin([["a0", "a1", "a2"], [], ["c0"]]))
         assert sweeps == [[(0, "a0"), (2, "c0")], [(0, "a1")], [(0, "a2")]]
 
+    def test_round_robin_reads_one_minibatch_at_a_time(self):
+        # one-shot iterators of unequal length, one of them empty, give the
+        # sweeps of lists; a slice's k-th batch is taken as sweep k is built
+        taken = []
+
+        def batches(t, n):
+            for k in range(n):
+                taken.append((t, k))
+                yield f"{t}.{k}"
+
+        sweeps = []
+        for k, sweep in enumerate(_round_robin([batches(0, 3), batches(1, 0),
+                                                batches(2, 1), batches(3, 2)])):
+            assert max(j for _, j in taken) == k
+            sweeps.append(sweep)
+        assert sweeps == [[(0, "0.0"), (2, "2.0"), (3, "3.0")], [(0, "0.1"), (3, "3.1")],
+                          [(0, "0.2")]]
+        assert taken == [(0, 0), (2, 0), (3, 0), (0, 1), (3, 1), (0, 2)]
+        lists = [["0.0", "0.1", "0.2"], [], ["2.0"], ["3.0", "3.1"]]
+        assert list(_round_robin(lists)) == sweeps
+
     def test_sweep_weights_of_an_epoch_sum_to_one(self, monkeypatch):
         # unequal slices, so later sweeps cover fewer slices
         vocab, corpus = toy_corpus([["a b c d e f"] * 40, ["f e d c b a"] * 15,

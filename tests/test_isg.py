@@ -1,11 +1,14 @@
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftvec.corpus import extract_pairs
 from driftvec.inits import init_random
-from driftvec.isg import train_incremental, train_slice
+from driftvec.isg import epoch_batches, epoch_positives, train_incremental, train_slice
 from driftvec.sgns import TrainConfig, sigmoid
 
 from conftest import toy_corpus
+from reference import interleaved_minibatches, interleaved_negatives
 
 
 def small_config(**kwargs):
@@ -22,6 +25,36 @@ def test_empty_slice_returns_init_unchanged():
     np.testing.assert_array_equal(out["word"], U0)
     np.testing.assert_array_equal(out["context"], V0)
     assert trace["lpos"] == [0.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 5), max_size=12), max_size=5),
+       st.integers(1, 4), st.integers(1, 8), st.integers(1, 3), st.integers(0, 3),
+       st.integers(0, 2), st.integers(0, 2**32 - 1))
+@example([], 1, 1, 1, 0, 0, 0)                # an empty slice
+@example([[0], [1, 2, 3, 4, 5] * 2], 3, 4, 2, 1, 1, 0)
+def test_epoch_batches_equal_interleaved_stream(docs, ratio, batch_size, window,
+                                                slice_index, epoch, seed):
+    # the lazily built minibatches hold the numbers of the interleaved
+    # epoch batch, cut at the same places, as read-only int64 arrays
+    vocab, _ = toy_corpus([["a b c d e f"]])
+    slice_docs = tuple(np.array(doc, dtype=np.int64) for doc in docs)
+    config = small_config(window=window, negative_ratio=ratio, batch_size=batch_size,
+                          seed=seed)
+    n_pos, minibatches = epoch_batches(slice_docs, vocab, config, slice_index, epoch)
+
+    positives = epoch_positives(slice_docs, window, [seed, slice_index, epoch, 1])
+    batch = interleaved_negatives(vocab, positives, ratio, [seed, slice_index, epoch, 2])
+    expected = list(interleaved_minibatches(batch, batch_size, ratio))
+    got = list(minibatches)
+    assert n_pos == len(positives[0])
+    assert len(got) == len(expected) == -(-n_pos // batch_size)
+    for got_batch, expected_batch in zip(got, expected):
+        assert len(got_batch) == 3
+        for array, reference in zip(got_batch, expected_batch):
+            np.testing.assert_array_equal(array, reference)
+            assert array.dtype == reference.dtype == np.int64
+            assert not array.flags.writeable and not reference.flags.writeable
 
 
 # the target pair plus filler pairs; fillers dilute the noise
