@@ -13,7 +13,7 @@ kinds of threshold and the penalty of a backward dsg chain. Two last
 dsg runs, with ``random`` init, take two noise samples per step and the
 exact entropy (``--samples 2 --entropy exact``), and minibatches of
 16384 positive pairs (``--batch-size 16384``), more pairs than
-``sgns.LPOS_BLOCK``, so the kernel sums its rows in column groups. After
+``sgns.LPOS_BLOCK``, so the kernel scores and sums them in blocks. After
 each model's ``random`` run, a copy of its run directory without the
 ``.npy`` twins (``<run>-text``) gets ``eval``, ``drift`` and one
 ``export``, so the run loader parses every checkpoint it reads as text;
@@ -26,11 +26,17 @@ positive in minibatches of 1000 positives for two epochs
 (``--negative-ratio 3 --batch-size 1000 --epochs 2``). Its non-empty
 slices hold 126,692 positives each, so the digest covers a ratio above
 1, a short last minibatch, and dbe sweeps over slices with different
-minibatch counts (0 and 127). Four usage errors close it: ``slice --holdout nan``, ``export`` of a slice past
-the run's last, and ``drift`` with a reference slice past the last or
-with ``--bins 0``. Every command runs in a fresh interpreter with
-``DIR`` as its working directory and relative paths, so no path in the
-outputs depends on where ``DIR`` is.
+minibatch counts (0 and 127). A third corpus is sliced at 2000, 2002
+and 2003, so its first slice spans two synth years and its second one
+year, and each model trains on it for two epochs, followed by ``eval``
+and ``drift``. Every synth year holds the same number of documents, so
+this is the digest's only pair of non-empty slices with different
+document counts, and dbe's sweeps over them have unequal minibatch
+counts. Four usage errors close it: ``slice --holdout nan``, ``export``
+of a slice past the run's last, and ``drift`` with a reference slice
+past the last or with ``--bins 0``. Every command runs in a fresh
+interpreter with ``DIR`` as its working directory and relative paths, so
+no path in the outputs depends on where ``DIR`` is.
 
 Prints one line per command (exit code, sha256 of stdout and of stderr,
 the arguments), one per copy, and one per file written under ``DIR``
@@ -58,6 +64,8 @@ DATA = ["--vocab", "demo/vocab.tsv", "--train", "demo/data.train.json",
         "--valid", "demo/data.valid.json", "--test", "demo/data.test.json"]
 EMPTY_FIRST = ["--vocab", "demo/vocab.tsv", "--train", "demo/empty.full.json",
                "--valid", "demo/empty.full.json"]
+UNEVEN = ["--vocab", "demo/vocab.tsv", "--train", "demo/uneven.train.json",
+          "--valid", "demo/uneven.valid.json"]
 INITS = {
     "random": lambda model: [],
     "internal": lambda model: ["--init", "internal"] + (
@@ -138,6 +146,16 @@ def commands():
         yield ["eval", "--run", run, "--split", "valid"]
         yield ["drift", "--run", run, "--t0", "0", "--bins", "60",
                "--out", f"analysis/{model}-ratio3"]
+    yield ["slice", "--manifest", "demo/manifest.tsv", "--vocab", "demo/vocab.tsv",
+           "--boundaries", "2000,2002,2003", "--holdout", "0.1", "--seed", "0",
+           "--out-prefix", "demo/uneven"]
+    for model in MODELS:
+        run = f"runs/{model}-uneven"
+        yield ["train", "--model", model, "--out", run, *UNEVEN,
+               "--dim", "16", "--epochs", "2", "--seed", "0"]
+        yield ["eval", "--run", run, "--split", "valid"]
+        yield ["drift", "--run", run, "--t0", "0", "--bins", "60",
+               "--out", f"analysis/{model}-uneven"]
     yield ["slice", "--manifest", "demo/manifest.tsv", "--vocab", "demo/vocab.tsv",
            "--boundaries", "2000:2004", "--holdout", "nan", "--out-prefix", "demo/nan"]
     yield ["export", "--run", "runs/isg-random", "--slice", str(SLICES),

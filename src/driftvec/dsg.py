@@ -128,20 +128,20 @@ def sampled_likelihood_grads(centers, contexts, labels, muU, logvarU,
     v_rows, contexts_c = touched_rows(contexts, len(muV))
     sigU = np.exp(0.5 * logvarU[u_rows])
     sigV = np.exp(0.5 * logvarV[v_rows])
+    mu_u, mu_v = muU[u_rows], muV[v_rows]
     value = 0.0
     lpos = 0.0
     gmuU, glvU, gmuV, glvV = (np.zeros(sig.shape) for sig in (sigU, sigU, sigV, sigV))
     for s in range(S):
+        eps_u, eps_v = epsU[s][u_rows], epsV[s][v_rows]
         _, gU, _, gV, loglik, batch_lpos = batch_grad_rows(
-            centers_c, contexts_c, labels,
-            muU[u_rows] + sigU * epsU[s][u_rows],
-            muV[v_rows] + sigV * epsV[s][v_rows])
+            centers_c, contexts_c, labels, mu_u + sigU * eps_u, mu_v + sigV * eps_v)
         value += loglik
         lpos += batch_lpos
         gmuU += gU
-        glvU += gU * (0.5 * sigU * epsU[s][u_rows])
+        glvU += gU * (0.5 * sigU * eps_u)
         gmuV += gV
-        glvV += gV * (0.5 * sigV * epsV[s][v_rows])
+        glvV += gV * (0.5 * sigV * eps_v)
     inv = 1.0 / S
     for grad in (gmuU, glvU, gmuV, glvV):
         grad *= inv

@@ -121,61 +121,40 @@ def batch_grad_rows(centers, contexts, labels, U, V):
     for only the rows that occur in the batch:
     ``(u_rows, gradU_rows, v_rows, gradV_rows, loglik, lpos)``.
 
-    Apart from its outputs and a few length-n vectors, the scratch is two
-    buffers of :data:`LPOS_BLOCK` x d values (n values if that is more),
-    whatever the batch size n. The scores are gathered into them a block
-    of pairs at a time. Each side's row sums then take
-    ``LPOS_BLOCK * d // n`` columns (at least one) at a time: one buffer
-    holds the scaled columns, the other the scatter's flat index. einsum
+    The pairs are taken :data:`LPOS_BLOCK` at a time, so apart from its
+    outputs and a few length-n vectors the scratch is two buffers of
+    ``LPOS_BLOCK`` x d values, whatever the batch size n. Each block
+    gathers its U and V rows, is scored, and adds its scaled V rows into
+    the U side's row sums; the U buffer then lends its memory to the
+    scatter's flat index, and U is gathered again for the V side. einsum
     scores each pair on its own, and every (row, column) sum adds its
     pairs in pair order from 0.0, so the bits are those of one gather and
-    one scatter over the whole batch. A batch of at most
-    :data:`LPOS_BLOCK` pairs takes exactly those steps.
+    one scatter over the whole batch.
     """
     # touched_rows bounds-checks the ids, so the gathers below may clip
     u_rows, u_inv = touched_rows(centers, len(U))
     v_rows, v_inv = touched_rows(contexts, len(V))
     n, d = len(centers), U.shape[1]
-    cols = max(1, min(d, LPOS_BLOCK * d // max(n, 1)))
-    size = max(min(n, LPOS_BLOCK) * d, n * cols)
-    block, scratch = np.empty(size), np.empty(size)
+    gradU_rows, gradV_rows = np.zeros((len(u_rows), d)), np.zeros((len(v_rows), d))
+    u_buf, v_buf = np.empty((2, min(n, LPOS_BLOCK), d))
     scores = np.empty(n)
     for start in range(0, n, LPOS_BLOCK):
+        block = slice(start, start + LPOS_BLOCK)
         m = min(LPOS_BLOCK, n - start)
-        u_block, v_block = scratch[:m * d].reshape(m, d), block[:m * d].reshape(m, d)
-        np.take(U, centers[start:start + m], axis=0, out=u_block, mode="clip")
-        np.take(V, contexts[start:start + m], axis=0, out=v_block, mode="clip")
-        np.einsum("ij,ij->i", u_block, v_block, out=scores[start:start + m])
-    signs = np.where(labels == 1, 1.0, -1.0)
-    terms = log_sigmoid(signs * scores)
-    coef = (labels.astype(np.float64) - sigmoid(scores))[:, None]
-    # a batch of one block still holds V[contexts] in ``block``
-    gradU_rows = _scaled_row_sums(u_inv, len(u_rows), V, contexts, coef, cols,
-                                  block, scratch, gathered=n <= LPOS_BLOCK)
-    gradV_rows = _scaled_row_sums(v_inv, len(v_rows), U, centers, coef, cols,
-                                  block, scratch)
+        u_block, v_block = u_buf[:m], v_buf[:m]
+        np.take(U, centers[block], axis=0, out=u_block, mode="clip")
+        np.take(V, contexts[block], axis=0, out=v_block, mode="clip")
+        np.einsum("ij,ij->i", u_block, v_block, out=scores[block])
+        coef = (labels[block].astype(np.float64) - sigmoid(scores[block]))[:, None]
+        flat_index = u_block.view(np.intp)
+        v_block *= coef
+        scatter_rows(u_inv[block], v_block, gradU_rows, flat_index)
+        np.take(U, centers[block], axis=0, out=v_block, mode="clip")
+        v_block *= coef
+        scatter_rows(v_inv[block], v_block, gradV_rows, flat_index)
+    terms = log_sigmoid(np.where(labels == 1, 1.0, -1.0) * scores)
     lpos = float(terms[labels == 1].sum())
     return u_rows, gradU_rows, v_rows, gradV_rows, float(terms.sum()), lpos
-
-
-def _scaled_row_sums(index, n_rows, M, ids, coef, cols, block, scratch, gathered=False):
-    """Sum ``coef[i] * M[ids[i]]`` into the ``n_rows`` rows ``index`` gives,
-    ``cols`` columns at a time, through the lent flat buffers ``block``
-    (the scaled columns; it already holds ``M[ids]`` when ``gathered``)
-    and ``scratch`` (the flat index)."""
-    n, d = len(ids), M.shape[1]
-    sums = np.empty((n_rows, d)) if cols < d else None
-    for c0 in range(0, d, cols):
-        k = min(cols, d - c0)
-        part = block[:n * k].reshape(n, k)
-        if not gathered:
-            np.take(M[:, c0:c0 + k], ids, axis=0, out=part, mode="clip")
-        part *= coef
-        group = scatter_rows(index, part, n_rows, scratch[:n * k].view(np.intp).reshape(n, k))
-        if sums is None:
-            return group
-        sums[:, c0:c0 + k] = group
-    return sums
 
 
 def touched_rows(ids, n_rows):
@@ -193,20 +172,21 @@ def touched_rows(ids, n_rows):
     return rows, position[ids]
 
 
-def scatter_rows(index, contributions, n_rows, flat_index):
-    """Sum rows of ``contributions`` into ``n_rows`` buckets given by ``index``.
+def scatter_rows(index, contributions, out, flat_index):
+    """Add rows of ``contributions`` into the rows of the C-contiguous
+    ``out`` that ``index`` gives.
 
-    One flat bincount over ``index * d + column``; the caller lends
+    One flat ``np.add.at`` over ``index * d + column``; the caller lends
     ``flat_index``, an intp array shaped like ``contributions``, to hold
-    that index. Every bucket starts at 0.0 and adds its contributions in
-    row order, so the sums are the same bits as ``np.add.at`` or a
-    bincount per column would give.
+    that index. Each (row, column) of ``out`` adds its contributions in
+    row order, so from a zeroed ``out`` the sums are the bits a weighted
+    bincount would give, and calls over consecutive blocks of rows give
+    the bits of one call over them all.
     """
     d = contributions.shape[1]
     np.multiply(index[:, None], d, out=flat_index)
     flat_index += np.arange(d)
-    return np.bincount(flat_index.ravel(), weights=contributions.ravel(),
-                       minlength=n_rows * d).reshape(n_rows, d)
+    np.add.at(out.reshape(-1), flat_index.reshape(-1), contributions.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -163,8 +167,8 @@ class TestGradients:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_row_compact_path_matches_dense_in_small_blocks(self, data):
-        # blocks of 3 pairs: most batches are scored in several blocks
-        # and summed a few columns at a time, one column once 3 * d < n
+        # blocks of 3 pairs: most batches are scored and summed in
+        # several blocks, the last of them often short
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sgns, "LPOS_BLOCK", 3)
             self.check_row_compact_path(data)
@@ -197,20 +201,33 @@ class TestGradients:
         untouched = np.setdiff1d(np.arange(L), u_rows)
         assert not gU[untouched].any()
 
-    @pytest.mark.parametrize("d", [1, 7, 64])
-    def test_blocked_bits_equal_one_block(self, rng, monkeypatch, d):
-        # d = 1 sums one column at a time even at the full block size
-        L, n = 500, 3 * LPOS_BLOCK + 17
-        U = rng.normal(size=(L, d))
-        V = rng.normal(size=(L, d))
-        batch = make_batch(rng.integers(0, L, n), rng.integers(0, L, n), rng.integers(0, 2, n))
-        blocked = batch_grad_rows(*batch, U, V)
-        monkeypatch.setattr(sgns, "LPOS_BLOCK", n)
-        whole = batch_grad_rows(*batch, U, V)
-        for got, want in zip(blocked, whole):
-            got, want = np.asarray(got), np.asarray(want)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("d, at_x86_v3", [
+        pytest.param(1, False, id="1"),
+        pytest.param(7, False, id="7"),
+        pytest.param(64, False, id="64"),
+        pytest.param(64, True, id="64-X86_V3"),
+    ])
+    def test_blocked_bits_equal_one_block(self, d, at_x86_v3):
+        # four blocks, the last of 17 pairs, against one block of them
+        # all; the coefficients' exp runs a block at a time, so the case
+        # at X86_V3 checks blocking at a second set of numpy's kernels
+        if not at_x86_v3:
+            assert_blocked_bits_equal_one_block(d)
+            return
+        if not x86_v3_available():
+            pytest.skip("numpy cannot dispatch X86_V3 with AVX-512 disabled here")
+        tests_dir = Path(__file__).resolve().parent
+        code = ("import sys\n"
+                "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+                "assert f['X86_V3'] and not f['X86_V4']\n"
+                "from test_sgns import assert_blocked_bits_equal_one_block\n"
+                "assert_blocked_bits_equal_one_block(int(sys.argv[1]))\n")
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": X86_V3_ONLY,
+               "PYTHONPATH": os.pathsep.join([str(Path(sgns.__file__).parents[1]),
+                                              str(tests_dir)])}
+        proc = subprocess.run([sys.executable, "-c", code, str(d)], env=env,
+                              capture_output=True, text=True, timeout=300, check=False)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("bad, error", [([0, 5], IndexError), ([-1, 0], ValueError)])
     def test_out_of_range_ids_are_an_error(self, bad, error):
@@ -230,9 +247,9 @@ class TestGradients:
             np.testing.assert_array_equal(inverse, want_inverse)
 
     def test_scratch_memory_of_a_large_batch(self, rng):
-        # at most two n x d blocks may be alive at once (the scaled
-        # contributions and the scatter's flat index), plus O(n) arrays;
-        # holding both gathered sides through a scatter would need three
+        # the peak stays below three n x d blocks, what holding both
+        # gathered sides and a scatter's flat index for the whole batch
+        # would take; the kernel holds two block buffers and O(n) arrays
         L, n, d = 4000, 32768, 64
         U = rng.normal(size=(L, d))
         V = rng.normal(size=(L, d))
@@ -265,6 +282,40 @@ class TestGradients:
             tracemalloc.stop()
         outputs = sum(a.nbytes for a in result[:4])
         assert peak <= outputs + 12 * n * 8 + 2 * LPOS_BLOCK * d * 8
+
+
+# NPY_DISABLE_CPU_FEATURES value under which numpy runs its X86_V3
+# (AVX2) kernels on an AVX-512 machine
+X86_V3_ONLY = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def x86_v3_available():
+    """Whether numpy dispatches to X86_V3 and to every target X86_V3_ONLY
+    disables, and this CPU runs X86_V3."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return False
+    targets = {"X86_V3", *X86_V3_ONLY.split()}
+    return targets <= set(__cpu_dispatch__) and __cpu_features__.get("X86_V3", False)
+
+
+def assert_blocked_bits_equal_one_block(d):
+    """Check that batch_grad_rows gives the same bytes on 3 * LPOS_BLOCK + 17
+    pairs of d-dimensional rows as it does with one block of them all."""
+    rng = np.random.default_rng(12345)
+    L, n = 500, 3 * LPOS_BLOCK + 17
+    U = rng.normal(size=(L, d))
+    V = rng.normal(size=(L, d))
+    batch = make_batch(rng.integers(0, L, n), rng.integers(0, L, n), rng.integers(0, 2, n))
+    blocked = batch_grad_rows(*batch, U, V)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sgns, "LPOS_BLOCK", n)
+        whole = batch_grad_rows(*batch, U, V)
+    for got, want in zip(blocked, whole):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMeanLpos:
