@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+from .sgns import encode_rows
 
 BETA1 = 0.9      # decay of the first-moment estimate
 BETA2 = 0.999    # decay of the second-moment estimate
@@ -102,12 +103,12 @@ def adam_step_rows(params: np.ndarray, rows: np.ndarray, grad_rows: np.ndarray,
 
 
 def save_adam_state(state: AdamState, path) -> None:
-    """Serialize moments and counters in the shared float text encoding."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Serialize moments and counters in the shared float text encoding:
+    a header line, then the rows of ``m`` and of ``v`` as
+    :func:`~driftvec.sgns.encode_rows` writes them."""
+    with open(path, "wb") as fh:
         rows, cols = state.m.shape
         fh.write(f"{rows} {cols} {state.step_count} "
-                 f"{BETA1:.17g} {BETA2:.17g} {EPSILON:.17g}\n")
-        line = " ".join(["%.17g"] * cols) + "\n"
+                 f"{BETA1:.17g} {BETA2:.17g} {EPSILON:.17g}\n".encode())
         for mat in (state.m, state.v):
-            for row in mat:
-                fh.write(line % tuple(row.tolist()))
+            fh.writelines(encode_rows(mat))

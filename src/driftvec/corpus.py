@@ -28,6 +28,9 @@ import numpy as np
 from .errors import DataError, EmptyCorpusError, open_text
 
 NOISE_POWER = 0.75  # exponent of the unigram noise distribution
+# Noise draws that sample_negatives makes at a time, so that its scratch is
+# two blocks of DRAW_BLOCK values beside the draws it returns
+DRAW_BLOCK = 1 << 16
 
 _PUNC_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -379,20 +382,23 @@ def extract_pairs(docs, window: int):
     if window < 1:
         raise ValueError("window must be >= 1")
     docs = [np.asarray(d, dtype=np.int64) for d in docs]
-    empty = np.empty(0, dtype=np.int64)
-    flat = np.concatenate([empty, *docs])
-    doc_id = np.concatenate([empty, *(np.full(len(d), i, dtype=np.int64)
-                                      for i, d in enumerate(docs))])
-    centers, contexts = [empty], [empty]
-    for k in range(1, min(window, len(flat)) + 1):
+    lengths = np.array([len(d) for d in docs], dtype=np.int64)
+    flat = np.concatenate([np.empty(0, dtype=np.int64), *docs])
+    doc_id = np.repeat(np.arange(len(docs)), lengths)
+    offsets = range(1, min(window, len(flat)) + 1)
+    # a document of n tokens holds n - k pairs k apart
+    counts = [int(np.maximum(lengths - k, 0).sum()) for k in offsets]
+    centers = np.empty(2 * sum(counts), dtype=np.int64)
+    contexts = np.empty_like(centers)
+    start = 0
+    for k, n in zip(offsets, counts):
         same_doc = doc_id[:-k] == doc_id[k:]
-        left = flat[:-k][same_doc]
-        right = flat[k:][same_doc]
-        centers.append(left)
-        contexts.append(right)
-        centers.append(right)
-        contexts.append(left)
-    return np.concatenate(centers), np.concatenate(contexts)
+        left, right = slice(start, start + n), slice(start + n, start + 2 * n)
+        np.compress(same_doc, flat[:-k], out=centers[left])
+        np.compress(same_doc, flat[k:], out=centers[right])
+        contexts[left], contexts[right] = centers[right], centers[left]
+        start += 2 * n
+    return centers, contexts
 
 
 def noise_distribution(vocab: Vocabulary) -> np.ndarray:
@@ -418,9 +424,17 @@ def sample_negatives(vocab: Vocabulary, positives, ratio: int, seed):
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(noise_distribution(vocab))
     cdf[-1] = 1.0
-    draws = np.searchsorted(cdf, rng.random(n * ratio), side="right")
+    draws = np.empty(n * ratio, dtype=np.int64)
+    # the generator's doubles come one at a time, so drawing them a block
+    # at a time gives the stream of one call over all n * ratio
+    uniforms = np.empty(min(len(draws), DRAW_BLOCK))
+    for start in range(0, len(draws), DRAW_BLOCK):
+        block = draws[start:start + DRAW_BLOCK]
+        u = uniforms[:len(block)]
+        rng.random(out=u)
+        block[:] = np.searchsorted(cdf, u, side="right")
     np.minimum(draws, vocab.size - 1, out=draws)
-    draws = draws.astype(np.int64, copy=False).reshape(n, ratio)
+    draws = draws.reshape(n, ratio)
     draws.setflags(write=False)
     return draws
 

@@ -252,6 +252,8 @@ def dsg_filter_step(slice_docs, vocab, prev_means, params: DsgParams,
                                        priors[1], *like_v)
                 step_side("U", frac, beta, mus[0], logvars[0], priors[0], *like_u)
                 v_step.result()
+                # not held through the next minibatch's sampled_likelihood_grads
+                del like_u, like_v
 
             variances = [np.exp(logvar) for logvar in logvars]
             if not all(var.all() for var in variances):

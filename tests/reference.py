@@ -1,11 +1,13 @@
 """Dense reference objectives that the tests check the trainers' row-sparse
 fast paths against. A batch is the ``(centers, contexts, labels)`` triple
 the trainers use. Also the interleaved epoch stream that the trainers'
-lazily built minibatches are checked against.
+lazily built minibatches are checked against, and the row-at-a-time
+text writers that the block encoder's bytes are checked against.
 """
 
 import numpy as np
 
+from driftvec.adam import BETA1, BETA2, EPSILON
 from driftvec.corpus import noise_distribution
 from driftvec.dbe import DbeParams, dbe_prior
 from driftvec.sgns import log_sigmoid, sigmoid
@@ -128,3 +130,26 @@ def interleaved_minibatches(batch, positives_per_batch: int, ratio: int):
     step = positives_per_batch * (1 + ratio)
     for start in range(0, len(batch[0]), step):
         yield tuple(array[start:start + step] for array in batch)
+
+
+def save_embedding_text(path, words, matrix) -> None:
+    """The text format written a row at a time with ``%``: the oracle of
+    ``sgns.save_embedding_text``."""
+    line = "%s " + " ".join(["%.17g"] * matrix.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
+        for word, row in zip(words, matrix):
+            fh.write(line % (word, *row.tolist()))
+
+
+def save_adam_state(state, path) -> None:
+    """An Adam state file written a row at a time with ``%``: the oracle
+    of ``adam.save_adam_state``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        rows, cols = state.m.shape
+        fh.write(f"{rows} {cols} {state.step_count} "
+                 f"{BETA1:.17g} {BETA2:.17g} {EPSILON:.17g}\n")
+        line = " ".join(["%.17g"] * cols) + "\n"
+        for mat in (state.m, state.v):
+            for row in mat:
+                fh.write(line % tuple(row.tolist()))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftvec.corpus import (assign_slices, build_vocabulary, extract_pairs,
+from driftvec.corpus import (DRAW_BLOCK, assign_slices, build_vocabulary, extract_pairs,
                              load_corpus, load_vocabulary, noise_distribution,
                              parse_timestamp, sample_negatives, save_corpus, save_vocabulary,
                              slice_corpus, split_holdout, subsample_corpus,
@@ -17,6 +17,7 @@ from driftvec.errors import DataError, EmptyCorpusError
 from driftvec.isg import iter_minibatches
 
 from conftest import sliced_from_strings, toy_corpus
+from reference import interleaved_negatives
 
 
 def test_offset_timestamp_is_naive_utc():
@@ -366,6 +367,16 @@ class TestSampleNegatives:
         contexts1 = sample_negatives(vocab, positives, ratio=3, seed=[5, 1])
         contexts2 = sample_negatives(vocab, positives, ratio=3, seed=[5, 1])
         np.testing.assert_array_equal(contexts1, contexts2)
+
+    def test_blocked_draws_equal_one_draw(self):
+        # three DRAW_BLOCKs of draws and a short fourth; the uniforms must
+        # be the bits one rng.random call over them all gives
+        vocab, _ = toy_corpus([["a a a b b c d e"]])
+        n, ratio = DRAW_BLOCK + 7, 3
+        positives = (np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64))
+        draws = sample_negatives(vocab, positives, ratio, [4, 2])
+        _, contexts, _ = interleaved_negatives(vocab, positives, ratio, [4, 2])
+        np.testing.assert_array_equal(draws, contexts.reshape(n, 1 + ratio)[:, 1:])
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=30),

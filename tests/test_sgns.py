@@ -16,6 +16,7 @@ from driftvec.errors import DataError
 from driftvec.sgns import (LPOS_BLOCK, TrainConfig, load_embedding_text, save_embedding_text,
                            batch_grad_rows, mean_lpos, sigmoid, log_sigmoid, touched_rows)
 
+import reference
 from conftest import make_batch
 from reference import sgns_gradients, sgns_log_likelihood
 
@@ -214,20 +215,9 @@ class TestGradients:
         if not at_x86_v3:
             assert_blocked_bits_equal_one_block(d)
             return
-        if not x86_v3_available():
-            pytest.skip("numpy cannot dispatch X86_V3 with AVX-512 disabled here")
-        tests_dir = Path(__file__).resolve().parent
-        code = ("import sys\n"
-                "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
-                "assert f['X86_V3'] and not f['X86_V4']\n"
-                "from test_sgns import assert_blocked_bits_equal_one_block\n"
-                "assert_blocked_bits_equal_one_block(int(sys.argv[1]))\n")
-        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": X86_V3_ONLY,
-               "PYTHONPATH": os.pathsep.join([str(Path(sgns.__file__).parents[1]),
-                                              str(tests_dir)])}
-        proc = subprocess.run([sys.executable, "-c", code, str(d)], env=env,
-                              capture_output=True, text=True, timeout=300, check=False)
-        assert proc.returncode == 0, proc.stderr
+        run_at_x86_v3("import sys\n"
+                      "from test_sgns import assert_blocked_bits_equal_one_block\n"
+                      "assert_blocked_bits_equal_one_block(int(sys.argv[1]))\n", str(d))
 
     @pytest.mark.parametrize("bad, error", [([0, 5], IndexError), ([-1, 0], ValueError)])
     def test_out_of_range_ids_are_an_error(self, bad, error):
@@ -298,6 +288,22 @@ def x86_v3_available():
         return False
     targets = {"X86_V3", *X86_V3_ONLY.split()}
     return targets <= set(__cpu_dispatch__) and __cpu_features__.get("X86_V3", False)
+
+
+def run_at_x86_v3(code, *args, cwd=None):
+    """Run ``code`` with ``args`` in a fresh interpreter whose numpy runs
+    its X86_V3 kernels and which imports from src/ and tests/; skip when
+    numpy cannot dispatch that level here."""
+    if not x86_v3_available():
+        pytest.skip("numpy cannot dispatch X86_V3 with AVX-512 disabled here")
+    code = ("from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+            "assert f['X86_V3'] and not f['X86_V4']\n" + code)
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": X86_V3_ONLY,
+           "PYTHONPATH": os.pathsep.join([str(Path(sgns.__file__).parents[1]),
+                                          str(Path(__file__).resolve().parent)])}
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
 
 
 def assert_blocked_bits_equal_one_block(d):
@@ -455,3 +461,106 @@ class TestTextFormat:
         words, matrix = load_embedding_text(path)
         assert words == ["a"]
         np.testing.assert_array_equal(matrix, [[1.0, 2.0]])
+
+
+def encoder_edge_cases():
+    """Values at the edges of the text encoder's exact path and of %g's
+    two notations, with their negatives."""
+    powers = [float(f"1e{k}") for k in range(-12, 18)]
+    values = [0.0, 5e-324, 2.2250738585072009e-308, 1.5e-310, 2.2250738585072014e-308,
+              1.7976931348623157e308, 1e-4, 1e-5, 1e16, 1e17, 99999999999999999.0,
+              99999999999999984.0, 1234567890123456.25, 1234567890123456.75,
+              0.5, 2.5, 0.125, 123.0, 1e-11, 1.0000000000000001e-11,
+              math.inf, math.nan]
+    values += powers
+    values += [float(np.nextafter(p, direction)) for p in powers for direction in (0.0, math.inf)]
+    return values + [-v for v in values]
+
+
+def assert_encodes_as_percent(values):
+    """Check that encode_rows spells each of ``values`` as "%.17g" % v
+    does, in one column and in one row."""
+    values = np.asarray(values, dtype=np.float64)
+    want = ["%.17g" % v for v in values.tolist()]
+    column = b"".join(sgns.encode_rows(values[:, None])).decode()
+    assert column.split("\n") == want + [""]
+    row = b"".join(sgns.encode_rows(values[None, :])).decode()
+    assert row == " ".join(want) + "\n"
+
+
+def assert_encoder_matches_percent():
+    """The encoder against "%.17g" on the edge cases, on 100,000 random
+    bit patterns and on 100,000 values spread over its exact range."""
+    assert_encodes_as_percent(encoder_edge_cases())
+    rng = np.random.default_rng(27)
+    n = 100_000
+    assert_encodes_as_percent(rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64))
+    assert_encodes_as_percent(rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, 18, n))
+
+
+# float64 bit patterns: any, or with a biased exponent in and around the
+# encoder's exact range (1e-11, 1e17)
+float_bits = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.builds(lambda sign, exponent, fraction: sign << 63 | exponent << 52 | fraction,
+              st.integers(0, 1), st.integers(980, 1085), st.integers(0, 2**52 - 1)))
+
+
+class TestTextEncoder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(float_bits, min_size=1, max_size=40))
+    def test_matches_percent_on_bit_patterns(self, bits):
+        assert_encodes_as_percent(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_edge_cases(self):
+        values = encoder_edge_cases()
+        assert_encodes_as_percent(values)
+        text = b"".join(sgns.encode_rows(np.array([[99999999999999999.0, -0.0, 0.0,
+                                                     1234567890123456.25,
+                                                     1234567890123456.75]])))
+        assert text == b"1e+17 -0 0 1234567890123456.2 1234567890123456.8\n"
+
+    @pytest.mark.parametrize("at_x86_v3", [pytest.param(False, id="default"),
+                                           pytest.param(True, id="X86_V3")])
+    def test_matches_percent(self, at_x86_v3, tmp_path):
+        # log10 gives different bits at the two dispatch levels; the bytes
+        # must not change with it, so the same checks run at X86_V3 too
+        if not at_x86_v3:
+            assert_encoder_matches_percent()
+            return
+        run_at_x86_v3("import test_sgns\n"
+                      "test_sgns.assert_encoder_matches_percent()\n"
+                      "test_sgns.TestTextEncoder().test_matches_percent_on_bit_patterns()\n",
+                      cwd=tmp_path)
+
+    @pytest.mark.parametrize("offset", [-1.0, 1.0])
+    def test_a_wrong_exponent_estimate_changes_no_byte(self, monkeypatch, offset):
+        # every estimate one decade off: the exact range test corrects each
+        rng = np.random.default_rng(3)
+        values = np.concatenate([encoder_edge_cases(),
+                                 rng.normal(size=2000) * 10.0 ** rng.uniform(-11, 17, 2000)])
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + offset)
+        assert_encodes_as_percent(values)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (300, 1), (1000, 13),
+                                       (3 * (sgns.TEXT_BLOCK // 64) + 5, 64),
+                                       (3, sgns.TEXT_BLOCK + 3), (0, 4), (2, 0)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_files_equal_the_row_writers(self, tmp_path, rng, shape):
+        # one row, one column, a last block shorter than the rest, more
+        # rows than one block, rows longer than a block, and no values
+        matrix = rng.normal(size=shape) * 10.0 ** rng.uniform(-14, 19, shape)
+        flat = matrix.reshape(-1)
+        flat[::17] = 0.0
+        flat[5::19] = -0.0
+        flat[7::23] = rng.normal(size=len(flat[7::23]))
+        flat[11::997] = 5e-324
+        words = [f"w{i}" for i in range(shape[0])]
+        save_embedding_text(tmp_path / "got.vec", words, matrix)
+        reference.save_embedding_text(tmp_path / "want.vec", words, matrix)
+        assert (tmp_path / "got.vec").read_bytes() == (tmp_path / "want.vec").read_bytes()
+        state = AdamState(m=matrix, v=matrix[::-1] ** 2, step_count=11)
+        save_adam_state(state, tmp_path / "got.txt")
+        reference.save_adam_state(state, tmp_path / "want.txt")
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
