@@ -43,7 +43,8 @@ the arguments), one per copy, and one per file written under ``DIR``
 (relative path, sha256). Two checkouts whose behaviour is byte-identical
 print the same digest, so comparing a parent and a change is one
 ``diff``. Uses the standard library only; the commands import driftvec
-from ``--src``.
+from ``--src``. :func:`run` runs any list of steps, so a shorter round
+trip gets the same digest lines (``tests/test_roundtrip_pins.py``).
 """
 
 import argparse
@@ -164,6 +165,27 @@ def commands():
     yield ["drift", "--run", "runs/isg-random", "--bins", "0", "--out", "analysis/no-bins"]
 
 
+def run(steps, src, out):
+    """Yield the digest's lines for ``steps``, ``driftvec`` argument lists
+    and :class:`TextCopy` steps as :func:`commands` gives them, run in
+    the empty directory ``out`` with the driftvec package under ``src``."""
+    src, out = Path(src).resolve(), Path(out)
+    (out / "exports").mkdir()
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for step in steps:
+        if isinstance(step, TextCopy):
+            shutil.copytree(out / step.run, out / step.copy,
+                            ignore=shutil.ignore_patterns("*.npy"))
+            yield f"copy {step.run} -> {step.copy} without .npy twins"
+            continue
+        proc = subprocess.run([sys.executable, "-c", ENTRY, *step], cwd=out, env=env,
+                              capture_output=True, check=False)
+        yield (f"cmd exit={proc.returncode} stdout={sha256(proc.stdout)} "
+               f"stderr={sha256(proc.stderr)} driftvec {' '.join(step)}")
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        yield f"file {path.relative_to(out).as_posix()} {sha256(path.read_bytes())}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True, help="the checkout's src directory")
@@ -175,20 +197,8 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
         parser.error(f"{out} is not empty")
-    (out / "exports").mkdir()
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    for argv_ in commands():
-        if isinstance(argv_, TextCopy):
-            shutil.copytree(out / argv_.run, out / argv_.copy,
-                            ignore=shutil.ignore_patterns("*.npy"))
-            print(f"copy {argv_.run} -> {argv_.copy} without .npy twins", flush=True)
-            continue
-        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv_], cwd=out, env=env,
-                              capture_output=True, check=False)
-        print(f"cmd exit={proc.returncode} stdout={sha256(proc.stdout)} "
-              f"stderr={sha256(proc.stderr)} driftvec {' '.join(argv_)}", flush=True)
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        print(f"file {path.relative_to(out).as_posix()} {sha256(path.read_bytes())}")
+    for line in run(commands(), src, out):
+        print(line, flush=True)
     return 0
 
 

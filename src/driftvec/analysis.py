@@ -2,6 +2,7 @@
 diagnostics, and held-out positive log-likelihood evaluation.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -100,17 +101,9 @@ def directedness(series: DriftSeries, word_ids=None) -> float:
     values = series.values if word_ids is None else series.values[word_ids]
     if values.ndim == 1:
         values = values[None, :]
-    means = [values[:, t].mean() for t in targets]
-    concordant = 0
-    discordant = 0
-    n = len(means)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if means[j] > means[i]:
-                concordant += 1
-            elif means[j] < means[i]:
-                discordant += 1
-    return (concordant - discordant) / (n * (n - 1) / 2)
+    means = [float(values[:, t].mean()) for t in targets]
+    pairs = list(itertools.combinations(means, 2))
+    return sum((later > earlier) - (later < earlier) for earlier, later in pairs) / len(pairs)
 
 
 def stability_fraction(series: DriftSeries, target_t: int,

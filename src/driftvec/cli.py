@@ -17,6 +17,7 @@ from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from functools import partial
+from itertools import pairwise
 from pathlib import Path
 
 from . import analysis, inits, runs, synth as synth_mod
@@ -57,7 +58,7 @@ def parse_boundaries(text: str):
         boundaries = [parse_timestamp(part) for part in text.split(",")]
         if len(boundaries) < 2:
             raise ValueError("need at least two slice boundaries")
-        if not all(a < b for a, b in zip(boundaries, boundaries[1:])):
+        if not all(a < b for a, b in pairwise(boundaries)):
             raise ValueError("slice boundaries must be strictly increasing")
         return boundaries
     except (ValueError, DataError) as exc:

@@ -20,7 +20,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -151,7 +151,7 @@ def assign_slices(documents, boundaries):
     """
     if len(boundaries) < 2:
         raise DataError("need at least two slice boundaries")
-    for a, b in zip(boundaries, boundaries[1:]):
+    for a, b in pairwise(boundaries):
         if not a < b:
             raise DataError("slice boundaries must be strictly increasing")
     T = len(boundaries) - 1
@@ -423,6 +423,7 @@ def sample_negatives(vocab: Vocabulary, positives, ratio: int, seed):
     n = len(positives[0])
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(noise_distribution(vocab))
+    # above every uniform in [0, 1), so every draw is below vocab.size
     cdf[-1] = 1.0
     draws = np.empty(n * ratio, dtype=np.int64)
     # the generator's doubles come one at a time, so drawing them a block
@@ -433,7 +434,6 @@ def sample_negatives(vocab: Vocabulary, positives, ratio: int, seed):
         u = uniforms[:len(block)]
         rng.random(out=u)
         block[:] = np.searchsorted(cdf, u, side="right")
-    np.minimum(draws, vocab.size - 1, out=draws)
     draws = draws.reshape(n, ratio)
     draws.setflags(write=False)
     return draws

@@ -13,6 +13,7 @@ The held-out pairs, the per-epoch trace and the minibatch step are isg's
 drift penalty's threshold is recorded by ``shrinkreg.record_beta``, as in dsg.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -73,16 +74,16 @@ def _round_robin(per_slice_batches):
 
     Sweep k holds the k-th mini-batch of every slice that has one, in
     slice order; each sweep is yielded as a list of ``(t, batch)``. A
-    slice's next mini-batch is taken only as its sweep is built, so
-    lazy per-slice iterators are read one mini-batch at a time.
+    slice's next mini-batch is taken only as its sweep is built, and an
+    exhausted slice is not asked again, so lazy per-slice iterators are
+    read one mini-batch at a time.
     """
-    pending = [(t, iter(batches)) for t, batches in enumerate(per_slice_batches)]
-    while True:
-        taken = [(t, batches, next(batches, None)) for t, batches in pending]
-        pending = [(t, batches) for t, batches, batch in taken if batch is not None]
-        if not pending:
-            return
-        yield [(t, batch) for t, _, batch in taken if batch is not None]
+    for sweep in itertools.zip_longest(*per_slice_batches):
+        present = [(t, batch) for t, batch in enumerate(sweep) if batch is not None]
+        # unbound before the yield, so that zip_longest refills its tuple in
+        # place and keeps no earlier sweep's mini-batches alive
+        del sweep
+        yield present
 
 
 def sweep_prior_grads(U_all, V: np.ndarray, params: DbeParams, weight: float,

@@ -44,6 +44,7 @@ import json
 import multiprocessing
 import os
 from functools import partial
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -143,7 +144,7 @@ def write_text_files(files) -> None:
         child = fork.Process(target=_child_lane, args=(lane, writer))
         child.start()
         children.append((child, reader, writer, lane))
-    errors = [_write_lane(lanes[0])] if lanes else []
+    errors = [_write_lane(lanes[0])]
     for k, (child, reader, writer, lane) in enumerate(children, start=1):
         child.join()
         with reader, writer:
@@ -297,8 +298,7 @@ def _load_like(path, pins, first_path, first_words, width):
     slice 0's word checkpoint, in their order, and ``width`` columns."""
     words, matrix = _load(path, pins)
     if words != first_words:
-        row = next(i for i, (a, b) in enumerate(zip(words + [None], first_words + [None]))
-                   if a != b)
+        row = next(i for i, (a, b) in enumerate(zip_longest(words, first_words)) if a != b)
         holds = [repr(w[row]) if row < len(w) else "no row" for w in (words, first_words)]
         raise DataError(f"{path}: row {row + 1} holds {holds[0]}, but "
                         f"{first_path} holds {holds[1]}")

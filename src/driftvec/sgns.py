@@ -253,9 +253,9 @@ def _layout(x):
 
 
 _LAYOUTS = np.array([_layout(x) for x in range(-4, 17)], dtype=np.uint64).T.copy()
-# "e-11" ... "e-05" and "e+17" in bytes 19-22 of a value's 24; 0 for fixed
-_EXPONENTS = np.array([0 if -4 <= x <= 16 else int.from_bytes(b"e%+03d" % x, "little") << 24
-                       for x in range(-11, 18)], dtype=np.uint64)
+# "e-11" ... "e-05" in bytes 19-22 of a value's 24; 0 for fixed
+_EXPONENTS = np.array([0 if x >= -4 else int.from_bytes(b"e%+03d" % x, "little") << 24
+                       for x in range(-11, 17)], dtype=np.uint64)
 
 
 def _scaled(significand, biased, j):
@@ -303,10 +303,10 @@ def _round17(values):
         j[wrong] += np.where(digits[wrong] < 10**16, 1, -1)
         digits[wrong], up[wrong] = _scaled(significand[wrong], biased[wrong], j[wrong])
         wrong = wrong[(digits[wrong] < 10**16) | (digits[wrong] >= 10**17)]
+    # no carry into x: no double in (1e-11, 1e17) lies within half a unit
+    # in the 17th digit below a power of ten, so digits stay below 10**17
     digits += up
-    carry = digits == 10**17
-    digits[carry] = 10**16
-    x = 16 - j + carry
+    x = 16 - j
     digits[zero] = 0
     x[zero] = 0
     return digits, x, ~(fast | zero)
@@ -336,7 +336,7 @@ def _encode_block(block):
     d0 = (c0 + _U(ord("0"))) | (a1 << _U(8)) | (a2 << _U(40))
     d1 = (a2 >> _U(24)) | (a3 << _U(8)) | (a4 << _U(40))
     d2 = a4 >> _U(24)
-    fixed = (x >= -4) & (x <= 16)
+    fixed = x >= -4
     head0, head1, head2, tail0, tail1, tail2, point0, point1, point2, shift, prefix = np.take(
         _LAYOUTS, np.where(fixed, x + 4, 4), axis=1)
     t0, t1, t2 = d0 & tail0, d1 & tail1, d2 & tail2

@@ -52,8 +52,6 @@ def drift_regularizer_grad(current: np.ndarray, reference: np.ndarray,
     treated as a frozen snapshot and receives no gradient.
     """
     grad = np.zeros_like(current)
-    if alpha == 0:
-        return grad
     diff = current - reference
     drifts = np.linalg.norm(diff, axis=1)
     active = drifts > beta
@@ -65,7 +63,7 @@ def drift_regularizer_grad(current: np.ndarray, reference: np.ndarray,
 def resolve_beta(config: RegConfig, drifts: np.ndarray) -> float:
     """Threshold for the coming epoch: fixed value or current mean drift."""
     if isinstance(config.beta, str):
-        return float(drifts.mean()) if len(drifts) else 0.0
+        return float(drifts.mean())
     return float(config.beta)
 
 

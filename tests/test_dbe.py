@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -205,6 +206,21 @@ class TestSweepSchedule:
         assert taken == [(0, 0), (2, 0), (3, 0), (0, 1), (3, 1), (0, 2)]
         lists = [["0.0", "0.1", "0.2"], [], ["2.0"], ["3.0", "3.1"]]
         assert list(_round_robin(lists)) == sweeps
+
+    def test_round_robin_keeps_no_earlier_sweep_alive(self):
+        # once the caller moves on to sweep k, no mini-batch of an earlier
+        # sweep is still referenced
+        made = []
+
+        def batches(n):
+            for _ in range(n):
+                batch = np.empty(1)
+                made.append(weakref.ref(batch))
+                yield batch
+
+        for sweep in _round_robin([batches(5), batches(5), batches(3)]):
+            alive = {id(ref()) for ref in made if ref() is not None}
+            assert alive == {id(batch) for _, batch in sweep}
 
     def test_sweep_weights_of_an_epoch_sum_to_one(self, monkeypatch):
         # unequal slices, so later sweeps cover fewer slices

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -564,3 +565,23 @@ class TestTextEncoder:
         save_adam_state(state, tmp_path / "got.txt")
         reference.save_adam_state(state, tmp_path / "want.txt")
         assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
+@pytest.mark.parametrize("k", range(-11, 18))
+def test_no_double_rounds_up_to_a_power_of_ten(k):
+    # _round17 carries no 10**17 into the exponent: 17 digits round up to
+    # 10**17 only for a value within half a unit in their last place, or
+    # 10**k * 5e-18, below 10**k, and the largest double below 10**k lies
+    # further away than that
+    power = Fraction(10) ** k
+    below = float(power)
+    if Fraction(below) >= power:
+        below = math.nextafter(below, 0.0)
+    assert power - Fraction(below) > power * Fraction(5, 10**18)
+    digits, x, slow = sgns._round17(np.array([below, -below]))
+    assert (digits < 10**17).all()
+    if not slow.any():  # 1e-11 itself lies outside the exact range
+        mantissa, exponent = ("%.16e" % below).split("e")
+        assert int(exponent) == k - 1
+        assert digits.tolist() == [int(mantissa.replace(".", ""))] * 2
+        assert x.tolist() == [k - 1] * 2
