@@ -2,6 +2,7 @@
 diagnostics, and held-out positive log-likelihood evaluation.
 """
 
+import csv
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -162,13 +163,14 @@ def format_lpos_report(per_slice, mean) -> str:
 # ---------------------------------------------------------------------------
 
 def write_drift_csv(series: DriftSeries, words, path) -> None:
-    """One row per (word, target slice): ``word,t,drift``."""
+    """One row per (word, slice): ``word,t,drift``. A word holding ``,``
+    or ``"`` is quoted as ``csv`` quotes it."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("word,t,drift\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("word", "t", "drift"))
         for t in range(series.T):
-            col = series.values[:, t]
-            for i, word in enumerate(words):
-                fh.write(f"{word},{t},{col[i]:.10g}\n")
+            writer.writerows(zip(words, itertools.repeat(str(t)),
+                                 [f"{value:.10g}" for value in series.values[:, t].tolist()]))
 
 
 def write_histogram_csv(hist: HistogramExport, path) -> None:

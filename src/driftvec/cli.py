@@ -158,8 +158,9 @@ def _read_ini(path):
         raise DataError(f"{path}:{exc.lineno}: key {exc.option!r} given twice "
                         f"in [{exc.section}]") from exc
     known = {(s.section, s.key) for s in TRAIN_SETTINGS}
+    sections = {section for section, _ in known}
     for section in parser.sections():
-        if section not in {s.section for s in TRAIN_SETTINGS}:
+        if section not in sections:
             raise DataError(f"{path}: unknown section [{section}]")
         for key in parser[section]:
             if (section, key) not in known:

@@ -44,8 +44,7 @@ def check_seed(seed: int) -> None:
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, strip punctuation characters, split on whitespace."""
-    stripped = text.lower().translate(_PUNC_TABLE)
-    return [tok for tok in stripped.split() if tok]
+    return text.lower().translate(_PUNC_TABLE).split()
 
 
 def read_stopwords(path) -> set[str]:
@@ -63,10 +62,9 @@ def parse_timestamp(text: str) -> datetime:
     """ISO-8601 timestamp as a naive UTC datetime: one without an offset is
     read as UTC. A bare year is taken as January 1st."""
     text = text.strip()
-    if text.isdigit() and len(text) == 4:
-        return datetime(int(text), 1, 1)
     try:
-        ts = datetime.fromisoformat(text)
+        ts = (datetime(int(text), 1, 1) if text.isdigit() and len(text) == 4
+              else datetime.fromisoformat(text))
     except ValueError as exc:
         raise DataError(f"unparseable timestamp {text!r}") from exc
     if ts.tzinfo is None:

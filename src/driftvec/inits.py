@@ -176,5 +176,5 @@ def apply_scheme(scheme: InitScheme, model_kind: str, corpus: TimeSlicedCorpus,
         warnings.warn(
             f"pretrained file covers {coverage.covered}/{coverage.total} words; "
             "missing rows were seeded randomly", stacklevel=2)
-    return (pretrained.copy(), pretrained.copy()), (
+    return (pretrained, pretrained.copy()), (
         direction if model_kind == "dbe" else isg_mod.BACKWARD)

@@ -313,21 +313,24 @@ def load_slice_matrices(rundir, manifest: dict, roles=("word", "context"), slice
     ``slices`` picks the slices, in order; by default every slice.
 
     The word list is read with slice 0's word checkpoint, whose words and
-    width every other checkpoint must share. Each distinct file is read
-    once, so dbe's shared ``context.vec`` serves every slice.
+    width every other checkpoint must share. Each file is read when it is
+    reached, and each distinct file once: dbe's shared ``context.vec``
+    serves every slice, and a ``T`` past the checkpoints stops at the first
+    missing one.
     """
     kind, pins = manifest["model"], manifest.get("checkpoints")
     slices = range(manifest["T"]) if slices is None else slices
-    paths = {role: [checkpoint_path(rundir, kind, role, t) for t in slices] for role in roles}
     first_path = checkpoint_path(rundir, kind, "word", 0)
     words, first = _load(first_path, pins)
     loaded = {first_path: first}
-    for role_paths in paths.values():
-        for path in role_paths:
-            if path not in loaded:
-                loaded[path] = _load_like(path, pins, first_path, words, first.shape[1])
-    return words, {role: [loaded[path] for path in role_paths]
-                   for role, role_paths in paths.items()}
+
+    def load(path):
+        if path not in loaded:
+            loaded[path] = _load_like(path, pins, first_path, words, first.shape[1])
+        return loaded[path]
+
+    return words, {role: [load(checkpoint_path(rundir, kind, role, t)) for t in slices]
+                   for role in roles}
 
 
 def checkpoint_words(rundir, kind: str):

@@ -396,7 +396,7 @@ def save_embedding_text(path, words, matrix: np.ndarray) -> None:
     matrix = np.asarray(matrix, dtype=np.float64)
     if len(words) != matrix.shape[0]:
         raise ValueError("word count does not match matrix rows")
-    prefixes = iter([f"{word} ".encode() for word in words])
+    prefixes = (f"{word} ".encode() for word in words)
     with open(path, "wb") as fh:
         fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n".encode())
         for text in encode_rows(matrix):

@@ -60,16 +60,12 @@ def drift_regularizer_grad(current: np.ndarray, reference: np.ndarray,
     return grad
 
 
-def resolve_beta(config: RegConfig, drifts: np.ndarray) -> float:
-    """Threshold for the coming epoch: fixed value or current mean drift."""
-    if isinstance(config.beta, str):
-        return float(drifts.mean())
-    return float(config.beta)
-
-
 def record_beta(trace: dict, config: RegConfig, current, reference) -> float:
-    """:func:`resolve_beta` on the drifts of ``current`` from ``reference``,
-    also appended to ``trace["reg_beta"]``."""
-    beta = resolve_beta(config, word_drifts(current, reference))
+    """Threshold for the coming epoch, also appended to ``trace["reg_beta"]``:
+    the fixed value, or the mean drift of ``current`` from ``reference``."""
+    if isinstance(config.beta, str):
+        beta = float(word_drifts(current, reference).mean())
+    else:
+        beta = float(config.beta)
     trace.setdefault("reg_beta", []).append(beta)
     return beta

@@ -146,20 +146,18 @@ def generate(spec: SynthSpec) -> SynthResult:
     pool_arr = np.array(pool)
     topic_arrs = [np.array(ws) for ws in topic_words]
 
+    n_docs = -(-spec.tokens_per_slice // spec.doc_length)
+    n_planted_each = round(n_docs * spec.planted_doc_fraction)
+    n_normal = n_docs - n_planted_each * len(spec.planted_changes)
     raw_slices = []
     for t in range(spec.T):
         rng = np.random.default_rng([spec.seed, t, 0x517])
         docs = []
-        n_docs = -(-spec.tokens_per_slice // spec.doc_length)
-        n_planted_each = round(n_docs * spec.planted_doc_fraction)
-        planted_budget = {c.word: n_planted_each for c in spec.planted_changes}
-
         for c in spec.planted_changes:
             w_new = _new_topic_weight(c, t, spec.T)
-            for _ in range(planted_budget[c.word]):
+            for _ in range(n_planted_each):
                 docs.append(_planted_doc(rng, c, w_new, spec, pool_arr, pool_cdf,
                                          topic_arrs, topic_cdfs))
-        n_normal = n_docs - sum(planted_budget.values())
         if n_normal > 0:
             docs.extend(_normal_docs(rng, n_normal, spec, pool_arr, pool_cdf,
                                      topic_arrs, topic_cdfs))

@@ -1,4 +1,5 @@
 import configparser
+import csv
 import json
 import multiprocessing
 import os
@@ -145,6 +146,7 @@ def test_malformed_boundaries_are_one_error_line(pipeline, tmp_path, capsys):
     ("2000", "need at least two slice boundaries"),
     ("2002:2000", "2002 is not before 2000"),
     ("2000,2000", "slice boundaries must be strictly increasing"),
+    ("0000:0001", "year 0 is out of range"),
 ])
 def test_malformed_boundaries_are_usage_errors(pipeline, tmp_path, capsys, command, text,
                                                reason):
@@ -157,6 +159,18 @@ def test_malformed_boundaries_are_usage_errors(pipeline, tmp_path, capsys, comma
     assert err == (f"error: --boundaries {text!r}: {reason}; give YYYY:YYYY or a comma "
                    f"list of two or more increasing timestamps\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["build-vocab", "slice"])
+def test_manifest_year_0000_is_data_error(pipeline, tmp_path, capsys, command):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"0000\t{pipeline / 'corpus' / 'docs' / 't0' / 'd0.txt'}\n")
+    args = {"build-vocab": ["--out", tmp_path / "v.tsv"],
+            "slice": ["--vocab", pipeline / "vocab.tsv", "--out-prefix", tmp_path / "data"]}
+    assert run([command, "--manifest", manifest, "--boundaries", "2000:2003",
+                *args[command]]) == 2
+    assert capsys.readouterr() == ("", "data error: unparseable timestamp '0000'\n")
+    assert list(tmp_path.iterdir()) == [manifest]
 
 
 def test_pipeline_files_exist(pipeline):
@@ -324,6 +338,22 @@ class TestTrainEvalDrift:
         assert (drift_dir / "histogram.csv").exists()
         report = (drift_dir / "drift_report.txt").read_text()
         assert "directedness" in report and "stability_fraction" in report
+
+    def test_drift_csv_quotes_a_word_holding_a_comma_or_quote(self, pipeline, tmp_path):
+        lines = (pipeline / "vocab.tsv").read_text().splitlines(keepends=True)
+        lines[0] = 'a,"b' + lines[0][lines[0].index("\t"):]
+        vocab = tmp_path / "vocab.tsv"
+        vocab.write_text("".join(lines))
+        args = train_args(pipeline, tmp_path / "run")
+        args[args.index("--vocab") + 1] = vocab
+        assert run(args) == 0
+        assert run(["drift", "--run", tmp_path / "run", "--out", tmp_path / "out"]) == 0
+        with open(tmp_path / "out" / "drift.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        words = load_vocabulary(vocab).words
+        assert rows[0] == ["word", "t", "drift"]
+        assert [row[:2] for row in rows[1:]] == [[w, str(t)] for t in range(3) for w in words]
+        assert '"a,""b",0,0\n' in (tmp_path / "out" / "drift.csv").read_text()
 
     def test_single_bin_histogram_counts_vocabulary(self, pipeline, tmp_path):
         outdir = tmp_path / "run_bins"
@@ -1001,6 +1031,24 @@ def test_drift_reads_no_context_checkpoint(trained_runs, tmp_path, monkeypatch, 
     loads = record_loads(monkeypatch)
     assert run(["drift", "--run", rundir, "--out", tmp_path]) == 0
     assert loads == [runs.checkpoint_path(rundir, model, "word", t) for t in range(3)]
+
+
+@pytest.mark.parametrize("command", ["eval", "drift"])
+@pytest.mark.parametrize("model", ["isg", "dsg", "dbe"])
+def test_manifest_t_past_the_checkpoints_is_data_error(trained_runs, tmp_path, command, model):
+    # a fresh interpreter with a timeout, so that a loader that builds
+    # anything per slice before it reads the first missing one fails here
+    # instead of running until it is killed
+    rundir = tmp_path / "run"
+    shutil.copytree(trained_runs[model], rundir)
+    edit_manifest(rundir, lambda m: m.update(T=10**12))
+    src = Path(runs.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom driftvec.cli import main\nsys.exit(main())",
+         command, "--run", str(rundir)],
+        capture_output=True, text=True, timeout=15, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (result.returncode, result.stderr) == (
+        2, f"data error: missing checkpoint {runs.checkpoint_path(rundir, model, 'word', 3)}\n")
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -398,7 +398,7 @@ def serial_filter_step(slice_docs, vocab, prev_means, params, config, slice_inde
         total_pos, minibatches = epoch_batches(slice_docs, vocab, config, slice_index, epoch)
         eps_rng = np.random.default_rng([config.seed, slice_index, epoch, 3])
         if reg is not None:
-            betas.append(shrinkreg.resolve_beta(reg, shrinkreg.word_drifts(mus[0], ref_mean)))
+            betas.append(shrinkreg.record_beta({}, reg, mus[0], ref_mean))
         lpos_sum = 0.0
         for centers, contexts, labels in list(minibatches) or [(np.empty(0, dtype=np.int64),) * 3]:
             frac = (int(labels.sum()) / total_pos) if total_pos else 1.0

@@ -3,10 +3,13 @@
 The round trip is a reduced form of ``scripts/roundtrip_digest.py``'s,
 run by that script's runner: one fresh interpreter per command, and one
 digest line per command and per file written. One small ``synth``
-corpus is built into a vocabulary and sliced; each model then trains
-once from random init (``--dim 8 --epochs 2``), followed by ``eval``,
-``drift`` and one ``export``; and a copy of the dbe run without its
-``.npy`` twins gets one ``eval``, so the loader parses text too.
+corpus with a planted change is built into a vocabulary and sliced;
+each model then trains once from random init (``--dim 8 --epochs 2``),
+followed by ``eval``, ``drift`` and one ``export``. dsg and dbe train
+twice more with the drift penalty: from internal init with the ``mean``
+threshold, and from random init with a fixed one. A copy of the dbe run
+without its ``.npy`` twins gets one ``eval``, so the loader parses text
+too.
 
 The digest is compared with the one pinned under ``tests/pins/`` for
 this numpy version and the dispatch level the commands run at: the
@@ -47,7 +50,8 @@ DATA = ["--vocab", "demo/vocab.tsv", "--train", "demo/data.train.json",
 def steps():
     """The reduced round trip, in the steps ``roundtrip_digest.run`` takes."""
     yield ["synth", "--out", "demo", "--vocab-size", "60", "--slices", str(SLICES),
-           "--tokens-per-slice", "3000", "--doc-length", "50", "--seed", "1"]
+           "--tokens-per-slice", "3000", "--doc-length", "50", "--seed", "1",
+           "--change", "w0059:1:0:1:abrupt"]
     yield ["build-vocab", "--manifest", "demo/manifest.tsv",
            "--boundaries", f"2000:{2000 + SLICES}", "--out", "demo/vocab.tsv"]
     yield ["slice", "--manifest", "demo/manifest.tsv", "--vocab", "demo/vocab.tsv",
@@ -61,6 +65,11 @@ def steps():
         yield ["drift", "--run", run, "--t0", "0", "--bins", "10", "--out", f"analysis/{model}"]
         yield ["export", "--run", run, "--slice", str(SLICES - 1), "--role", "context",
                "--out", f"exports/{model}.context.vec"]
+    for model in ("dsg", "dbe"):
+        for name, flags in (("internal", roundtrip_digest.INITS["internal"](model)),
+                            ("beta", ["--reg-alpha", "0.1", "--reg-beta", "0.05"])):
+            yield ["train", "--model", model, "--out", f"runs/{model}-{name}", *DATA,
+                   "--dim", "8", "--epochs", "2", "--seed", "0", *flags]
     yield roundtrip_digest.TextCopy("runs/dbe", "runs/dbe-text")
     yield ["eval", "--run", "runs/dbe-text", "--split", "test"]
 

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from driftvec.shrinkreg import (RegConfig, drift_regularizer_grad, resolve_beta,
-                                word_drifts)
+from driftvec.shrinkreg import RegConfig, drift_regularizer_grad, record_beta, word_drifts
 
 from reference import drift_regularizer, hardshrink
 from test_sgns import finite_difference
@@ -88,11 +87,15 @@ class TestGradient:
 class TestRegConfig:
     def test_mean_sentinel(self):
         cfg = RegConfig(alpha=0.5, beta="mean")
-        assert resolve_beta(cfg, np.array([1.0, 2.0, 3.0])) == 2.0
+        trace = {}
+        assert record_beta(trace, cfg, np.array([[1.0], [2.0], [3.0]]), np.zeros((3, 1))) == 2.0
+        assert trace == {"reg_beta": [2.0]}
 
     def test_fixed_beta(self):
         cfg = RegConfig(alpha=0.5, beta=0.25)
-        assert resolve_beta(cfg, np.array([1.0, 9.0])) == 0.25
+        trace = {}
+        assert record_beta(trace, cfg, np.array([[1.0], [9.0]]), np.zeros((2, 1))) == 0.25
+        assert trace == {"reg_beta": [0.25]}
 
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValueError):
