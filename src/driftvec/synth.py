@@ -11,15 +11,16 @@ distribution moves from its old to its new topic on the schedule below:
   (``change_slice`` records the nominal midpoint)
 
 Token draws inside each group follow a rank-power distribution so
-frequencies are skewed like natural text.
+frequencies are skewed like natural text. Every draw is a word id; the
+names of :func:`word_names` appear only in ``raw_slices``.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import (TimeSlicedCorpus, Vocabulary, build_vocabulary, check_seed,
-                     encode_sliced_docs)
+from .corpus import TimeSlicedCorpus, Vocabulary, check_seed
 
 ABRUPT = "abrupt"
 GRADUAL = "gradual"
@@ -29,13 +30,17 @@ POOL_VOCAB_FRACTION = 0.3  # share of the vocabulary reserved for the pool
 PLANTED_PERIOD = 3         # a planted word occupies every k-th position of its documents
 
 
+def _check_skew(name, skew):
+    if not 0 <= skew < math.inf:        # NaN fails both comparisons
+        raise ValueError(f"{name} must be a finite number >= 0, not {skew}")
+
+
 @dataclass(frozen=True)
 class TopicProfile:
     skew: float = 1.0     # token probability ~ 1 / rank^skew within the topic
 
     def __post_init__(self):
-        if self.skew < 0:
-            raise ValueError("skew must be >= 0")
+        _check_skew("skew", self.skew)
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,16 @@ class SynthSpec:
             raise ValueError("tokens_per_slice must cover at least one document")
         if len(self.topics) < 1:
             raise ValueError("need at least one topic")
+        _check_skew("pool_skew", self.pool_skew)
+        if not 0 <= self.planted_doc_fraction <= 1:
+            raise ValueError(f"planted_doc_fraction must lie in [0, 1], "
+                             f"not {self.planted_doc_fraction}")
+        n_docs, n_planted_each = _slice_docs(self)
+        n_planted = n_planted_each * len(self.planted_changes)
+        if n_planted > n_docs:
+            raise ValueError(
+                f"{len(self.planted_changes)} planted changes take {n_planted} documents "
+                f"per slice, more than the slice's {n_docs}")
         words = [c.word for c in self.planted_changes]
         if len(set(words)) != len(words):
             raise ValueError("planted words must be distinct")
@@ -93,6 +108,12 @@ class SynthResult:
     vocab: Vocabulary
     changes: tuple          # PlantedChange entries, the changed partition
     raw_slices: list        # per slice, list of token-string documents
+
+
+def _slice_docs(spec):
+    """Documents per slice, and the planted documents of each change."""
+    n_docs = -(-spec.tokens_per_slice // spec.doc_length)
+    return n_docs, round(n_docs * spec.planted_doc_fraction)
 
 
 def word_names(vocab_size: int):
@@ -123,18 +144,21 @@ def generate(spec: SynthSpec) -> SynthResult:
     """Build the corpus, its vocabulary, and the change/stable partition.
 
     Deterministic given ``spec.seed``; each slice draws from its own
-    derived stream so slices could be generated independently.
+    derived stream so slices could be generated independently. The
+    vocabulary ranks the words that occur by total count, then by name,
+    as :func:`~driftvec.corpus.build_vocabulary` does on ``raw_slices``.
     """
     spec.validate()
     names = word_names(spec.vocab_size)
-    planted = {c.word for c in spec.planted_changes}
+    planted_ids = []
     for c in spec.planted_changes:
         if c.word not in names:
             raise ValueError(f"planted word {c.word!r} is not a generated vocabulary word")
+        planted_ids.append(names.index(c.word))
 
     pool_size = max(2, round(spec.vocab_size * POOL_VOCAB_FRACTION))
-    pool = [w for w in names[:pool_size] if w not in planted]
-    rest = [w for w in names[pool_size:] if w not in planted]
+    pool = np.setdiff1d(np.arange(pool_size), planted_ids)
+    rest = np.setdiff1d(np.arange(pool_size, spec.vocab_size), planted_ids)
     K = len(spec.topics)
     if len(rest) < K:
         raise ValueError("vocabulary too small for the requested topics")
@@ -143,65 +167,76 @@ def generate(spec: SynthSpec) -> SynthResult:
     pool_cdf = _rank_power_cdf(len(pool), spec.pool_skew)
     topic_cdfs = [_rank_power_cdf(len(topic_words[k]), spec.topics[k].skew)
                   for k in range(K)]
-    pool_arr = np.array(pool)
-    topic_arrs = [np.array(ws) for ws in topic_words]
 
-    n_docs = -(-spec.tokens_per_slice // spec.doc_length)
-    n_planted_each = round(n_docs * spec.planted_doc_fraction)
+    n_docs, n_planted_each = _slice_docs(spec)
     n_normal = n_docs - n_planted_each * len(spec.planted_changes)
-    raw_slices = []
+    id_slices = []
     for t in range(spec.T):
         rng = np.random.default_rng([spec.seed, t, 0x517])
         docs = []
-        for c in spec.planted_changes:
+        for c, word_id in zip(spec.planted_changes, planted_ids):
             w_new = _new_topic_weight(c, t, spec.T)
             for _ in range(n_planted_each):
-                docs.append(_planted_doc(rng, c, w_new, spec, pool_arr, pool_cdf,
-                                         topic_arrs, topic_cdfs))
+                docs.append(_planted_doc(rng, c, word_id, w_new, spec, pool, pool_cdf,
+                                         topic_words, topic_cdfs))
         if n_normal > 0:
-            docs.extend(_normal_docs(rng, n_normal, spec, pool_arr, pool_cdf,
-                                     topic_arrs, topic_cdfs))
-        order = rng.permutation(len(docs))
-        raw_slices.append([docs[i] for i in order])
+            docs.append(_normal_docs(rng, n_normal, spec, pool, pool_cdf,
+                                     topic_words, topic_cdfs))
+        # every document holds exactly doc_length tokens, so a slice is
+        # one (documents, doc_length) array
+        ids = np.concatenate(docs).reshape(-1, spec.doc_length)
+        id_slices.append(ids[rng.permutation(len(ids))])
 
-    vocab = build_vocabulary(raw_slices, set(), spec.vocab_size)
-    corpus = encode_sliced_docs(raw_slices, vocab)
+    counts = np.bincount(np.concatenate([ids.ravel() for ids in id_slices]),
+                         minlength=spec.vocab_size)
+    # word_names pads every name to one width, so id order is name order
+    # and a stable sort on the count breaks ties by name
+    ranked = np.argsort(-counts, kind="stable")
+    ranked = ranked[counts[ranked] > 0]
+    vocab_id = np.empty(spec.vocab_size, dtype=np.int64)
+    vocab_id[ranked] = np.arange(len(ranked))
+    vocab = Vocabulary(words=tuple(names[i] for i in ranked),
+                       total_count=counts[ranked])
+    corpus = TimeSlicedCorpus(slices=tuple(tuple(vocab_id[ids]) for ids in id_slices))
+    name_of = np.array(names, dtype=object)
+    raw_slices = [name_of[ids].tolist() for ids in id_slices]
     return SynthResult(corpus=corpus, vocab=vocab,
                        changes=tuple(spec.planted_changes), raw_slices=raw_slices)
 
 
-def _normal_docs(rng, n_docs, spec, pool_arr, pool_cdf, topic_arrs, topic_cdfs):
-    K = len(topic_arrs)
+def _normal_docs(rng, n_docs, spec, pool, pool_cdf, topic_words, topic_cdfs):
+    """``n_docs`` documents of word ids, joined into one flat array."""
+    K = len(topic_words)
     dl = spec.doc_length
     total = n_docs * dl
     doc_topic = rng.integers(0, K, size=n_docs)
     token_topic = np.repeat(doc_topic, dl)
     from_pool = rng.random(total) < POOL_FRACTION
-    out = np.empty(total, dtype=object)
-    out[from_pool] = pool_arr[_draw(rng, pool_cdf, int(from_pool.sum()))]
+    out = np.empty(total, dtype=np.int64)
+    out[from_pool] = pool[_draw(rng, pool_cdf, int(from_pool.sum()))]
     for k in range(K):
         mask = (~from_pool) & (token_topic == k)
-        out[mask] = topic_arrs[k][_draw(rng, topic_cdfs[k], int(mask.sum()))]
-    return [list(out[i * dl:(i + 1) * dl]) for i in range(n_docs)]
+        out[mask] = topic_words[k][_draw(rng, topic_cdfs[k], int(mask.sum()))]
+    return out
 
 
-def _planted_doc(rng, change, new_weight, spec, pool_arr, pool_cdf,
-                 topic_arrs, topic_cdfs):
+def _planted_doc(rng, change, word_id, new_weight, spec, pool, pool_cdf,
+                 topic_words, topic_cdfs):
     dl = spec.doc_length
-    tokens = np.empty(dl, dtype=object)
+    tokens = np.empty(dl, dtype=np.int64)
     slots = np.arange(dl) % PLANTED_PERIOD == 0
     n_ctx = int((~slots).sum())
     from_pool = rng.random(n_ctx) < POOL_FRACTION
     use_new = rng.random(n_ctx) < new_weight
-    ctx = np.empty(n_ctx, dtype=object)
+    ctx = np.empty(n_ctx, dtype=np.int64)
     n_pool = int(from_pool.sum())
-    ctx[from_pool] = pool_arr[_draw(rng, pool_cdf, n_pool)]
+    ctx[from_pool] = pool[_draw(rng, pool_cdf, n_pool)]
     for topic, mask in ((change.new_topic, (~from_pool) & use_new),
                         (change.old_topic, (~from_pool) & ~use_new)):
-        ctx[mask] = topic_arrs[topic][_draw(rng, topic_cdfs[topic], int(mask.sum()))]
-    tokens[slots] = change.word
+        ctx[mask] = topic_words[topic][_draw(rng, topic_cdfs[topic], int(mask.sum()))]
+    tokens[slots] = word_id
     tokens[~slots] = ctx
-    return list(tokens)
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
 """Dense reference objectives that the tests check the trainers' row-sparse
 fast paths against. A batch is the ``(centers, contexts, labels)`` triple
 the trainers use. Also the interleaved epoch stream that the trainers'
-lazily built minibatches are checked against, and the row-at-a-time
-text writers that the block encoder's bytes are checked against.
+lazily built minibatches are checked against, the row-at-a-time
+text writers that the block encoder's bytes are checked against, and
+the token-string ``synth`` generator that the id path is checked against.
 """
 
 import numpy as np
 
 from driftvec.adam import BETA1, BETA2, EPSILON
-from driftvec.corpus import noise_distribution
+from driftvec.corpus import build_vocabulary, encode_sliced_docs, noise_distribution
 from driftvec.dbe import DbeParams, dbe_prior
 from driftvec.sgns import log_sigmoid, sigmoid
 from driftvec.shrinkreg import word_drifts
+from driftvec.synth import (POOL_FRACTION, POOL_VOCAB_FRACTION, PLANTED_PERIOD, SynthResult,
+                            _draw, _new_topic_weight, _rank_power_cdf, word_names)
 
 
 def _pair_scores(batch, U, V):
@@ -153,3 +156,86 @@ def save_adam_state(state, path) -> None:
         for mat in (state.m, state.v):
             for row in mat:
                 fh.write(line % tuple(row.tolist()))
+
+
+def synth_generate(spec):
+    """``synth.generate`` drawing token strings, counting them with a
+    ``Counter`` and encoding them through a dict: the oracle of the id
+    path."""
+    spec.validate()
+    names = word_names(spec.vocab_size)
+    planted = {c.word for c in spec.planted_changes}
+    for c in spec.planted_changes:
+        if c.word not in names:
+            raise ValueError(f"planted word {c.word!r} is not a generated vocabulary word")
+
+    pool_size = max(2, round(spec.vocab_size * POOL_VOCAB_FRACTION))
+    pool = [w for w in names[:pool_size] if w not in planted]
+    rest = [w for w in names[pool_size:] if w not in planted]
+    K = len(spec.topics)
+    if len(rest) < K:
+        raise ValueError("vocabulary too small for the requested topics")
+    topic_words = [rest[k::K] for k in range(K)]
+
+    pool_cdf = _rank_power_cdf(len(pool), spec.pool_skew)
+    topic_cdfs = [_rank_power_cdf(len(topic_words[k]), spec.topics[k].skew)
+                  for k in range(K)]
+    pool_arr = np.array(pool)
+    topic_arrs = [np.array(ws) for ws in topic_words]
+
+    n_docs = -(-spec.tokens_per_slice // spec.doc_length)
+    n_planted_each = round(n_docs * spec.planted_doc_fraction)
+    n_normal = n_docs - n_planted_each * len(spec.planted_changes)
+    raw_slices = []
+    for t in range(spec.T):
+        rng = np.random.default_rng([spec.seed, t, 0x517])
+        docs = []
+        for c in spec.planted_changes:
+            w_new = _new_topic_weight(c, t, spec.T)
+            for _ in range(n_planted_each):
+                docs.append(_synth_planted_doc(rng, c, w_new, spec, pool_arr, pool_cdf,
+                                               topic_arrs, topic_cdfs))
+        if n_normal > 0:
+            docs.extend(_synth_normal_docs(rng, n_normal, spec, pool_arr, pool_cdf,
+                                           topic_arrs, topic_cdfs))
+        order = rng.permutation(len(docs))
+        raw_slices.append([docs[i] for i in order])
+
+    vocab = build_vocabulary(raw_slices, set(), spec.vocab_size)
+    corpus = encode_sliced_docs(raw_slices, vocab)
+    return SynthResult(corpus=corpus, vocab=vocab,
+                       changes=tuple(spec.planted_changes), raw_slices=raw_slices)
+
+
+def _synth_normal_docs(rng, n_docs, spec, pool_arr, pool_cdf, topic_arrs, topic_cdfs):
+    K = len(topic_arrs)
+    dl = spec.doc_length
+    total = n_docs * dl
+    doc_topic = rng.integers(0, K, size=n_docs)
+    token_topic = np.repeat(doc_topic, dl)
+    from_pool = rng.random(total) < POOL_FRACTION
+    out = np.empty(total, dtype=object)
+    out[from_pool] = pool_arr[_draw(rng, pool_cdf, int(from_pool.sum()))]
+    for k in range(K):
+        mask = (~from_pool) & (token_topic == k)
+        out[mask] = topic_arrs[k][_draw(rng, topic_cdfs[k], int(mask.sum()))]
+    return [list(out[i * dl:(i + 1) * dl]) for i in range(n_docs)]
+
+
+def _synth_planted_doc(rng, change, new_weight, spec, pool_arr, pool_cdf,
+                       topic_arrs, topic_cdfs):
+    dl = spec.doc_length
+    tokens = np.empty(dl, dtype=object)
+    slots = np.arange(dl) % PLANTED_PERIOD == 0
+    n_ctx = int((~slots).sum())
+    from_pool = rng.random(n_ctx) < POOL_FRACTION
+    use_new = rng.random(n_ctx) < new_weight
+    ctx = np.empty(n_ctx, dtype=object)
+    n_pool = int(from_pool.sum())
+    ctx[from_pool] = pool_arr[_draw(rng, pool_cdf, n_pool)]
+    for topic, mask in ((change.new_topic, (~from_pool) & use_new),
+                        (change.old_topic, (~from_pool) & ~use_new)):
+        ctx[mask] = topic_arrs[topic][_draw(rng, topic_cdfs[topic], int(mask.sum()))]
+    tokens[slots] = change.word
+    tokens[~slots] = ctx
+    return list(tokens)

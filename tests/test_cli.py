@@ -262,6 +262,19 @@ def test_negative_seed_is_usage_error(pipeline, tmp_path, capsys, command, seed)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_planted_documents_over_a_slice_is_usage_error(tmp_path, capsys):
+    # each change takes round(100 * 0.04) = 4 of a slice's 100 documents
+    changes = [arg for i in range(170, 200) for arg in ("--change", f"w{i:04d}:1:0:1:abrupt")]
+    assert run(["synth", "--out", tmp_path / "corpus", "--vocab-size", "200",
+                "--slices", "2", "--tokens-per-slice", "1200", "--doc-length", "12",
+                *changes]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: 30 planted changes take 120 documents per slice, "
+                   "more than the slice's 100\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_vocab_warns_when_max_size_exceeds_distinct(pipeline, tmp_path):
     with pytest.warns(UserWarning, match="exceeds"):
         code = run(["build-vocab",

@@ -3,7 +3,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from driftvec.synth import PlantedChange, SynthSpec, generate, word_names, write_synth_corpus
+from driftvec.corpus import build_vocabulary, encode_sliced_docs
+from driftvec.synth import (PlantedChange, SynthSpec, TopicProfile, generate, word_names,
+                            write_synth_corpus)
+
+from reference import synth_generate
 
 
 def small_spec(**kwargs):
@@ -118,6 +122,88 @@ class TestValidation:
     def test_doc_length_below_one(self, length):
         with pytest.raises(ValueError, match="doc_length must be >= 1"):
             generate(small_spec(doc_length=length))
+
+    @pytest.mark.parametrize("fraction", [-0.5, 2.0, float("nan")])
+    def test_planted_doc_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match=r"planted_doc_fraction must lie in \[0, 1\]"):
+            generate(small_spec(planted_doc_fraction=fraction))
+
+    def test_planted_documents_over_a_slice(self):
+        changes = [planted(word=f"w{i:04d}", change_slice=1) for i in range(170, 200)]
+        with pytest.raises(ValueError, match="30 planted changes take 120 documents per "
+                                             "slice, more than the slice's 100"):
+            generate(small_spec(vocab_size=200, T=2, tokens_per_slice=1200,
+                                planted_changes=changes))
+
+    def test_planted_documents_may_fill_a_slice(self):
+        changes = [planted(word=f"w{i:04d}", change_slice=1) for i in range(175, 200)]
+        result = generate(small_spec(vocab_size=200, T=2, tokens_per_slice=1200,
+                                     planted_changes=changes))
+        assert result.corpus.doc_counts() == [100, 100]
+        assert all(doc[0] in {c.word for c in changes}
+                   for docs in result.raw_slices for doc in docs)
+
+    @pytest.mark.parametrize("skew", [-1.0, float("nan"), float("inf")])
+    def test_topic_skew_must_be_finite_and_non_negative(self, skew):
+        with pytest.raises(ValueError, match="skew must be a finite number >= 0"):
+            TopicProfile(skew=skew)
+
+    @pytest.mark.parametrize("skew", [-1.0, float("nan"), float("inf")])
+    def test_pool_skew_must_be_finite_and_non_negative(self, skew):
+        with pytest.raises(ValueError, match="pool_skew must be a finite number >= 0"):
+            generate(small_spec(pool_skew=skew))
+
+
+def gradual(word, change_slice=1):
+    return planted(word=word, change_slice=change_slice, mode="gradual")
+
+
+ORACLE_SPECS = {
+    "count-ties": dict(vocab_size=60, T=2, tokens_per_slice=120),
+    "unseen-words": dict(vocab_size=500, T=1, tokens_per_slice=60),
+    "five-digit-names": dict(vocab_size=10001, T=2, tokens_per_slice=3000),
+    "abrupt": dict(planted_changes=[planted()]),
+    "gradual": dict(T=4, planted_changes=[gradual("w0059"), gradual("w0003", 2)]),
+    "one-topic": dict(topics=[TopicProfile()], planted_changes=[
+        PlantedChange(word="w0030", change_slice=1, old_topic=0, new_topic=0)]),
+    "three-topics": dict(topics=[TopicProfile(0.5), TopicProfile(), TopicProfile(2.0)],
+                         planted_changes=[PlantedChange(word="w0040", change_slice=3,
+                                                        old_topic=2, new_topic=0)]),
+    "skew-0": dict(topics=[TopicProfile(0.0), TopicProfile(0.0)], pool_skew=0.0,
+                   planted_changes=[planted()]),
+    "doc-length-7": dict(doc_length=7, tokens_per_slice=1000, planted_changes=[gradual("w0010")]),
+    "all-planted": dict(T=2, tokens_per_slice=1200, planted_doc_fraction=0.5,
+                        planted_changes=[planted(change_slice=1), gradual("w0001")]),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_SPECS)
+def test_ids_match_the_token_string_oracle(name):
+    spec = small_spec(**ORACLE_SPECS[name])
+    got, want = generate(spec), synth_generate(spec)
+    assert got.vocab.words == want.vocab.words
+    assert got.vocab.total_count.dtype == want.vocab.total_count.dtype
+    np.testing.assert_array_equal(got.vocab.total_count, want.vocab.total_count)
+    assert got.raw_slices == want.raw_slices
+    assert got.changes == want.changes
+    assert got.corpus.T == want.corpus.T
+    for got_docs, want_docs in zip(got.corpus.slices, want.corpus.slices):
+        assert len(got_docs) == len(want_docs)
+        for a, b in zip(got_docs, want_docs):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+    # the path build-vocab and slice take on the written corpus
+    built = build_vocabulary(got.raw_slices, set(), spec.vocab_size)
+    assert built.words == got.vocab.words
+    np.testing.assert_array_equal(built.total_count, got.vocab.total_count)
+    rebuilt = encode_sliced_docs(got.raw_slices, got.vocab)
+    for got_docs, rebuilt_docs in zip(got.corpus.slices, rebuilt.slices):
+        for a, b in zip(got_docs, rebuilt_docs):
+            np.testing.assert_array_equal(a, b)
+    if name == "count-ties":
+        assert (np.diff(got.vocab.total_count) == 0).any()
+    if name == "unseen-words":
+        assert got.vocab.size < spec.vocab_size
 
 
 class TestFileOutput:
