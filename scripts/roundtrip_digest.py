@@ -32,7 +32,13 @@ year, and each model trains on it for two epochs, followed by ``eval``
 and ``drift``. Every synth year holds the same number of documents, so
 this is the digest's only pair of non-empty slices with different
 document counts, and dbe's sweeps over them have unequal minibatch
-counts. Four usage errors close it: ``slice --holdout nan``, ``export``
+counts. Then the 40 most frequent words get their own vocabulary
+(``build-vocab --max-size 40``) and an unsplit corpus; an isg run on it
+is exported at its last slice, and dsg and dbe train from that file by
+``backward-external`` init over the 200-word vocabulary, each followed
+by ``eval`` and ``drift``. The file covers 40 of the 200 words, so the
+other rows are drawn at random and stderr carries the coverage warning.
+Four usage errors close it: ``slice --holdout nan``, ``export``
 of a slice past the run's last, and ``drift`` with a reference slice
 past the last or with ``--bins 0``. Every command runs in a fresh
 interpreter with ``DIR`` as its working directory and relative paths, so
@@ -157,6 +163,21 @@ def commands():
         yield ["eval", "--run", run, "--split", "valid"]
         yield ["drift", "--run", run, "--t0", "0", "--bins", "60",
                "--out", f"analysis/{model}-uneven"]
+    yield ["build-vocab", "--manifest", "demo/manifest.tsv", "--boundaries", "2000:2004",
+           "--max-size", "40", "--out", "demo/top40.tsv"]
+    yield ["slice", "--manifest", "demo/manifest.tsv", "--vocab", "demo/top40.tsv",
+           "--boundaries", "2000:2004", "--holdout", "0", "--out-prefix", "demo/top40"]
+    yield ["train", "--model", "isg", "--out", "runs/isg-top40", "--vocab", "demo/top40.tsv",
+           "--train", "demo/top40.full.json", "--dim", "16", "--epochs", "10", "--seed", "0"]
+    yield ["export", "--run", "runs/isg-top40", "--slice", str(SLICES - 1),
+           "--out", "exports/top40.vec"]
+    for model in ("dsg", "dbe"):
+        run = f"runs/{model}-partial"
+        yield ["train", "--model", model, "--out", run, *DATA, "--dim", "16", "--epochs", "10",
+               "--seed", "0", "--init", "backward-external", "--pretrained", "exports/top40.vec"]
+        yield ["eval", "--run", run, "--split", "valid"]
+        yield ["drift", "--run", run, "--t0", "0", "--bins", "60",
+               "--out", f"analysis/{model}-partial"]
     yield ["slice", "--manifest", "demo/manifest.tsv", "--vocab", "demo/vocab.tsv",
            "--boundaries", "2000:2004", "--holdout", "nan", "--out-prefix", "demo/nan"]
     yield ["export", "--run", "runs/isg-random", "--slice", str(SLICES),

@@ -44,17 +44,6 @@ class InitScheme:
             raise ValueError("backward_external requires pretrained_path")
 
 
-@dataclass(frozen=True)
-class PretrainedCoverage:
-    covered: int
-    total: int
-    missing_words: tuple
-
-    @property
-    def fraction(self) -> float:
-        return self.covered / self.total
-
-
 def init_random(L: int, d: int, seed: int, model_kind: str):
     """Fresh initial matrices for a model family.
 
@@ -112,9 +101,9 @@ def load_pretrained(path, vocab: Vocabulary, oov_seed: int,
                     expected_dim: int | None = None):
     """Fill an (L, d) matrix from a pretrained word-vector text file.
 
-    Rows for words absent from the file are drawn from N(0, 0.1^2) with
-    ``oov_seed`` so ties are broken deterministically. Returns
-    ``(matrix, PretrainedCoverage)``.
+    Rows for vocabulary words absent from the file are drawn from
+    N(0, 0.1^2) under ``oov_seed``, in vocabulary order. Returns
+    ``(matrix, missing_words)``, the list of those words.
     """
     try:
         words, matrix = load_embedding_text(path)
@@ -129,20 +118,14 @@ def load_pretrained(path, vocab: Vocabulary, oov_seed: int,
         first = lookup.setdefault(word, i)
         if first != i:
             raise DataError(f"{path}:{i + 2}: word {word!r} repeats the row on line {first + 2}")
+    rows = np.array([lookup.get(word, -1) for word in vocab.words], dtype=np.int64)
+    missing = rows < 0
     out = np.empty((vocab.size, dim))
+    out[~missing] = matrix[rows[~missing]]
+    # one block draw gives the values of one draw per missing row, in order
     rng = np.random.default_rng([oov_seed, 0x00f])
-    missing = []
-    for i, word in enumerate(vocab.words):
-        j = lookup.get(word)
-        if j is None:
-            missing.append(word)
-            out[i] = rng.normal(0.0, OOV_SIGMA, size=dim)
-        else:
-            out[i] = matrix[j]
-    coverage = PretrainedCoverage(covered=vocab.size - len(missing),
-                                  total=vocab.size,
-                                  missing_words=tuple(missing))
-    return out, coverage
+    out[missing] = rng.normal(0.0, OOV_SIGMA, size=(int(missing.sum()), dim))
+    return out, [vocab.words[i] for i in np.flatnonzero(missing)]
 
 
 def apply_scheme(scheme: InitScheme, model_kind: str, corpus: TimeSlicedCorpus,
@@ -170,11 +153,11 @@ def apply_scheme(scheme: InitScheme, model_kind: str, corpus: TimeSlicedCorpus,
     if scheme.kind == INTERNAL:
         return init_internal(corpus, vocab, config, model_kind, model_params), direction
 
-    pretrained, coverage = load_pretrained(scheme.pretrained_path, vocab,
-                                           config.seed, expected_dim=config.dim)
-    if coverage.fraction < 1.0:
+    pretrained, missing = load_pretrained(scheme.pretrained_path, vocab,
+                                          config.seed, expected_dim=config.dim)
+    if missing:
         warnings.warn(
-            f"pretrained file covers {coverage.covered}/{coverage.total} words; "
+            f"pretrained file covers {vocab.size - len(missing)}/{vocab.size} words; "
             "missing rows were seeded randomly", stacklevel=2)
     return (pretrained, pretrained.copy()), (
         direction if model_kind == "dbe" else isg_mod.BACKWARD)

@@ -81,9 +81,7 @@ def _dump_json(payload, path) -> None:
 
 
 def write_manifest(rundir, payload: dict) -> None:
-    rundir = Path(rundir)
-    rundir.mkdir(parents=True, exist_ok=True)
-    _replace_into(rundir / "run.json", partial(_dump_json, payload))
+    _replace_into(Path(rundir) / "run.json", partial(_dump_json, payload))
 
 
 class TextFile(NamedTuple):

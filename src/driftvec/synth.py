@@ -158,6 +158,8 @@ def generate(spec: SynthSpec) -> SynthResult:
 
     pool_size = max(2, round(spec.vocab_size * POOL_VOCAB_FRACTION))
     pool = np.setdiff1d(np.arange(pool_size), planted_ids)
+    if len(pool) == 0:
+        raise ValueError(f"the planted words take all {pool_size} shared-pool words")
     rest = np.setdiff1d(np.arange(pool_size, spec.vocab_size), planted_ids)
     K = len(spec.topics)
     if len(rest) < K:

@@ -2,8 +2,10 @@
 fast paths against. A batch is the ``(centers, contexts, labels)`` triple
 the trainers use. Also the interleaved epoch stream that the trainers'
 lazily built minibatches are checked against, the row-at-a-time
-text writers that the block encoder's bytes are checked against, and
-the token-string ``synth`` generator that the id path is checked against.
+text writers that the block encoder's bytes are checked against, the
+token-string ``synth`` generator that the id path is checked against, and
+the per-word fill of a pretrained matrix that ``inits.load_pretrained``'s
+one gather and one block draw are checked against.
 """
 
 import numpy as np
@@ -11,7 +13,8 @@ import numpy as np
 from driftvec.adam import BETA1, BETA2, EPSILON
 from driftvec.corpus import build_vocabulary, encode_sliced_docs, noise_distribution
 from driftvec.dbe import DbeParams, dbe_prior
-from driftvec.sgns import log_sigmoid, sigmoid
+from driftvec.inits import OOV_SIGMA
+from driftvec.sgns import load_embedding_text, log_sigmoid, sigmoid
 from driftvec.shrinkreg import word_drifts
 from driftvec.synth import (POOL_FRACTION, POOL_VOCAB_FRACTION, PLANTED_PERIOD, SynthResult,
                             _draw, _new_topic_weight, _rank_power_cdf, word_names)
@@ -143,6 +146,26 @@ def save_embedding_text(path, words, matrix) -> None:
         fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
         for word, row in zip(words, matrix):
             fh.write(line % (word, *row.tolist()))
+
+
+def load_pretrained(path, vocab, oov_seed):
+    """The pretrained matrix filled a word at a time, one draw per word the
+    file lacks: the oracle of ``inits.load_pretrained``. Returns
+    ``(matrix, missing_words)``."""
+    words, matrix = load_embedding_text(path)
+    lookup = {word: i for i, word in enumerate(words)}
+    dim = matrix.shape[1]
+    out = np.empty((vocab.size, dim))
+    rng = np.random.default_rng([oov_seed, 0x00f])
+    missing = []
+    for i, word in enumerate(vocab.words):
+        j = lookup.get(word)
+        if j is None:
+            missing.append(word)
+            out[i] = rng.normal(0.0, OOV_SIGMA, size=dim)
+        else:
+            out[i] = matrix[j]
+    return out, missing
 
 
 def save_adam_state(state, path) -> None:

@@ -275,6 +275,16 @@ def test_synth_planted_documents_over_a_slice_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_synth_planted_words_taking_the_whole_pool_is_usage_error(tmp_path, capsys):
+    changes = [arg for i in range(3) for arg in ("--change", f"w{i:04d}:1:0:1:abrupt")]
+    assert run(["synth", "--out", tmp_path / "corpus", "--vocab-size", "10",
+                "--slices", "2", "--tokens-per-slice", "100", *changes]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the planted words take all 3 shared-pool words\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_vocab_warns_when_max_size_exceeds_distinct(pipeline, tmp_path):
     with pytest.warns(UserWarning, match="exceeds"):
         code = run(["build-vocab",

@@ -11,6 +11,7 @@ from driftvec.inits import (BACKWARD_EXTERNAL, InitScheme, apply_scheme,
 from driftvec.isg import train_slice
 from driftvec.sgns import TrainConfig, save_embedding_text, sigmoid
 
+import reference
 from conftest import toy_corpus
 
 
@@ -117,8 +118,8 @@ class TestLoadPretrained:
         vocab, _ = toy_corpus([["a b c a b a"]])
         path = tmp_path / "pre.vec"
         matrix = self._write(path, ["a", "b", "c"])
-        out, coverage = load_pretrained(path, vocab, oov_seed=0)
-        assert coverage.fraction == 1.0
+        out, missing = load_pretrained(path, vocab, oov_seed=0)
+        assert missing == []
         np.testing.assert_array_equal(out[vocab.id_of["a"]],
                                       matrix[0])
 
@@ -128,14 +129,27 @@ class TestLoadPretrained:
         vocab, _ = toy_corpus([[docs]])
         path = tmp_path / "pre.vec"
         self._write(path, words[:7])
-        out, coverage = load_pretrained(path, vocab, oov_seed=3)
-        assert coverage.covered == 7
-        assert coverage.fraction == pytest.approx(0.7)
-        assert len(coverage.missing_words) == 3
+        out, missing = load_pretrained(path, vocab, oov_seed=3)
+        assert vocab.size - len(missing) == 7
+        assert missing == words[7:]
         again, _ = load_pretrained(path, vocab, oov_seed=3)
         np.testing.assert_array_equal(out, again)
-        missing_rows = out[[vocab.id_of[w] for w in coverage.missing_words]]
+        missing_rows = out[[vocab.id_of[w] for w in missing]]
         assert np.abs(missing_rows).max() < 1.0  # sigma 0.1 rows, not N(0,1)
+
+    # "empty" is a "0 4" header and no rows
+    @pytest.mark.parametrize("file_words", [[], ["w0", "w3", "w9"], [f"w{i}" for i in range(10)],
+                                            ["x", "y"]], ids=["empty", "some", "all", "none"])
+    def test_equals_per_word_fill(self, tmp_path, file_words):
+        words = [f"w{i}" for i in range(10)]
+        docs = " ".join(w for i, w in enumerate(words) for _ in range(10 - i))
+        vocab, _ = toy_corpus([[docs]])
+        path = tmp_path / "pre.vec"
+        self._write(path, file_words)
+        out, missing = load_pretrained(path, vocab, oov_seed=5)
+        want, want_missing = reference.load_pretrained(path, vocab, oov_seed=5)
+        assert missing == want_missing
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
 
     def test_dimension_mismatch(self, tmp_path):
         vocab, _ = toy_corpus([["a b"]])

@@ -9,7 +9,11 @@ followed by ``eval``, ``drift`` and one ``export``. dsg and dbe train
 twice more with the drift penalty: from internal init with the ``mean``
 threshold, and from random init with a fixed one. A copy of the dbe run
 without its ``.npy`` twins gets one ``eval``, so the loader parses text
-too.
+too. Last, the 40 most frequent words get their own vocabulary and an
+unsplit corpus, an isg run on it is exported at its last slice, and dsg
+and dbe train from that file by backward-external init over the 60-word
+vocabulary; it covers 40 of the 60 words, so the other rows are drawn
+at random and stderr carries the coverage warning.
 
 The digest is compared with the one pinned under ``tests/pins/`` for
 this numpy version and the dispatch level the commands run at: the
@@ -72,6 +76,18 @@ def steps():
                    "--dim", "8", "--epochs", "2", "--seed", "0", *flags]
     yield roundtrip_digest.TextCopy("runs/dbe", "runs/dbe-text")
     yield ["eval", "--run", "runs/dbe-text", "--split", "test"]
+    yield ["build-vocab", "--manifest", "demo/manifest.tsv",
+           "--boundaries", f"2000:{2000 + SLICES}", "--max-size", "40", "--out", "demo/top40.tsv"]
+    yield ["slice", "--manifest", "demo/manifest.tsv", "--vocab", "demo/top40.tsv",
+           "--boundaries", f"2000:{2000 + SLICES}", "--holdout", "0", "--out-prefix", "demo/top40"]
+    yield ["train", "--model", "isg", "--out", "runs/isg-top40", "--vocab", "demo/top40.tsv",
+           "--train", "demo/top40.full.json", "--dim", "8", "--epochs", "2", "--seed", "0"]
+    yield ["export", "--run", "runs/isg-top40", "--slice", str(SLICES - 1),
+           "--out", "exports/top40.vec"]
+    for model in ("dsg", "dbe"):
+        yield ["train", "--model", model, "--out", f"runs/{model}-partial", *DATA,
+               "--dim", "8", "--epochs", "2", "--seed", "0",
+               "--init", "backward-external", "--pretrained", "exports/top40.vec"]
 
 
 def dispatch_level():

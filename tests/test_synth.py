@@ -143,6 +143,13 @@ class TestValidation:
         assert all(doc[0] in {c.word for c in changes}
                    for docs in result.raw_slices for doc in docs)
 
+    def test_planted_words_take_the_whole_pool(self):
+        # the pool is the first max(2, round(0.3 * 10)) = 3 names
+        changes = [planted(word=f"w{i:04d}", change_slice=1) for i in range(3)]
+        with pytest.raises(ValueError, match="the planted words take all 3 shared-pool words"):
+            generate(small_spec(vocab_size=10, T=2, tokens_per_slice=100,
+                                planted_changes=changes))
+
     @pytest.mark.parametrize("skew", [-1.0, float("nan"), float("inf")])
     def test_topic_skew_must_be_finite_and_non_negative(self, skew):
         with pytest.raises(ValueError, match="skew must be a finite number >= 0"):
